@@ -30,6 +30,7 @@ from scipy.sparse import csgraph as _csgraph
 from .errors import GridTooCoarse, InvalidInput, InvalidWeight, NotInCatalog
 
 _JET_STEP = 1e-2  # step for numeric differentiation of closed-form metrics
+_BLOCK = 1024     # points per block of the pointwise curvature algebra
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +195,6 @@ class GridSpec:
 
     radius: float
     dx: float
-    order: int = 2
-    boundary: str = "dirichlet"
 
     def __post_init__(self):
         if not (np.isfinite(self.radius) and self.radius > 0):
@@ -373,41 +372,75 @@ def metric_jets(cm: ChartMetric, pts: np.ndarray, step: float = _JET_STEP):
     return g0, dg, d2g
 
 
+def _blocks(n: int):
+    """Slices covering range(n) in steps of `_BLOCK`."""
+    return [slice(start, start + _BLOCK) for start in range(0, n, _BLOCK)]
+
+
+_FIELD_SHAPES = {"g": (3, 3), "ginv": (3, 3), "Gamma": (3, 3, 3), "Rm": (3, 3, 3, 3),
+                 "ric": (3, 3), "Rc": (3, 3), "scal": (), "sqrt_det": ()}
+
+
 def curvature_fields(cm: ChartMetric, pts: np.ndarray, step: float = _JET_STEP) -> dict:
     """Pointwise curvature data of the chart metric.
 
     Returns g, ginv, Gamma (Gamma[..., k, i, j] = Gamma^k_ij), the
     lowered Riemann tensor Rm[..., i, j, k, l] = <R(ei,ej)el, ek>, the
     Ricci tensor, the Ricci endomorphism Rc = g^(-1) ric, scal, and
-    sqrt(det g).
+    sqrt(det g); each has the leading shape of `pts`.
+
+    The points are evaluated blockwise, `_BLOCK` at a time: `metric_jets`
+    and the tensor algebra run on one block and write into preallocated
+    outputs, so transient memory is bounded by the block size rather than
+    by the number of points.
     """
+    pts = np.asarray(pts, dtype=float)
+    base = pts.shape[:-1]
+    flat = pts.reshape(-1, 3)
+    npts = len(flat)
+    out = {key: np.empty((npts,) + tail) for key, tail in _FIELD_SHAPES.items()}
+    for blk in _blocks(npts):
+        _curvature_block(cm, flat[blk], step, {key: a[blk] for key, a in out.items()})
+    return {key: a.reshape(base + a.shape[1:]) for key, a in out.items()}
+
+
+def _curvature_block(cm: ChartMetric, pts: np.ndarray, step: float, out: dict) -> None:
+    """`curvature_fields` on a flat (B, 3) block, written into `out`.
+
+    Every contraction is a batched matmul over the block axis; index
+    groups are merged by reshapes so each product is (B, m, k) @ (B, k, n).
+    """
+    B = len(pts)
     g0, dg, d2g = metric_jets(cm, pts, step)
     ginv = np.linalg.inv(g0)
-    # Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij)
-    low = dg + np.einsum("...jil->...ijl", dg) - np.einsum("...lij->...ijl", dg)
-    Gamma = 0.5 * np.einsum("...kl,...ijl->...kij", ginv, low)
-    # d_a Gamma^k_ij needs d_a g^kl = -g^kp (d_a g_pq) g^ql
-    dginv = -np.einsum("...kp,...apq,...ql->...akl", ginv, dg, ginv)
-    dlow = (d2g + np.einsum("...ajil->...aijl", d2g)
-            - np.einsum("...alij->...aijl", d2g))
-    dGamma = (0.5 * np.einsum("...akl,...ijl->...akij", dginv, low)
-              + 0.5 * np.einsum("...kl,...aijl->...akij", ginv, dlow))
-    del d2g, dlow, dginv
+    ginvT = np.swapaxes(ginv, -1, -2)
+    # Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij); low is [i, j, l]
+    low = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
+    Gamma = 0.5 * (low.reshape(B, 9, 3) @ ginvT).reshape(B, 3, 3, 3).transpose(0, 3, 1, 2)
+    # d_a Gamma^k_ij needs d_a g^kl = -g^kp (d_a g_pq) g^ql; dGamma is [a, i, j, k]
+    dginv = -(ginv[:, None] @ dg @ ginv[:, None])
+    dlow = d2g + d2g.transpose(0, 1, 3, 2, 4) - d2g.transpose(0, 1, 3, 4, 2)
+    dGamma = 0.5 * (low.reshape(B, 1, 9, 3) @ np.swapaxes(dginv, -1, -2)
+                    + dlow.reshape(B, 3, 9, 3) @ ginvT[:, None])
     # R^m_ijl = d_i Gamma^m_jl - d_j Gamma^m_il + G^m_ip G^p_jl - G^m_jp G^p_il
-    Rup = (np.einsum("...imjl->...mijl", dGamma)
-           - np.einsum("...jmil->...mijl", dGamma)
-           + np.einsum("...mip,...pjl->...mijl", Gamma, Gamma)
-           - np.einsum("...mjp,...pil->...mijl", Gamma, Gamma))
-    del dGamma
-    Rm = np.einsum("...km,...mijl->...ijkl", g0, Rup)
-    del Rup
-    ric = np.einsum("...ik,...ijkl->...jl", ginv, Rm)
+    #         = A[m, i, j, l] - A[m, j, i, l]
+    A = dGamma.reshape(B, 3, 3, 3, 3).transpose(0, 4, 1, 2, 3) + (
+        Gamma.reshape(B, 9, 3) @ Gamma.reshape(B, 3, 9)).reshape(B, 3, 3, 3, 3)
+    Rup = A - A.transpose(0, 1, 3, 2, 4)
+    # Rm_ijkl = g_km R^m_ijl, computed as [k, i, j, l]
+    Rm = (g0 @ Rup.reshape(B, 3, 27)).reshape(B, 3, 3, 3, 3)
+    # ric_jl = g^ik Rm_ijkl = sum over (k, i) of g^ik Rm[k, i, j, l]
+    ric = (ginvT.reshape(B, 1, 9) @ Rm.reshape(B, 9, 9)).reshape(B, 3, 3)
     ric = 0.5 * (ric + np.swapaxes(ric, -1, -2))
-    Rc = np.einsum("...ik,...kj->...ij", ginv, ric)
-    scal = np.einsum("...ii->...", Rc)
-    det = np.linalg.det(g0)
-    return {"g": g0, "ginv": ginv, "Gamma": Gamma, "Rm": Rm,
-            "ric": ric, "Rc": Rc, "scal": scal, "sqrt_det": np.sqrt(det)}
+    Rc = ginv @ ric
+    out["g"][...] = g0
+    out["ginv"][...] = ginv
+    out["Gamma"][...] = Gamma
+    out["Rm"][...] = Rm.transpose(0, 2, 3, 1, 4)
+    out["ric"][...] = ric
+    out["Rc"][...] = Rc
+    out["scal"][...] = np.trace(Rc, axis1=-2, axis2=-1)
+    out["sqrt_det"][...] = np.sqrt(np.linalg.det(g0))
 
 
 def chart_metric(name: str) -> ChartMetric:
@@ -455,11 +488,6 @@ def _diff1(field: np.ndarray, axis: int, dx: float) -> np.ndarray:
     return out
 
 
-def grid_partials(h: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """All first partials of a grid field; leading new axis indexes d/dx^a."""
-    return np.stack([_diff1(h, a, grid.dx) for a in range(3)], axis=0)
-
-
 def apply_L_fd(cm: ChartMetric, lam: float, d, h: np.ndarray,
                grid: GridSpec, _fields: dict = None) -> np.ndarray:
     """Apply L = Delta_L + 2 lam + Lie_{X0} to a sampled tensor field.
@@ -471,6 +499,16 @@ def apply_L_fd(cm: ChartMetric, lam: float, d, h: np.ndarray,
     plateau discrepancies against the algebraic operator shrink at
     O(dx^2).  Output is forced to zero outside the open ball (Dirichlet).
     """
+    return _apply_L(cm, lam, d, h, grid, _fields)[0]
+
+
+def _apply_L(cm: ChartMetric, lam: float, d, h: np.ndarray, grid: GridSpec,
+             fields: dict = None) -> tuple:
+    """(L h, g^-1 h g^-1): `apply_L_fd` plus the raised field it forms.
+
+    The pointwise algebra runs as batched matmuls over blocks of the
+    flattened grid, so its temporaries stay block-sized.
+    """
     if grid.dx > grid.radius / 8.0 + 1e-12:
         raise GridTooCoarse(
             f"dx = {grid.dx} exceeds radius/8 = {grid.radius / 8.0}")
@@ -480,50 +518,62 @@ def apply_L_fd(cm: ChartMetric, lam: float, d, h: np.ndarray,
         raise InvalidInput(f"field shape {h.shape} does not match grid {shape}")
     d = np.asarray(d, dtype=float)
     pts = grid.points()
-    f = _fields if _fields is not None else curvature_fields(cm, pts)
-    ginv, Gamma, Rm, ric = f["ginv"], f["Gamma"], f["Rm"], f["ric"]
+    f = fields if fields is not None else curvature_fields(cm, pts)
+    P = grid.npts ** 3
+    ginv = f["ginv"].reshape(P, 3, 3)
+    Gamma = f["Gamma"].reshape(P, 3, 3, 3)
+    Rm = f["Rm"].reshape(P, 3, 3, 3, 3)
+    Rc = f["Rc"].reshape(P, 3, 3)
+    hf = h.reshape(P, 3, 3)
     dxs = grid.dx
 
-    # nabla_a h_ij = d_a h_ij - G^p_ai h_pj - G^p_aj h_ip
-    dh = grid_partials(h, grid)
-    T = np.empty((3,) + h.shape)
+    # nabla_a h_ij = d_a h_ij - G^p_ai h_pj - G^p_aj h_ip, stored as T[x, a, i, j]
+    T = np.empty(h.shape[:3] + (3, 3, 3))
     for a in range(3):
-        corr = np.einsum("...pi,...pj->...ij", Gamma[..., :, a, :], h)
-        T[a] = dh[a] - corr - np.swapaxes(corr, -1, -2)
-    del dh
+        T[..., a, :, :] = _diff1(h, a, dxs)
+    Tf = T.reshape(P, 3, 3, 3)
+    for blk in _blocks(P):
+        corr = Gamma[blk].transpose(0, 2, 3, 1) @ hf[blk, None]     # G^p_ai h_pj
+        Tf[blk] -= corr
+        Tf[blk] -= np.swapaxes(corr, -1, -2)
 
     # Delta h_ij = g^ab [ d_a T_bij - G^p_ab T_pij - G^p_ai T_bpj - G^p_aj T_bip ]
-    trG = np.einsum("...ab,...pab->...p", ginv, Gamma)   # g^ab G^p_ab
-    M = np.einsum("...ab,...pai->...bpi", ginv, Gamma)   # g^ab G^p_ai
-    lap = np.zeros_like(h)
+    out = np.zeros((P, 9))
     for a in range(3):
-        dTa = np.stack([_diff1(T[b], a, dxs) for b in range(3)], axis=0)
-        lap = lap + np.einsum("...b,b...ij->...ij", ginv[..., a, :], dTa)
+        dTa = _diff1(T, a, dxs).reshape(P, 3, 9)                     # d_a T_bij
+        out += np.einsum("pb,pbk->pk", ginv[:, a, :], dTa)
         del dTa
-    lap = lap - np.einsum("...p,p...ij->...ij", trG, T)
-    c3 = np.einsum("...bpi,b...pj->...ij", M, T)
-    lap = lap - c3 - np.swapaxes(c3, -1, -2)
-    del T, c3, M, trG
-
-    # curvature terms: 2 Rm(h) - Rc.h - h.Rc with raised h
-    hup = np.einsum("...ak,...kl,...lb->...ab", ginv, h, ginv)
-    rst = 2.0 * np.einsum("...iajb,...ab->...ij", Rm, hup)
-    ric_mixed = np.einsum("...kl,...li->...ki", ginv, ric)  # ric^k_i
-    rc_h = np.einsum("...ki,...kj->...ij", ric_mixed, h)
-    out = lap + rst - rc_h - np.swapaxes(rc_h, -1, -2)
-    del lap, rst, rc_h, hup
+    out = out.reshape(P, 3, 3)
+    hup = np.empty((P, 3, 3))
+    for blk in _blocks(P):
+        g, G, Tb, hb, o = ginv[blk], Gamma[blk], Tf[blk], hf[blk], out[blk]
+        trG = G.reshape(-1, 3, 9) @ g.reshape(-1, 9, 1)                # g^ab G^p_ab
+        o -= (np.swapaxes(trG, -1, -2) @ Tb.reshape(-1, 3, 9)).reshape(-1, 3, 3)
+        # g^ab G^p_ai T_bpj as M[i, (b, p)] T[(b, p), j]
+        M = (np.swapaxes(G, -1, -2) @ g[:, None]).transpose(0, 2, 3, 1).reshape(-1, 3, 9)
+        c3 = M @ Tb.reshape(-1, 9, 3)
+        o -= c3
+        o -= np.swapaxes(c3, -1, -2)
+        # curvature terms: 2 Rm(h) - Rc.h - h.Rc with raised h
+        hu = hup[blk] = g @ hb @ g
+        Rm_pairs = Rm[blk].transpose(0, 1, 3, 2, 4).reshape(-1, 9, 9)  # Rm[(i, j), (a, b)]
+        o += 2.0 * (Rm_pairs @ hu.reshape(-1, 9, 1)).reshape(-1, 3, 3)
+        rc_h = np.swapaxes(Rc[blk], -1, -2) @ hb                     # ric^k_i h_kj
+        o -= rc_h
+        o -= np.swapaxes(rc_h, -1, -2)
 
     # 2 lam h + Lie_{X0} h = 2 lam h + d_k x^k d_k h_ij + (d_i + d_j) h_ij
-    out = out + 2.0 * lam * h
+    out = out.reshape(shape)
+    out += 2.0 * lam * h
     if np.any(d != 0.0):
         for k in range(3):
             if d[k] != 0.0:
-                out = out + d[k] * pts[..., k, None, None] * _diff1(h, k, dxs)
-        out = out + (d[:, None] + d[None, :]) * h
+                out += d[k] * pts[..., k, None, None] * _diff1(h, k, dxs)
+        out += (d[:, None] + d[None, :]) * h
 
-    r2 = np.einsum("...k,...k->...", pts, pts)
+    r2 = np.sum(pts * pts, axis=-1)
     out[r2 >= grid.radius ** 2] = 0.0
-    return out
+    return out, hup.reshape(shape)
 
 
 def rayleigh_quotient(cm: ChartMetric, lam: float, d, h: np.ndarray,
@@ -533,17 +583,16 @@ def rayleigh_quotient(cm: ChartMetric, lam: float, d, h: np.ndarray,
     Pointwise inner products raise indices with g; the measure is
     sqrt(det g) dx^3.  Scale-invariant by construction.
     """
+    h = np.asarray(h, dtype=float)
     f = _fields if _fields is not None else curvature_fields(cm, grid.points())
-    Lh = apply_L_fd(cm, lam, d, h, grid, _fields=f)
-    ginv, vol = f["ginv"], f["sqrt_det"]
-    hup = np.einsum("...ik,...kl,...lj->...ij", ginv, np.asarray(h, float), ginv)
-    den_pt = np.einsum("...ij,...ij->...", hup, h)
-    num_pt = np.einsum("...ij,...ij->...", hup, Lh)
-    w = vol * grid.dx ** 3
-    den = float(np.sum(den_pt * w))
+    Lh, hup = _apply_L(cm, lam, d, h, grid, f)
+    w = (f["sqrt_det"] * grid.dx ** 3).ravel()
+    P = len(w)
+    hup = hup.reshape(P, 9)
+    den = float(np.vecdot(hup, h.reshape(P, 9)) @ w)
     if den <= 0.0 or not np.isfinite(den):
         raise InvalidInput("Rayleigh quotient of a zero (or degenerate) field")
-    return float(np.sum(num_pt * w)) / den
+    return float(np.vecdot(hup, Lh.reshape(P, 9)) @ w) / den
 
 
 def radial_bump(grid: GridSpec, r_inner: float, r_outer: float,
@@ -564,9 +613,13 @@ def radial_bump(grid: GridSpec, r_inner: float, r_outer: float,
 
 def frame_tensor_field(cm: ChartMetric, grid: GridSpec, S) -> np.ndarray:
     """Coordinate components of the left-invariant field with frame matrix S."""
-    C = cm.coframe(grid.points())
+    return _frame_field(cm.coframe(grid.points()), S)
+
+
+def _frame_field(C: np.ndarray, S) -> np.ndarray:
+    """C^T sym(S) C pointwise, for coframe rows C of shape (..., 3, 3)."""
     S = np.asarray(S, dtype=float)
-    return np.einsum("...ai,ab,...bj->...ij", C, 0.5 * (S + S.T), C)
+    return np.swapaxes(C, -1, -2) @ (0.5 * (S + S.T)) @ C
 
 
 def probe_tensor_suite(cm: ChartMetric, grid: GridSpec, count: int = 20,
@@ -595,17 +648,28 @@ def probe_tensor_suite(cm: ChartMetric, grid: GridSpec, count: int = 20,
         A = rng.uniform(-1.0, 1.0, size=(3, 3))
         S = 0.5 * (A + A.T)
         mats.append(S / np.linalg.norm(S))
-    out = []
-    for S in mats[:count]:
-        out.append(chi[..., None, None] * frame_tensor_field(cm, grid, S))
-    return out
+    C = cm.coframe(grid.points())
+    chi = chi[..., None, None]
+    return [chi * _frame_field(C, S) for S in mats[:count]]
 
 
 # ---------------------------------------------------------------------------
 # metric distances, annuli, weighted norms
 # ---------------------------------------------------------------------------
 
+# graph and distance field of the most recent (chart, radius, npts) only: the
+# hits come from one norm, `build_annulus_cover` then `pair_distances` on its
+# grid, and a bounded cache keeps peak memory from growing with every grid seen
 _GRAPH_CACHE: dict = {}
+
+
+def _grid_cache(cm: ChartMetric, grid: GridSpec) -> dict:
+    """The cache slot of this grid, evicting any other grid's slot."""
+    key = (cm.name, grid.radius, grid.npts)
+    if key not in _GRAPH_CACHE:
+        _GRAPH_CACHE.clear()
+        _GRAPH_CACHE[key] = {}
+    return _GRAPH_CACHE[key]
 
 
 def _grid_graph(cm: ChartMetric, grid: GridSpec):
@@ -614,9 +678,9 @@ def _grid_graph(cm: ChartMetric, grid: GridSpec):
     Edge (x, x + o*dx) gets weight dx * sqrt(o^T g(mid) o), the length
     of the straight segment in the metric at its midpoint.
     """
-    key = (cm.name, grid.radius, grid.npts)
-    if key in _GRAPH_CACHE:
-        return _GRAPH_CACHE[key]
+    slot = _grid_cache(cm, grid)
+    if "graph" in slot:
+        return slot["graph"]
     npts = grid.npts
     idx = np.arange(npts ** 3).reshape((npts,) * 3)
     pts = grid.points()
@@ -642,21 +706,21 @@ def _grid_graph(cm: ChartMetric, grid: GridSpec):
     graph = _sparse.csr_matrix(
         (np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n))
-    _GRAPH_CACHE[key] = graph
+    slot["graph"] = graph
     return graph
 
 
 def distance_field(cm: ChartMetric, grid: GridSpec) -> np.ndarray:
     """Approximate metric distance to the origin at every grid point."""
-    key = ("dist", cm.name, grid.radius, grid.npts)
-    if key in _GRAPH_CACHE:
-        return _GRAPH_CACHE[key]
+    slot = _grid_cache(cm, grid)
+    if "dist" in slot:
+        return slot["dist"]
     graph = _grid_graph(cm, grid)
     npts = grid.npts
     origin = np.ravel_multi_index(grid.origin_index, (npts,) * 3)
     dist = _csgraph.dijkstra(graph, directed=False, indices=origin)
     dist = dist.reshape((npts,) * 3)
-    _GRAPH_CACHE[key] = dist
+    slot["dist"] = dist
     return dist
 
 

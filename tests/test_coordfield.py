@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solitonlab import catalog
+from solitonlab import catalog, coordfield
 from solitonlab.coordfield import (
+    _BLOCK,
     GridSpec,
+    _diff1,
     WeightSpec,
     apply_L_fd,
     build_annulus_cover,
@@ -274,6 +276,102 @@ def test_frame_tensor_field_identity_gives_metric(nil3_fields):
     assert np.allclose(h, fields["g"], atol=1e-13)
 
 
+# ------------------------------------------------ einsum reference oracle
+#
+# The pointwise formulas transcribed as whole-array ellipsis einsums: an
+# independent reference for the blocked matmul kernels.  The kernels sum
+# in another order, so agreement is to roundoff, not bitwise.
+
+def _oracle_curvature_fields(cm, pts):
+    g0, dg, d2g = metric_jets(cm, pts)
+    ginv = np.linalg.inv(g0)
+    low = dg + np.einsum("...jil->...ijl", dg) - np.einsum("...lij->...ijl", dg)
+    Gamma = 0.5 * np.einsum("...kl,...ijl->...kij", ginv, low)
+    dginv = -np.einsum("...kp,...apq,...ql->...akl", ginv, dg, ginv)
+    dlow = (d2g + np.einsum("...ajil->...aijl", d2g)
+            - np.einsum("...alij->...aijl", d2g))
+    dGamma = (0.5 * np.einsum("...akl,...ijl->...akij", dginv, low)
+              + 0.5 * np.einsum("...kl,...aijl->...akij", ginv, dlow))
+    Rup = (np.einsum("...imjl->...mijl", dGamma)
+           - np.einsum("...jmil->...mijl", dGamma)
+           + np.einsum("...mip,...pjl->...mijl", Gamma, Gamma)
+           - np.einsum("...mjp,...pil->...mijl", Gamma, Gamma))
+    Rm = np.einsum("...km,...mijl->...ijkl", g0, Rup)
+    ric = np.einsum("...ik,...ijkl->...jl", ginv, Rm)
+    ric = 0.5 * (ric + np.swapaxes(ric, -1, -2))
+    Rc = np.einsum("...ik,...kj->...ij", ginv, ric)
+    return {"g": g0, "ginv": ginv, "Gamma": Gamma, "Rm": Rm, "ric": ric, "Rc": Rc,
+            "scal": np.einsum("...ii->...", Rc), "sqrt_det": np.sqrt(np.linalg.det(g0))}
+
+
+def _oracle_apply_L(cm, h, grid, f):
+    pts = grid.points()
+    ginv, Gamma, Rm, ric = f["ginv"], f["Gamma"], f["Rm"], f["ric"]
+    dh = np.stack([_diff1(h, a, grid.dx) for a in range(3)], axis=0)
+    T = np.empty((3,) + h.shape)
+    for a in range(3):
+        corr = np.einsum("...pi,...pj->...ij", Gamma[..., :, a, :], h)
+        T[a] = dh[a] - corr - np.swapaxes(corr, -1, -2)
+    trG = np.einsum("...ab,...pab->...p", ginv, Gamma)
+    M = np.einsum("...ab,...pai->...bpi", ginv, Gamma)
+    lap = np.zeros_like(h)
+    for a in range(3):
+        dTa = np.stack([_diff1(T[b], a, grid.dx) for b in range(3)], axis=0)
+        lap = lap + np.einsum("...b,b...ij->...ij", ginv[..., a, :], dTa)
+    lap = lap - np.einsum("...p,p...ij->...ij", trG, T)
+    c3 = np.einsum("...bpi,b...pj->...ij", M, T)
+    lap = lap - c3 - np.swapaxes(c3, -1, -2)
+    hup = np.einsum("...ak,...kl,...lb->...ab", ginv, h, ginv)
+    rst = 2.0 * np.einsum("...iajb,...ab->...ij", Rm, hup)
+    rc_h = np.einsum("...ki,...kj->...ij", np.einsum("...kl,...li->...ki", ginv, ric), h)
+    out = lap + rst - rc_h - np.swapaxes(rc_h, -1, -2) + 2.0 * cm.lam * h
+    for k in range(3):
+        out = out + cm.d[k] * pts[..., k, None, None] * _diff1(h, k, grid.dx)
+    out = out + (cm.d[:, None] + cm.d[None, :]) * h
+    out[np.einsum("...k,...k->...", pts, pts) >= grid.radius ** 2] = 0.0
+    w = f["sqrt_det"] * grid.dx ** 3
+    q = (np.sum(np.einsum("...ij,...ij->...", hup, out) * w)
+         / np.sum(np.einsum("...ij,...ij->...", hup, h) * w))
+    return out, q
+
+
+def _rel_err(a, ref):
+    return np.max(np.abs(a - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name", ["nil3", "sol3", "hyp3"])
+def test_kernels_match_einsum_oracle(name):
+    cm = chart_metric(name)
+    pts = GRID.points()
+    n = pts.size // 3
+    assert n > _BLOCK and n % _BLOCK   # several blocks, the last one partial
+    fields = curvature_fields(cm, pts)
+    ref = _oracle_curvature_fields(cm, pts)
+    assert list(fields) == list(ref)
+    for key in ref:
+        assert fields[key].shape == ref[key].shape, key
+        assert _rel_err(fields[key], ref[key]) < 1e-12, key
+    h = probe_tensor_suite(cm, GRID, count=8, seed=5)[7]
+    ref_L, ref_q = _oracle_apply_L(cm, h, GRID, ref)
+    assert _rel_err(apply_L_fd(cm, cm.lam, cm.d, h, GRID, _fields=fields), ref_L) < 1e-12
+    q = rayleigh_quotient(cm, cm.lam, cm.d, h, GRID, _fields=fields)
+    assert abs(q - ref_q) < 1e-12 * abs(ref_q)
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (5, 7, 3)])
+def test_curvature_fields_point_shapes(shape):
+    cm = chart_metric("sol3")
+    pts = np.random.default_rng(3).uniform(-1.5, 1.5, size=shape)
+    fields = curvature_fields(cm, pts)
+    flat = curvature_fields(cm, pts.reshape(-1, 3))
+    tails = {"g": (3, 3), "ginv": (3, 3), "Gamma": (3, 3, 3), "Rm": (3, 3, 3, 3),
+             "ric": (3, 3), "Rc": (3, 3), "scal": (), "sqrt_det": ()}
+    assert list(fields) == list(tails)
+    for key, tail in tails.items():
+        assert fields[key].shape == shape[:-1] + tail, key
+        assert np.array_equal(fields[key].reshape(flat[key].shape), flat[key]), key
+
+
 # ------------------------------------------------------ distances / norms
 
 def test_distance_field_basics():
@@ -295,6 +393,16 @@ def test_distance_field_cached():
     d1 = distance_field(cm, GRID)
     d2 = distance_field(cm, GRID)
     assert d1 is d2
+
+
+def test_graph_cache_keeps_latest_grid_only():
+    cm = chart_metric("nil3")
+    d1 = distance_field(cm, GRID)
+    other = GridSpec(radius=1.5, dx=0.25)
+    distance_field(cm, other)
+    assert len(coordfield._GRAPH_CACHE) == 1
+    assert distance_field(cm, GRID) is not d1
+    np.testing.assert_array_equal(distance_field(cm, GRID), d1)
 
 
 def test_annulus_cover_invariants():
