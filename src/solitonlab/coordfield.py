@@ -589,10 +589,10 @@ def rayleigh_quotient(cm: ChartMetric, lam: float, d, h: np.ndarray,
     w = (f["sqrt_det"] * grid.dx ** 3).ravel()
     P = len(w)
     hup = hup.reshape(P, 9)
-    den = float(np.vecdot(hup, h.reshape(P, 9)) @ w)
+    den = float(np.einsum("pk,pk->p", hup, h.reshape(P, 9)) @ w)
     if den <= 0.0 or not np.isfinite(den):
         raise InvalidInput("Rayleigh quotient of a zero (or degenerate) field")
-    return float(np.vecdot(hup, Lh.reshape(P, 9)) @ w) / den
+    return float(np.einsum("pk,pk->p", hup, Lh.reshape(P, 9)) @ w) / den
 
 
 def radial_bump(grid: GridSpec, r_inner: float, r_outer: float,

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis import strategies as st
 from solitonlab import catalog, coordfield
 from solitonlab.coordfield import (
     _BLOCK,
+    _FIELD_SHAPES,
     GridSpec,
     _diff1,
     WeightSpec,
@@ -364,10 +368,8 @@ def test_curvature_fields_point_shapes(shape):
     pts = np.random.default_rng(3).uniform(-1.5, 1.5, size=shape)
     fields = curvature_fields(cm, pts)
     flat = curvature_fields(cm, pts.reshape(-1, 3))
-    tails = {"g": (3, 3), "ginv": (3, 3), "Gamma": (3, 3, 3), "Rm": (3, 3, 3, 3),
-             "ric": (3, 3), "Rc": (3, 3), "scal": (), "sqrt_det": ()}
-    assert list(fields) == list(tails)
-    for key, tail in tails.items():
+    assert list(fields) == list(_FIELD_SHAPES)
+    for key, tail in _FIELD_SHAPES.items():
         assert fields[key].shape == shape[:-1] + tail, key
         assert np.array_equal(fields[key].reshape(flat[key].shape), flat[key]), key
 
@@ -436,3 +438,28 @@ def test_weighted_holder_norm_properties():
     # homogeneity of degree 1
     n3 = weighted_holder_norm(cover, 3.0 * h, 0, 0.5, w1)
     assert abs(n3 - 3.0 * n0) < 1e-10 * max(1.0, n3)
+
+
+# functions NumPy 1.x lacks; pyproject.toml declares numpy>=1.23
+_NUMPY2_ONLY = {
+    "np": {"vecdot", "matvec", "vecmat", "matrix_transpose", "permute_dims", "concat",
+           "astype", "unstack", "cumulative_sum", "cumulative_prod", "trapezoid",
+           "isdtype", "unique_all", "unique_counts", "unique_inverse", "unique_values",
+           "acos", "acosh", "asin", "asinh", "atan", "atan2", "atanh", "pow",
+           "bitwise_invert", "bitwise_left_shift", "bitwise_right_shift"},
+    "np.linalg": {"vecdot", "matrix_transpose", "matrix_norm", "vector_norm",
+                  "svdvals", "diagonal", "trace", "outer", "cross", "tensordot",
+                  "matmul"},
+}
+
+
+def test_package_uses_no_numpy2_only_api():
+    pkg = Path(coordfield.__file__).parent
+    used = []
+    for path in sorted(pkg.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and (
+                    node.attr in _NUMPY2_ONLY.get(ast.unparse(node.value), ())
+                    or node.attr == "mT"):
+                used.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert not used, used
