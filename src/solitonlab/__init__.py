@@ -17,7 +17,7 @@ from .liealg import (LieAlgebra, LinearMap, ValidationReport, ad, bracket,
                      series_flags, validate)
 from .leftinv import (CurvaturePackage, check_metric, curvature,
                       curvature_action, lichnerowicz, lie_derivative_term,
-                      orthonormal_frame)
+                      orthonormal_frame, ricci)
 from .soliton import (SolitonCertificate, SolitonVectorField,
                       VerificationReport, exact_unnormalized_solution,
                       solve_soliton, soliton_vector_field, verify_soliton)

@@ -11,6 +11,10 @@ convention
 
 pinned by requiring the 2D hyperbolic model ([e2,e1] = e1) to have
 sectional curvature K = R_1212 = -1.
+
+The flow right-hand side needs only the Ricci form; ``ricci`` computes it
+in the defining basis from a closed formula, without the frame or ``Rm``.
+Each public function validates and factors its metric once.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .errors import InvalidMetric
 from .liealg import LieAlgebra, _as_matrix
@@ -26,23 +31,32 @@ from .liealg import LieAlgebra, _as_matrix
 SYM_TOL = 1e-14
 
 
-def check_metric(g, n=None) -> np.ndarray:
-    """Validate an SPD matrix and return it as a float array."""
+def _factor(g, n=None) -> tuple[np.ndarray, np.ndarray]:
+    """Validate an SPD matrix once: ``(g, C)``, g symmetrized and g = C C^T.
+
+    C is the lower Cholesky factor from one LAPACK ``dpotrf`` call; every
+    kernel below takes what it needs of g^{-1} from it.
+    """
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise InvalidMetric(f"metric must be square, got shape {g.shape}")
     if n is not None and g.shape[0] != n:
         raise InvalidMetric(f"metric must be {n}x{n}, got {g.shape[0]}x{g.shape[0]}")
-    if not np.all(np.isfinite(g)):
+    amax = float(np.abs(g).max())      # non-finite iff some entry is
+    if not np.isfinite(amax):
         raise InvalidMetric("metric has non-finite entries")
-    scale = max(1.0, float(np.abs(g).max()))
-    if np.abs(g - g.T).max() > SYM_TOL * scale:
+    if np.abs(g - g.T).max() > SYM_TOL * max(1.0, amax):
         raise InvalidMetric("metric is not symmetric")
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        raise InvalidMetric("metric is not positive definite") from None
-    return 0.5 * (g + g.T)
+    g = 0.5 * (g + g.T)
+    C, info = dpotrf(g, lower=1)
+    if info != 0:
+        raise InvalidMetric("metric is not positive definite")
+    return g, C
+
+
+def check_metric(g, n=None) -> np.ndarray:
+    """Validate an SPD matrix and return it (symmetrized) as a float array."""
+    return _factor(g, n)[0]
 
 
 def sym2(h, n=None) -> np.ndarray:
@@ -66,9 +80,12 @@ def orthonormal_frame(L: LieAlgebra, g) -> tuple[np.ndarray, np.ndarray]:
     of ``[f_a, f_b]``.  F is upper triangular with positive diagonal: this
     is exactly Gram-Schmidt applied to ``e_1, ..., e_n`` in index order.
     """
-    g = check_metric(g, L.n)
-    C = np.linalg.cholesky(g)          # g = C C^T, C lower triangular
-    F = np.linalg.inv(C).T             # F^T g F = I
+    return _frame(L, _factor(g, L.n)[1])
+
+
+def _frame(L: LieAlgebra, C) -> tuple[np.ndarray, np.ndarray]:
+    """``orthonormal_frame`` from the Cholesky factor C of an SPD metric."""
+    F = dtrtri(C, lower=1)[0].T        # F = C^{-T}, so F^T g F = I
     u = np.einsum("kij,ia,jb->kab", L.c, F, F)
     c_frame = np.einsum("mk,kab->mab", C.T, u)   # F^{-1} = C^T
     return F, c_frame
@@ -117,8 +134,8 @@ def curvature(L: LieAlgebra, g) -> CurvaturePackage:
     is assembled termwise from gamma and the frame brackets; since the
     fields are left-invariant there are no derivative terms.
     """
-    g = check_metric(g, L.n)
-    F, ch = orthonormal_frame(L, g)
+    g, C = _factor(g, L.n)
+    F, ch = _frame(L, C)
     gamma = 0.5 * (ch - np.einsum("ijk->kij", ch) + np.einsum("jki->kij", ch))
     # R(f_i, f_j) f_l = (gamma^p_jl gamma^k_ip - gamma^p_il gamma^k_jp
     #                    - c^p_ij gamma^k_pl) f_k
@@ -127,13 +144,43 @@ def curvature(L: LieAlgebra, g) -> CurvaturePackage:
           - np.einsum("pij,kpl->ijkl", ch, gamma))
     ric_frame = np.einsum("ijil->jl", Rm)
     ric_frame = 0.5 * (ric_frame + ric_frame.T)
-    Finv = np.linalg.inv(F)
-    ric = Finv.T @ ric_frame @ Finv
+    ric = C @ ric_frame @ C.T          # F^{-1} = C^T
     ric = 0.5 * (ric + ric.T)
-    Rc = np.linalg.solve(g, ric)
+    Rc = F @ (F.T @ ric)               # g^{-1} = F F^T
     scal = float(np.trace(ric_frame))
     return CurvaturePackage(frame=F, c_frame=ch, gamma=gamma, Rm=Rm,
                             ric_frame=ric_frame, ric=ric, Rc=Rc, scal=scal)
+
+
+def ricci(L: LieAlgebra, g) -> np.ndarray:
+    """Ricci form of (L, g) in the defining basis, without forming ``Rm``.
+
+    For a left-invariant metric with orthonormal basis (f_i), Killing form
+    B and mean curvature vector Z (``<Z, X> = tr ad_X``), Besse, *Einstein
+    Manifolds*, 7.38 gives
+
+        ric(X, Y) = - 1/2 sum_i <[X, f_i], [Y, f_i]> - 1/2 B(X, Y)
+                    + 1/4 sum_ij <[f_i, f_j], X> <[f_i, f_j], Y>
+                    - 1/2 (<[Z, X], Y> + <[Z, Y], X>).
+
+    In the defining basis the frame sums become traces against g^{-1}:
+
+        t1[a, b] = <ad_a, g ad_b g^{-1}>,   t3 = g K g,
+        K[k, l]  = <c^k, g^{-1} c^l g^{-1}>,   Z = g^{-1} tau,
+
+    with <.,.> the Frobenius product, c^k the matrix ``c[k]`` and tau the
+    trace form.  g is validated and factored once; ``curvature().ric`` is
+    the full-``Rm`` reference for the same quantity.
+    """
+    g, C = _factor(g, L.n)
+    Ci = dtrtri(C, lower=1)[0]
+    gi = Ci.T @ Ci
+    n, ad, c = L.n, L.ad_stack, L.c
+    t1 = ad.reshape(n, -1) @ (g @ ad @ gi).reshape(n, -1).T
+    K = c.reshape(n, -1) @ (gi @ c @ gi).reshape(n, -1).T
+    gz = g @ (gi @ L.trace_form @ ad.reshape(n, -1)).reshape(n, n)   # g ad_Z
+    ric = 0.25 * (g @ K @ g) - 0.5 * (t1 + L.killing + gz + gz.T)
+    return 0.5 * (ric + ric.T)
 
 
 def curvature_action(pkg: CurvaturePackage, h) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 A Lie algebra is stored as its dimension together with the sparse list of
 bracket entries ``[e_i, e_j] = sum_k c^k_ij e_k`` for ``i < j``; the dense
-``c[k, i, j]`` tensor (antisymmetric in ``i, j``) is expanded on demand.
+``c[k, i, j]`` tensor (antisymmetric in ``i, j``) and the per-algebra
+constants of the curvature formulas (ad stack, Killing form, trace form)
+are built once, when the algebra is constructed.
 All algebraic identities are checked in double precision against absolute
 tolerances: the inputs of interest are O(1) rationals.
 """
@@ -39,6 +41,9 @@ class LieAlgebra:
     n: int
     entries: tuple = ()
     _dense: np.ndarray = field(init=False, repr=False, compare=False)
+    _ad: np.ndarray = field(init=False, repr=False, compare=False)
+    _killing: np.ndarray = field(init=False, repr=False, compare=False)
+    _trace_form: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n <= 0:
@@ -60,13 +65,33 @@ class LieAlgebra:
         for i, j, k, val in norm:
             c[k, i, j] += val
             c[k, j, i] -= val
-        c.flags.writeable = False
-        object.__setattr__(self, "_dense", c)
+        ad = np.ascontiguousarray(np.transpose(c, (1, 0, 2)))
+        killing = np.einsum("aij,bji->ab", ad, ad)
+        trace_form = np.einsum("kik->i", c)
+        for name, arr in (("_dense", c), ("_ad", ad), ("_killing", killing),
+                          ("_trace_form", trace_form)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def c(self) -> np.ndarray:
         """Dense structure constants, ``c[k, i, j]`` = e_k-component of [e_i, e_j]."""
         return self._dense
+
+    @property
+    def ad_stack(self) -> np.ndarray:
+        """``ad_stack[a]`` is the matrix of ad_{e_a}: ``ad_stack[a, k, j] = c[k, a, j]``."""
+        return self._ad
+
+    @property
+    def killing(self) -> np.ndarray:
+        """Killing form ``B[a, b] = tr(ad_{e_a} ad_{e_b})``."""
+        return self._killing
+
+    @property
+    def trace_form(self) -> np.ndarray:
+        """``trace_form[a] = tr ad_{e_a}``; zero iff the algebra is unimodular."""
+        return self._trace_form
 
     def __repr__(self):
         return f"LieAlgebra(n={self.n}, entries={self.entries})"
@@ -239,8 +264,7 @@ def series_flags(L: LieAlgebra) -> dict:
         der = nxt
     solvable = der.shape[0] == 0
 
-    traces = np.einsum("kik->i", c)  # tr ad_{e_i} = c[k, i, k]
-    unimodular = bool(np.abs(traces).max() <= TOL_ALG) if n > 0 else True
+    unimodular = bool(np.abs(L.trace_form).max() <= TOL_ALG)
     return {"nilpotent": bool(nilpotent), "solvable": bool(solvable),
             "unimodular": unimodular}
 

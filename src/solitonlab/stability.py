@@ -127,38 +127,6 @@ def gauge_subspace(L: LieAlgebra, g0) -> tuple[np.ndarray, np.ndarray]:
     return U[:, :rank], U[:, rank:]
 
 
-def commuting_derivation_gauge(L: LieAlgebra, g0, D) -> np.ndarray:
-    """Orthonormal basis of {sym(Bhat^T + Bhat) : B in Der(L), [B, D] = 0}.
-
-    These are the tangent directions of the fixed-point manifold of the
-    normalized flow (conjugation by automorphisms commuting with D), and
-    numerically they span the neutral eigenspace of the ODE Jacobian.
-    """
-    g0 = check_metric(g0, L.n)
-    n = L.n
-    ders = derivation_space(L)
-    if ders.shape[0] == 0:
-        return np.zeros((n * (n + 1) // 2, 0))
-    # solve for coefficients x with [sum_r x_r B_r, D] = 0 inside Der(L)
-    comm = np.array([(B @ D - D @ B).ravel() for B in ders]).T
-    _, s, vt = np.linalg.svd(comm, full_matrices=True)
-    null = [vt[r] for r in range(ders.shape[0]) if r >= s.size or s[r] <= TOL_RANK]
-    F, _ = orthonormal_frame(L, g0)
-    Finv = np.linalg.inv(F)
-    basis = sym_tensor_basis(n)
-    cols = []
-    for x in null:
-        B = np.tensordot(x, ders, axes=1)
-        Bhat = Finv @ B @ F
-        cols.append(vec_sym(Bhat.T + Bhat, basis))
-    if not cols:
-        return np.zeros((len(basis), 0))
-    A = np.array(cols).T
-    U, s, _ = np.linalg.svd(A)
-    rank = int(np.sum(s > TOL_RANK))
-    return U[:, :rank]
-
-
 def assemble_operator(L: LieAlgebra, g0, cert: SolitonCertificate) -> np.ndarray:
     """Matrix of L h = Delta_L h + 2 lambda h + D^T h + h D on the block.
 

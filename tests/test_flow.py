@@ -164,6 +164,21 @@ def test_convergence_experiment_nil3():
     assert np.linalg.eigvalsh(exp.g_limit).min() > 0
 
 
+@pytest.mark.parametrize("name, seed", [("nil4", 1105563488),
+                                        ("heis3_ext", 13),
+                                        ("heis3_ext", 2085047379)])
+def test_convergence_experiment_fit_window_reaches_slowest_mode(name, seed):
+    # the slowest mode starts small at these seeds, so a fit window that
+    # ends well above integration noise still lies in the transient and
+    # fits a faster rate
+    e = catalog.get(name)
+    cert = solve_soliton(e.algebra, e.metric)
+    exp = convergence_experiment(e.algebra, e.metric, cert, eps=0.01, seed=seed)
+    rel = abs(exp.fit.omega - exp.predicted_rate) / exp.predicted_rate
+    assert rel <= 0.20, rel
+    assert exp.fit.r_squared >= 0.98
+
+
 def test_convergence_experiment_rejects_bad_eps():
     cert = solve_soliton(NIL3.algebra, NIL3.metric)
     with pytest.raises((InvalidInput, InvalidPerturbation)):

@@ -7,9 +7,11 @@ permuted index in the fast path cannot survive.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solitonlab import catalog
-from solitonlab.errors import InvalidInput
+from solitonlab.errors import InvalidInput, InvalidMetric
 from solitonlab.leftinv import (
     check_metric,
     curvature,
@@ -17,6 +19,7 @@ from solitonlab.leftinv import (
     lichnerowicz,
     lie_derivative_term,
     orthonormal_frame,
+    ricci,
     sym2,
 )
 from solitonlab.liealg import LieAlgebra, change_basis
@@ -188,3 +191,73 @@ def test_check_metric_rejects_bad_input():
         check_metric(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(InvalidInput):
         check_metric(np.eye(3), 4)
+
+
+def random_orthogonal(n, rng):
+    Q, R = np.linalg.qr(rng.standard_normal((n, n)))
+    return Q * np.sign(np.diag(R))
+
+
+def assert_rel_close(a, b, tol):
+    assert np.linalg.norm(a - b) <= tol * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_ricci_matches_full_curvature(name):
+    """The Ricci-only kernel against ``curvature().ric`` (built from Rm)."""
+    L = catalog.get(name).algebra
+    rng = np.random.default_rng(sum(map(ord, name)))
+    for Lb in (L, change_basis(L, random_orthogonal(L.n, rng))):
+        for g in [np.asarray(catalog.get(name).metric)] + [
+                random_spd(L.n, rng, scale=s) for s in (0.4, 2.0, 10.0)]:
+            ric = ricci(Lb, g)
+            assert np.array_equal(ric, ric.T)
+            assert_rel_close(ric, curvature(Lb, g).ric, 1e-13)
+
+
+_names = st.sampled_from([n for n in catalog.names() if not n.startswith("abelian")])
+_seeds = st.integers(0, 2 ** 32 - 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_names, _seeds, st.floats(1e-3, 1e3))
+def test_ricci_invariant_under_metric_scaling(name, seed, a):
+    L = catalog.get(name).algebra
+    g = random_spd(L.n, np.random.default_rng(seed))
+    assert_rel_close(ricci(L, a * g), ricci(L, g), 1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_names, _seeds, st.floats(1e-3, 1e3))
+def test_ricci_quadratic_in_structure_constants(name, seed, s):
+    L = catalog.get(name).algebra
+    Ls = LieAlgebra(L.n, tuple((i, j, k, s * v) for i, j, k, v in L.entries))
+    g = random_spd(L.n, np.random.default_rng(seed))
+    assert_rel_close(ricci(Ls, g), s ** 2 * ricci(L, g), 1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_names, _seeds)
+def test_ricci_covariant_under_orthogonal_change(name, seed):
+    rng = np.random.default_rng(seed)
+    L = catalog.get(name).algebra
+    g = random_spd(L.n, rng)
+    Q = random_orthogonal(L.n, rng)
+    # in the basis ebar_i = Q^{-1} e_i both g and ric become Q (.) Q^T
+    assert_rel_close(ricci(change_basis(L, Q), Q @ g @ Q.T),
+                     Q @ ricci(L, g) @ Q.T, 1e-12)
+
+
+@pytest.mark.parametrize("g, msg", [
+    (np.array([[1.0, np.nan, 0.0], [np.nan, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+     "non-finite"),
+    (np.array([[1.0, 0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+     "not symmetric"),
+    (np.diag([1.0, -1.0, 1.0]), "not positive definite"),
+    (np.diag([1.0, 0.0, 1.0]), "not positive definite"),
+    (np.eye(4), "must be 3x3"),
+    (np.ones(3), "must be square"),
+])
+def test_ricci_rejects_invalid_metric(g, msg):
+    with pytest.raises(InvalidMetric, match=msg):
+        ricci(catalog.get("nil3").algebra, g)

@@ -79,6 +79,18 @@ def test_ad_matches_bracket():
         assert np.allclose(ad(L, x) @ y, bracket(L, x, y))
 
 
+def test_curvature_constants_match_definitions():
+    for name in catalog.names():
+        L = catalog.get(name).algebra
+        ads = [ad(L, e) for e in np.eye(L.n)]
+        assert np.array_equal(L.ad_stack, np.array(ads)), name
+        assert np.allclose(L.killing, [[np.trace(x @ y) for y in ads] for x in ads],
+                           atol=1e-14), name
+        assert np.array_equal(L.trace_form, [np.trace(x) for x in ads]), name
+        for arr in (L.c, L.ad_stack, L.killing, L.trace_form):
+            assert not arr.flags.writeable
+
+
 def test_jacobi_residual_zero_on_catalog():
     for name in ("nil3", "nil4", "heis5", "sol3", "hyp_4", "heis3_ext"):
         assert jacobi_residual(catalog.get(name).algebra) < 1e-14
