@@ -8,9 +8,9 @@ spectra), `flow` (ODE integration and decay fits), `coordfield`
 examples), `cli` (command-line front end).
 """
 
-from .errors import (DomainError, GridTooCoarse, InvalidInput, InvalidMetric,
-                     InvalidPerturbation, InvalidWeight, NotInCatalog,
-                     SingularityReached, StiffnessError,
+from .errors import (DomainError, GridTooCoarse, GridTooLarge, InvalidInput,
+                     InvalidMetric, InvalidPerturbation, InvalidWeight,
+                     NotInCatalog, SingularityReached, StiffnessError,
                      UnsupportedDerivation)
 from .liealg import (LieAlgebra, LinearMap, ValidationReport, ad, bracket,
                      change_basis, derivation_space, is_derivation,

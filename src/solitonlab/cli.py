@@ -11,7 +11,7 @@ with 1-based bracket indices, i < j.  Reports are JSON on stdout;
 trajectories are CSV.  Files are written atomically (temp file +
 rename).  Exit codes: 0 success, 1 checked failure (validation or
 verification failed, flow hit a singularity, series did not converge),
-2 usage or parse error.
+2 usage or parse error.  Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -21,37 +21,19 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import catalog
-from .errors import (DomainError, GridTooCoarse, InvalidInput, InvalidMetric,
-                     InvalidPerturbation, InvalidWeight, NotInCatalog,
-                     SingularityReached, StiffnessError,
-                     UnsupportedDerivation)
+from .errors import (InvalidInput, InvalidPerturbation, NotInCatalog,
+                     SingularityReached, StiffnessError, UnsupportedDerivation)
 from .liealg import LieAlgebra, validate
 from .soliton import exact_unnormalized_solution, solve_soliton
 
-_USAGE_ERRORS = (InvalidInput, InvalidMetric, InvalidWeight, NotInCatalog,
-                 GridTooCoarse, InvalidPerturbation, UnsupportedDerivation,
-                 DomainError, json.JSONDecodeError, OSError, KeyError,
-                 TypeError, ValueError)
-
-
-@dataclass
-class RunConfig:
-    tol: float = 1e-10
-    dt: float = 1e-3
-    t_max: float = 10.0
-    method: str = "rkf45"
-    eps: float = 0.01
-    seed: int = 42
-    radius: float = 4.0
-    dx: float = 0.125
-    tau: float = 2.0
-    a: float = 0.0
-    out: str = None
+# InvalidInput covers its subclasses (InvalidMetric, InvalidWeight, DomainError,
+# GridTooCoarse, GridTooLarge); any other exception is a bug, not a usage error
+_USAGE_ERRORS = (InvalidInput, NotInCatalog, InvalidPerturbation,
+                 UnsupportedDerivation, json.JSONDecodeError, OSError)
 
 
 def _fmt(x: float) -> str:
@@ -106,33 +88,48 @@ def _emit(report: dict, out: str = None):
 # algebra input
 # ---------------------------------------------------------------------------
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def parse_algebra_file(path: str):
     """Load an AlgebraFile; returns (LieAlgebra, metric, name)."""
-    with open(path) as fh:
-        raw = json.load(fh)
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except UnicodeDecodeError as e:
+        raise InvalidInput(f"{path}: not a UTF-8 text file ({e.reason})") from None
     if not isinstance(raw, dict) or "dim" not in raw:
         raise InvalidInput(f"{path}: expected an object with a 'dim' field")
     n = raw["dim"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise InvalidInput(f"{path}: dim must be a positive integer")
+    brackets = raw.get("brackets", [])
+    if not isinstance(brackets, list):
+        raise InvalidInput(f"{path}: brackets must be a list")
     entries = []
-    for b in raw.get("brackets", []):
+    for b in brackets:
         try:
             i, j, k, c = b["i"], b["j"], b["k"], b["c"]
         except (TypeError, KeyError):
             raise InvalidInput(f"{path}: bracket entries need i, j, k, c") from None
         for label, v in (("i", i), ("j", j), ("k", k)):
-            if not isinstance(v, int) or not 1 <= v <= n:
+            if not _is_int(v) or not 1 <= v <= n:
                 raise InvalidInput(f"{path}: bracket index {label}={v} out of range 1..{n}")
         if not i < j:
             raise InvalidInput(f"{path}: bracket indices must satisfy i < j, got ({i}, {j})")
+        if not isinstance(c, (int, float)) or isinstance(c, bool):
+            raise InvalidInput(f"{path}: structure constant c={c!r} is not a number")
         entries.append((i - 1, j - 1, k - 1, float(c)))
     L = LieAlgebra(n, entries)
     metric = raw.get("metric")
     if metric is None:
         g = np.eye(n)
     else:
-        g = np.asarray(metric, dtype=float)
+        try:
+            g = np.asarray(metric, dtype=float)
+        except (TypeError, ValueError):
+            raise InvalidInput(f"{path}: metric must be a matrix of numbers") from None
         if g.shape != (n, n):
             raise InvalidInput(f"{path}: metric must be {n}x{n}")
         from .leftinv import check_metric
@@ -357,15 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="numerical laboratory for algebraic Ricci solitons on "
                     "solvable Lie groups")
     sub = p.add_subparsers(dest="command", required=True)
-    cfg = RunConfig()
 
     def common(sp, grid=False):
-        sp.add_argument("--tol", type=float, default=cfg.tol)
-        sp.add_argument("--seed", type=int, default=cfg.seed)
+        sp.add_argument("--tol", type=float, default=1e-10)
+        sp.add_argument("--seed", type=int, default=42)
         sp.add_argument("--out", default=None)
         if grid:
-            sp.add_argument("--radius", type=float, default=cfg.radius)
-            sp.add_argument("--dx", type=float, default=cfg.dx)
+            sp.add_argument("--radius", type=float, default=4.0)
+            sp.add_argument("--dx", type=float, default=0.125)
 
     sp = sub.add_parser("validate", help="check antisymmetry and Jacobi")
     sp.add_argument("target")
@@ -386,9 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("target")
     sp.add_argument("--mode", choices=("normalized", "unnormalized"),
                     default="normalized")
-    sp.add_argument("--dt", type=float, default=cfg.dt)
-    sp.add_argument("--t-max", type=float, default=cfg.t_max)
-    sp.add_argument("--method", choices=("rk4", "rkf45"), default=cfg.method)
+    sp.add_argument("--dt", type=float, default=1e-3)
+    sp.add_argument("--t-max", type=float, default=10.0)
+    sp.add_argument("--method", choices=("rk4", "rkf45"), default="rkf45")
     sp.add_argument("--perturb", type=float, default=0.0)
     common(sp)
     sp.set_defaults(func=cmd_flow)
@@ -400,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_rayleigh)
 
     sp = sub.add_parser("weights", help="weight summability check")
-    sp.add_argument("--a", type=float, default=cfg.a)
-    sp.add_argument("--tau", type=float, default=cfg.tau)
+    sp.add_argument("--a", type=float, default=0.0)
+    sp.add_argument("--tau", type=float, default=2.0)
     sp.add_argument("--dim", type=int, default=3)
     sp.add_argument("--nmax", type=int, default=250_000)
     common(sp)

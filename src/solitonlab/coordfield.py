@@ -19,6 +19,7 @@ left-invariant curvature of the matching catalog algebra.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -27,7 +28,8 @@ from scipy import integrate as _integrate
 from scipy import sparse as _sparse
 from scipy.sparse import csgraph as _csgraph
 
-from .errors import GridTooCoarse, InvalidInput, InvalidWeight, NotInCatalog
+from .errors import (GridTooCoarse, GridTooLarge, InvalidInput, InvalidWeight,
+                     NotInCatalog)
 
 _JET_STEP = 1e-2  # step for numeric differentiation of closed-form metrics
 _BLOCK = 1024     # points per block of the pointwise curvature algebra
@@ -216,7 +218,17 @@ class GridSpec:
         return np.linspace(-self.radius, self.radius, self.npts)
 
     def points(self) -> np.ndarray:
-        """Grid coordinates, shape (npts, npts, npts, 3)."""
+        """Grid coordinates, shape (npts, npts, npts, 3).
+
+        Raises `GridTooLarge` before allocating anything when the grid's
+        fields plus the operator's temporaries exceed physical memory.
+        """
+        need = self.npts ** 3 * _POINT_BYTES
+        phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if need > phys:
+            raise GridTooLarge(
+                f"{self.npts}^3 grid needs ~{need / 2 ** 30:.3g} GiB for its fields "
+                f"and operator, above the {phys / 2 ** 30:.3g} GiB of physical memory")
         ax = self.axis()
         X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
         return np.stack([X, Y, Z], axis=-1)
@@ -236,6 +248,11 @@ class ChartMetric:
     g = C^T C, used to push frame tensors into coordinates.  `d` holds
     the eigenvalues of the soliton derivation in these coordinates (the
     drift X0 = d_k x^k d/dx^k) and `lam` the soliton constant.
+
+    Left translation by the normal subgroup acts on each chart as a
+    coordinate translation, so `metric` and `coframe` read one coordinate
+    only: `axis`.  Every curvature field is constant along the other two
+    axes, which is what lets the chart layer work on one line.
     """
 
     name: str
@@ -244,9 +261,12 @@ class ChartMetric:
     d: np.ndarray
     lam: float
     algebra: str  # catalog entry with the matching left-invariant geometry
+    axis: int     # the one coordinate the metric depends on
 
     def __post_init__(self):
         self.d = np.asarray(self.d, dtype=float)
+        if self.axis not in (0, 1, 2):
+            raise InvalidInput(f"chart axis must be 0, 1 or 2, got {self.axis!r}")
 
 
 def _nil3_metric(p):
@@ -314,11 +334,11 @@ def _hyp3_coframe(p):
 
 _CHARTS = {
     "nil3": lambda: ChartMetric("nil3", _nil3_metric, _nil3_coframe,
-                                (1.0, 1.0, 2.0), -1.5, "nil3"),
+                                (1.0, 1.0, 2.0), -1.5, "nil3", axis=0),
     "sol3": lambda: ChartMetric("sol3", _sol3_metric, _sol3_coframe,
-                                (2.0, 2.0, 0.0), -2.0, "sol3"),
+                                (2.0, 2.0, 0.0), -2.0, "sol3", axis=2),
     "hyp3": lambda: ChartMetric("hyp3", _hyp3_metric, _hyp3_coframe,
-                                (0.0, 0.0, 0.0), -2.0, "hyp_3"),
+                                (0.0, 0.0, 0.0), -2.0, "hyp_3", axis=2),
 }
 _VALIDATED: set = set()
 
@@ -379,6 +399,24 @@ def _blocks(n: int):
 
 _FIELD_SHAPES = {"g": (3, 3), "ginv": (3, 3), "Gamma": (3, 3, 3), "Rm": (3, 3, 3, 3),
                  "ric": (3, 3), "Rc": (3, 3), "scal": (), "sqrt_det": ()}
+# bytes per grid point of the fields plus what the operator holds at its
+# peak: h, its slab copy, T (27), L h, g^-1 h g^-1, one 9-component
+# temporary and the grid coordinates
+_POINT_BYTES = 8 * (sum(math.prod(tail) for tail in _FIELD_SHAPES.values())
+                    + 9 + 9 + 27 + 9 + 9 + 9 + 3)
+
+
+def _line_points(cm: ChartMetric, pts: np.ndarray) -> tuple:
+    """One point per distinct value of the chart axis, and the gather index.
+
+    `line[inverse]` reproduces `pts` up to the coordinates the chart
+    metric does not read, so anything computed from the metric on `line`
+    and gathered with `inverse` equals its per-point evaluation.
+    """
+    flat = pts.reshape(-1, 3)
+    # 1-D input: NumPy 2 shapes the inverse like the input, NumPy 1 flattens it
+    _, first, inverse = np.unique(flat[:, cm.axis], return_index=True, return_inverse=True)
+    return flat[first], inverse
 
 
 def curvature_fields(cm: ChartMetric, pts: np.ndarray, step: float = _JET_STEP) -> dict:
@@ -389,19 +427,19 @@ def curvature_fields(cm: ChartMetric, pts: np.ndarray, step: float = _JET_STEP) 
     Ricci tensor, the Ricci endomorphism Rc = g^(-1) ric, scal, and
     sqrt(det g); each has the leading shape of `pts`.
 
-    The points are evaluated blockwise, `_BLOCK` at a time: `metric_jets`
-    and the tensor algebra run on one block and write into preallocated
-    outputs, so transient memory is bounded by the block size rather than
-    by the number of points.
+    The metric reads only `pts[..., cm.axis]`, so the fields are
+    evaluated once per distinct value of that coordinate (N points for an
+    N^3 grid) and gathered back; the result is bit-identical to
+    evaluating every point.  Scattered points may all be distinct, so the
+    line is still processed `_BLOCK` points at a time.
     """
     pts = np.asarray(pts, dtype=float)
     base = pts.shape[:-1]
-    flat = pts.reshape(-1, 3)
-    npts = len(flat)
-    out = {key: np.empty((npts,) + tail) for key, tail in _FIELD_SHAPES.items()}
-    for blk in _blocks(npts):
-        _curvature_block(cm, flat[blk], step, {key: a[blk] for key, a in out.items()})
-    return {key: a.reshape(base + a.shape[1:]) for key, a in out.items()}
+    line, inverse = _line_points(cm, pts)
+    out = {key: np.empty((len(line),) + tail) for key, tail in _FIELD_SHAPES.items()}
+    for blk in _blocks(len(line)):
+        _curvature_block(cm, line[blk], step, {key: a[blk] for key, a in out.items()})
+    return {key: a[inverse].reshape(base + a.shape[1:]) for key, a in out.items()}
 
 
 def _curvature_block(cm: ChartMetric, pts: np.ndarray, step: float, out: dict) -> None:
@@ -446,9 +484,11 @@ def _curvature_block(cm: ChartMetric, pts: np.ndarray, step: float, out: dict) -
 def chart_metric(name: str) -> ChartMetric:
     """Look up a chart model; validated against `leftinv` on first load.
 
-    The coordinate Ricci endomorphism at the origin (computed from the
-    numeric jets) must agree, up to isometry, with the left-invariant
-    Ricci endomorphism of the matching catalog algebra to 1e-6.
+    The metric must not change under shifts along the two axes other than
+    the declared `axis` (checked exactly at seeded sample points), and the
+    coordinate Ricci endomorphism at the origin (computed from the numeric
+    jets) must agree, up to isometry, with the left-invariant Ricci
+    endomorphism of the matching catalog algebra to 1e-6.
     """
     try:
         cm = _CHARTS[name]()
@@ -459,6 +499,16 @@ def chart_metric(name: str) -> ChartMetric:
         from . import catalog
         from .leftinv import curvature
 
+        rng = np.random.default_rng(0)
+        pts = rng.uniform(-2.0, 2.0, size=(8, 3))
+        g = cm.metric(pts)
+        for b in (b for b in range(3) if b != cm.axis):
+            shifted = pts.copy()
+            shifted[:, b] += rng.uniform(-2.0, 2.0, size=len(pts))
+            if not np.array_equal(cm.metric(shifted), g):
+                raise InvalidInput(
+                    f"chart {name!r} failed axis validation: its metric varies "
+                    f"along axis {b}, not only along the declared axis {cm.axis}")
         origin = np.zeros((1, 3))
         Rc_chart = curvature_fields(cm, origin)["Rc"][0]
         entry = catalog.get(cm.algebra)
@@ -477,15 +527,73 @@ def chart_metric(name: str) -> ChartMetric:
 # grid derivatives and the FD operator
 # ---------------------------------------------------------------------------
 
-def _diff1(field: np.ndarray, axis: int, dx: float) -> np.ndarray:
-    """Second-order centered first derivative with zero ghost cells."""
-    out = np.zeros_like(field)
+def _diff1(field: np.ndarray, axis: int, dx: float, out: np.ndarray = None) -> np.ndarray:
+    """Second-order centered first derivative with zero ghost cells.
+
+    Written into `out` when given (it must not overlap `field`).
+    """
+    if out is None:
+        out = np.empty_like(field)
     src = np.moveaxis(field, axis, 0)
     dst = np.moveaxis(out, axis, 0)
-    dst[1:-1] = (src[2:] - src[:-2]) / (2.0 * dx)
-    dst[0] = src[1] / (2.0 * dx)
-    dst[-1] = -src[-2] / (2.0 * dx)
+    np.subtract(src[2:], src[:-2], out=dst[1:-1])
+    dst[0] = src[1]
+    np.negative(src[-2], out=dst[-1])
+    dst /= 2.0 * dx
     return out
+
+
+def _add_diff(out: np.ndarray, field: np.ndarray, axis: int) -> None:
+    """out[k] += field[k+1] - field[k-1] along `axis`, zero ghost cells."""
+    src = np.moveaxis(field, axis, 0)
+    dst = np.moveaxis(out, axis, 0)
+    dst[:-1] += src[1:]
+    dst[1:] -= src[:-1]
+
+
+# The operator works on slabs: a grid tensor field h of shape (N, N, N, 3, 3)
+# is held as (N, 9, N, N), the chart axis first, then the 9 components, then
+# the other two axes in order.  Each line value x then owns a contiguous
+# (9, N^2) block, so a pointwise linear map that depends on x only is one
+# batched matmul over the N line values.
+
+def _slab(h: np.ndarray, axis: int) -> np.ndarray:
+    N = h.shape[0]
+    return np.ascontiguousarray(np.moveaxis(h.reshape((N,) * 3 + (9,)), (axis, 3), (0, 1)))
+
+
+def _unslab(hs: np.ndarray, axis: int) -> np.ndarray:
+    N = hs.shape[0]
+    return np.moveaxis(hs, (0, 1), (axis, 3)).reshape((N,) * 3 + (3, 3))
+
+
+def _operator_input(cm: ChartMetric, h: np.ndarray, grid: GridSpec,
+                    fields: dict = None) -> tuple:
+    """Checked operator input: h in slab layout, and the curvature fields
+    on the N grid points of the chart axis.
+
+    Grid fields are read at index 0 on the invariant axes; without them
+    the N line points are evaluated.
+    """
+    if grid.dx > grid.radius / 8.0 + 1e-12:
+        raise GridTooCoarse(
+            f"dx = {grid.dx} exceeds radius/8 = {grid.radius / 8.0}")
+    h = np.asarray(h, dtype=float)
+    N = grid.npts
+    shape = (N,) * 3 + (3, 3)
+    if h.shape != shape:
+        raise InvalidInput(f"field shape {h.shape} does not match grid {shape}")
+    if fields is None:
+        pts = np.zeros((N, 3))
+        pts[:, cm.axis] = grid.axis()
+        return _slab(h, cm.axis), curvature_fields(cm, pts)
+    bad = sorted(key for key, tail in _FIELD_SHAPES.items()
+                 if key not in fields or np.shape(fields[key]) != (N,) * 3 + tail)
+    if bad:
+        raise InvalidInput(f"fields {bad} do not match the {N}^3 grid")
+    line = [0, 0, 0]
+    line[cm.axis] = slice(None)
+    return _slab(h, cm.axis), {key: fields[key][tuple(line)] for key in _FIELD_SHAPES}
 
 
 def apply_L_fd(cm: ChartMetric, lam: float, d, h: np.ndarray,
@@ -499,81 +607,72 @@ def apply_L_fd(cm: ChartMetric, lam: float, d, h: np.ndarray,
     plateau discrepancies against the algebraic operator shrink at
     O(dx^2).  Output is forced to zero outside the open ball (Dirichlet).
     """
-    return _apply_L(cm, lam, d, h, grid, _fields)[0]
+    hs, line = _operator_input(cm, h, grid, _fields)
+    return _unslab(_apply_L(cm, lam, d, hs, grid, line)[0], cm.axis)
 
 
-def _apply_L(cm: ChartMetric, lam: float, d, h: np.ndarray, grid: GridSpec,
-             fields: dict = None) -> tuple:
-    """(L h, g^-1 h g^-1): `apply_L_fd` plus the raised field it forms.
+def _apply_L(cm: ChartMetric, lam: float, d, hs: np.ndarray, grid: GridSpec,
+             line: dict) -> tuple:
+    """(L h, g^-1 h g^-1) in slab layout, for h in slab layout.
 
-    The pointwise algebra runs as batched matmuls over blocks of the
-    flattened grid, so its temporaries stay block-sized.
+    The coefficients come from the fields on the chart axis (`line`).
+    Each pointwise term is a small matrix per line value, built once and
+    applied as a batched matmul over the N line values on (9 or 27) x N^2
+    slabs: the Gamma correction of nabla h (27 x 9), the g^ab Laplacian
+    weights (9 x 27 per a), the trace and M terms on T (9 x 27), and the
+    zeroth-order terms (9 x 9).  Grid-sized temporaries are 9-component
+    slabs besides T itself.
     """
-    if grid.dx > grid.radius / 8.0 + 1e-12:
-        raise GridTooCoarse(
-            f"dx = {grid.dx} exceeds radius/8 = {grid.radius / 8.0}")
-    h = np.asarray(h, dtype=float)
-    shape = (grid.npts,) * 3 + (3, 3)
-    if h.shape != shape:
-        raise InvalidInput(f"field shape {h.shape} does not match grid {shape}")
+    N, dx, I = grid.npts, grid.dx, np.eye(3)
     d = np.asarray(d, dtype=float)
-    pts = grid.points()
-    f = fields if fields is not None else curvature_fields(cm, pts)
-    P = grid.npts ** 3
-    ginv = f["ginv"].reshape(P, 3, 3)
-    Gamma = f["Gamma"].reshape(P, 3, 3, 3)
-    Rm = f["Rm"].reshape(P, 3, 3, 3, 3)
-    Rc = f["Rc"].reshape(P, 3, 3)
-    hf = h.reshape(P, 3, 3)
-    dxs = grid.dx
+    others = [a for a in range(3) if a != cm.axis]
+    sax = {cm.axis: 0, others[0]: 2, others[1]: 3}               # slab axis of each grid axis
+    coord = {a: grid.axis().reshape([-1 if s == sax[a] else 1 for s in range(4)])
+             for a in range(3)}
+    g, G, Rm, Rc = line["ginv"], line["Gamma"], line["Rm"], line["Rc"]
+    hs2 = hs.reshape(N, 9, N * N)
 
-    # nabla_a h_ij = d_a h_ij - G^p_ai h_pj - G^p_aj h_ip, stored as T[x, a, i, j]
-    T = np.empty(h.shape[:3] + (3, 3, 3))
+    # 2 Rm(g^-1 h g^-1) - Rc.h - h.Rc + (2 lam + d_i + d_j) h_ij
+    H = np.einsum("nap,nqb->nabpq", g, g)                        # h -> g^-1 h g^-1
+    Z = (2.0 * np.einsum("niajb,nabpq->nijpq", Rm, H)
+         - np.einsum("npi,qj->nijpq", Rc, I) - np.einsum("npj,qi->nijpq", Rc, I))
+    Z = Z.reshape(N, 9, 9) + np.diag((2.0 * lam + d[:, None] + d[None, :]).ravel())
+    out = Z @ hs2
+    out4 = out.reshape(N, 9, N, N)
+
+    # nabla_a h_ij = d_a h_ij - G^p_ai h_pj - G^p_aj h_pi, stored as T[x, (a, i, j)]
+    K = (np.einsum("npai,qj->naijpq", G, I)
+         + np.einsum("npaj,qi->naijpq", G, I)).reshape(N, 3, 9, 9)
+    T = np.empty((N, 27, N, N))
+    T2 = T.reshape(N, 27, N * N)
     for a in range(3):
-        T[..., a, :, :] = _diff1(h, a, dxs)
-    Tf = T.reshape(P, 3, 3, 3)
-    for blk in _blocks(P):
-        corr = Gamma[blk].transpose(0, 2, 3, 1) @ hf[blk, None]     # G^p_ai h_pj
-        Tf[blk] -= corr
-        Tf[blk] -= np.swapaxes(corr, -1, -2)
+        dh = _diff1(hs, sax[a], dx, out=T[:, 9 * a:9 * a + 9])
+        if d[a] != 0.0:                                          # Lie_{X0}: d_a x^a d_a h
+            out4 += (d[a] * coord[a]) * dh
+        T2[:, 9 * a:9 * a + 9] -= K[:, a] @ hs2
 
     # Delta h_ij = g^ab [ d_a T_bij - G^p_ab T_pij - G^p_ai T_bpj - G^p_aj T_bip ]
-    out = np.zeros((P, 9))
+    trG = np.einsum("nab,npab->np", g, G)
+    M = np.einsum("nab,npai->nibp", g, G)
+    Q = (np.einsum("nb,pi,qj->nijbpq", trG, I, I) + np.einsum("nibp,qj->nijbpq", M, I)
+         + np.einsum("njbp,qi->nijbpq", M, I))
+    out -= Q.reshape(N, 9, 27) @ T2
+    # g^ab / (2 dx): the centered difference's denominator is folded in
+    W = np.einsum("nab,ik,jl->naijbkl", g / (2.0 * dx), I, I).reshape(N, 3, 9, 27)
     for a in range(3):
-        dTa = _diff1(T, a, dxs).reshape(P, 3, 9)                     # d_a T_bij
-        out += np.einsum("pb,pbk->pk", ginv[:, a, :], dTa)
-        del dTa
-    out = out.reshape(P, 3, 3)
-    hup = np.empty((P, 3, 3))
-    for blk in _blocks(P):
-        g, G, Tb, hb, o = ginv[blk], Gamma[blk], Tf[blk], hf[blk], out[blk]
-        trG = G.reshape(-1, 3, 9) @ g.reshape(-1, 9, 1)                # g^ab G^p_ab
-        o -= (np.swapaxes(trG, -1, -2) @ Tb.reshape(-1, 3, 9)).reshape(-1, 3, 3)
-        # g^ab G^p_ai T_bpj as M[i, (b, p)] T[(b, p), j]
-        M = (np.swapaxes(G, -1, -2) @ g[:, None]).transpose(0, 2, 3, 1).reshape(-1, 3, 9)
-        c3 = M @ Tb.reshape(-1, 9, 3)
-        o -= c3
-        o -= np.swapaxes(c3, -1, -2)
-        # curvature terms: 2 Rm(h) - Rc.h - h.Rc with raised h
-        hu = hup[blk] = g @ hb @ g
-        Rm_pairs = Rm[blk].transpose(0, 1, 3, 2, 4).reshape(-1, 9, 9)  # Rm[(i, j), (a, b)]
-        o += 2.0 * (Rm_pairs @ hu.reshape(-1, 9, 1)).reshape(-1, 3, 3)
-        rc_h = np.swapaxes(Rc[blk], -1, -2) @ hb                     # ric^k_i h_kj
-        o -= rc_h
-        o -= np.swapaxes(rc_h, -1, -2)
+        if a == cm.axis:
+            # the weights vary along their own axis: difference W[x] T[x +- 1]
+            out[:-1] += W[:-1, a] @ T2[1:]
+            out[1:] -= W[1:, a] @ T2[:-1]
+        else:
+            # the weights are constant along a, so d_a commutes with them
+            _add_diff(out4, (W[:, a] @ T2).reshape(N, 9, N, N), sax[a])
+    del T, T2, dh                   # free T (dh views it) before allocating hup
 
-    # 2 lam h + Lie_{X0} h = 2 lam h + d_k x^k d_k h_ij + (d_i + d_j) h_ij
-    out = out.reshape(shape)
-    out += 2.0 * lam * h
-    if np.any(d != 0.0):
-        for k in range(3):
-            if d[k] != 0.0:
-                out += d[k] * pts[..., k, None, None] * _diff1(h, k, dxs)
-        out += (d[:, None] + d[None, :]) * h
-
-    r2 = np.sum(pts * pts, axis=-1)
-    out[r2 >= grid.radius ** 2] = 0.0
-    return out, hup.reshape(shape)
+    hup = (H.reshape(N, 9, 9) @ hs2).reshape(N, 9, N, N)
+    r2 = coord[0] ** 2 + coord[1] ** 2 + coord[2] ** 2
+    np.copyto(out4, 0.0, where=r2 >= grid.radius ** 2)
+    return out4, hup
 
 
 def rayleigh_quotient(cm: ChartMetric, lam: float, d, h: np.ndarray,
@@ -583,16 +682,15 @@ def rayleigh_quotient(cm: ChartMetric, lam: float, d, h: np.ndarray,
     Pointwise inner products raise indices with g; the measure is
     sqrt(det g) dx^3.  Scale-invariant by construction.
     """
-    h = np.asarray(h, dtype=float)
-    f = _fields if _fields is not None else curvature_fields(cm, grid.points())
-    Lh, hup = _apply_L(cm, lam, d, h, grid, f)
-    w = (f["sqrt_det"] * grid.dx ** 3).ravel()
-    P = len(w)
-    hup = hup.reshape(P, 9)
-    den = float(np.einsum("pk,pk->p", hup, h.reshape(P, 9)) @ w)
+    hs, line = _operator_input(cm, h, grid, _fields)
+    Lh, hup = _apply_L(cm, lam, d, hs, grid, line)
+    N = grid.npts
+    w = line["sqrt_det"] * grid.dx ** 3
+    hup = hup.reshape(N, -1)
+    den = float(np.einsum("xk,xk->x", hup, hs.reshape(N, -1)) @ w)
     if den <= 0.0 or not np.isfinite(den):
         raise InvalidInput("Rayleigh quotient of a zero (or degenerate) field")
-    return float(np.einsum("pk,pk->p", hup, Lh.reshape(P, 9)) @ w) / den
+    return float(np.einsum("xk,xk->x", hup, Lh.reshape(N, -1)) @ w) / den
 
 
 def radial_bump(grid: GridSpec, r_inner: float, r_outer: float,
@@ -613,7 +711,8 @@ def radial_bump(grid: GridSpec, r_inner: float, r_outer: float,
 
 def frame_tensor_field(cm: ChartMetric, grid: GridSpec, S) -> np.ndarray:
     """Coordinate components of the left-invariant field with frame matrix S."""
-    return _frame_field(cm.coframe(grid.points()), S)
+    line, inverse = _line_points(cm, grid.points())
+    return _frame_field(cm.coframe(line), S)[inverse].reshape((grid.npts,) * 3 + (3, 3))
 
 
 def _frame_field(C: np.ndarray, S) -> np.ndarray:
@@ -648,9 +747,11 @@ def probe_tensor_suite(cm: ChartMetric, grid: GridSpec, count: int = 20,
         A = rng.uniform(-1.0, 1.0, size=(3, 3))
         S = 0.5 * (A + A.T)
         mats.append(S / np.linalg.norm(S))
-    C = cm.coframe(grid.points())
+    line, inverse = _line_points(cm, grid.points())
+    C = cm.coframe(line)
     chi = chi[..., None, None]
-    return [chi * _frame_field(C, S) for S in mats[:count]]
+    return [chi * _frame_field(C, S)[inverse].reshape(chi.shape[:3] + (3, 3))
+            for S in mats[:count]]
 
 
 # ---------------------------------------------------------------------------

@@ -44,3 +44,7 @@ class NotInCatalog(KeyError):
 
 class GridTooCoarse(InvalidInput):
     """Grid spacing too large for the finite-difference operator."""
+
+
+class GridTooLarge(InvalidInput):
+    """Grid too large for its fields and operator to fit in physical memory."""

@@ -100,10 +100,10 @@ def integrate(rhs, g_init, t_max, dt=1e-3, method="rkf45",
     the adaptive method raises ``StiffnessError``.
     """
     g = check_metric(g_init)
-    if dt <= 0:
-        raise InvalidInput(f"dt must be positive, got {dt}")
-    if t_max < 0:
-        raise InvalidInput(f"t_max must be non-negative, got {t_max}")
+    if not (np.isfinite(dt) and dt > 0):
+        raise InvalidInput(f"dt must be finite and positive, got {dt}")
+    if not (np.isfinite(t_max) and t_max >= 0):
+        raise InvalidInput(f"t_max must be finite and non-negative, got {t_max}")
     if method not in ("rk4", "rkf45"):
         raise InvalidInput(f"unknown method {method!r}")
     ref = g.copy() if g_ref is None else check_metric(g_ref, g.shape[0])

@@ -150,7 +150,7 @@ def soliton_vector_field(cert: SolitonCertificate) -> SolitonVectorField:
     return SolitonVectorField(d=w.real[order], frame=V.real[:, order])
 
 
-def exact_unnormalized_solution(g0, cert: SolitonCertificate, t, phi_form=False) -> np.ndarray:
+def exact_unnormalized_solution(g0, cert: SolitonCertificate, t) -> np.ndarray:
     """Closed-form solution of the unnormalized flow  dg/dt = -2 ric(g).
 
     Starting from a soliton metric g0 the solution is the pullback by the
@@ -160,12 +160,6 @@ def exact_unnormalized_solution(g0, cert: SolitonCertificate, t, phi_form=False)
 
     i.e. ``g(t) = <P(t) . , . >_0 = g0 @ P(t)`` (symmetric because D is
     g0-self-adjoint).  For lambda = 0 this degenerates to exp(-2 t D).
-
-    With ``phi_form=True`` the alternative square-root-pullback expression
-    ``(-2 lambda t + 1) * phi(t)^T g0 phi(t)`` with
-    ``phi(t) = exp[log(-2 lambda t + 1) / (-2 lambda) * D]`` is returned
-    instead.  It is kept for comparison only: it does *not* satisfy the
-    flow ODE (its center direction grows where the flow decays).
     """
     g0 = check_metric(g0)
     D = np.asarray(cert.D, dtype=float)
@@ -175,12 +169,6 @@ def exact_unnormalized_solution(g0, cert: SolitonCertificate, t, phi_form=False)
     s = 1.0 - 2.0 * lam * t
     if s <= 0.0:
         raise DomainError(f"t={t} outside domain: need -2*lambda*t + 1 > 0")
-    if phi_form:
-        if lam == 0.0:
-            raise DomainError("phi form requires lambda != 0")
-        phi = expm((np.log(s) / (-2.0 * lam)) * D)
-        gt = s * (phi.T @ g0 @ phi)
-        return 0.5 * (gt + gt.T)
     if lam == 0.0:
         P = expm(-2.0 * t * D)
     else:

@@ -71,6 +71,45 @@ def test_malformed_json_is_usage_error(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("doc", [
+    {"dim": 3, "brackets": 5},
+    {"dim": 3, "brackets": [{"i": 1, "j": 2, "k": 3, "c": "one"}]},
+    {"dim": 3, "brackets": [{"i": 1, "j": 2, "k": 3, "c": None}]},
+    {"dim": True},
+    {"dim": 2, "metric": [[1.0, 0.0], [0.0]]},
+    {"dim": 2, "metric": "identity"},
+])
+def test_malformed_algebra_file_is_usage_error(tmp_path, capsys, doc):
+    code, _, err = run_main(capsys, "validate", write_json(tmp_path, doc))
+    assert code == 2
+    assert "error:" in err
+
+
+def test_internal_error_is_not_a_usage_error(monkeypatch):
+    from solitonlab import coordfield
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(coordfield, "rayleigh_quotient", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["rayleigh", "nil3", "--radius", "2", "--dx", "0.25", "--count", "1"])
+
+
+@pytest.mark.parametrize("flag, value", [("--dt", "nan"), ("--t-max", "inf")])
+def test_non_finite_flow_times_are_usage_errors(tmp_path, capsys, flag, value):
+    code, _, err = run_main(capsys, "flow", "nil3", "--method", "rk4", flag, value,
+                            "--out", str(tmp_path / "run.csv"))
+    assert code == 2
+    assert "finite" in err
+
+
+def test_oversize_grid_is_usage_error(capsys):
+    code, _, err = run_main(capsys, "rayleigh", "nil3", "--dx", "1e-4")
+    assert code == 2
+    assert "physical memory" in err
+
+
 # -------------------------------------------------------------- validate
 
 def test_validate_catalog_entry(capsys):

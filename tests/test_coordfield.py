@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +11,13 @@ from solitonlab import catalog, coordfield
 from solitonlab.coordfield import (
     _BLOCK,
     _FIELD_SHAPES,
+    ChartMetric,
     GridSpec,
+    _curvature_block,
     _diff1,
+    _JET_STEP,
+    _nil3_coframe,
+    _nil3_metric,
     WeightSpec,
     apply_L_fd,
     build_annulus_cover,
@@ -26,7 +32,8 @@ from solitonlab.coordfield import (
     summability_check,
     weighted_holder_norm,
 )
-from solitonlab.errors import GridTooCoarse, InvalidInput, InvalidWeight, NotInCatalog
+from solitonlab.errors import (GridTooCoarse, GridTooLarge, InvalidInput, InvalidWeight,
+                               NotInCatalog)
 from solitonlab.soliton import solve_soliton
 from solitonlab.stability import assemble_operator, sym_tensor_basis, unvec_sym, vec_sym
 
@@ -117,11 +124,33 @@ def test_grid_rejects_bad_spacing():
         GridSpec(radius=-1.0, dx=0.1)
 
 
+def test_grid_too_large_refused_before_allocating():
+    grid = GridSpec(4.0, 1e-3)      # 8001^3 points
+    assert issubclass(GridTooLarge, InvalidInput)
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridTooLarge):
+            grid.points()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 # ----------------------------------------------------------------- charts
 
 def test_chart_metric_unknown_name():
     with pytest.raises(NotInCatalog):
         chart_metric("torus")
+
+
+def test_chart_with_wrong_axis_is_refused(monkeypatch):
+    # nil3's metric varies along x, not along the declared z
+    monkeypatch.setitem(coordfield._CHARTS, "nil3_z", lambda: ChartMetric(
+        "nil3_z", _nil3_metric, _nil3_coframe, (1.0, 1.0, 2.0), -1.5, "nil3", axis=2))
+    with pytest.raises(InvalidInput, match="axis"):
+        chart_metric("nil3_z")
+    assert "nil3_z" not in coordfield._VALIDATED
 
 
 def test_charts_identity_at_origin():
@@ -187,6 +216,26 @@ def test_apply_L_fd_zero_field(nil3_fields):
     h = np.zeros(GRID.points().shape[:3] + (3, 3))
     out = apply_L_fd(cm, cm.lam, cm.d, h, GRID, _fields=fields)
     assert np.max(np.abs(out)) == 0.0
+
+
+def test_apply_L_fd_line_fields_match_grid_fields(nil3_fields):
+    # without fields the operator evaluates the chart axis only
+    cm, fields = nil3_fields
+    h = probe_tensor_suite(cm, GRID, count=8, seed=3)[7]
+    assert np.array_equal(apply_L_fd(cm, cm.lam, cm.d, h, GRID),
+                          apply_L_fd(cm, cm.lam, cm.d, h, GRID, _fields=fields))
+
+
+def test_operator_rejects_mismatched_fields(nil3_fields):
+    cm, fields = nil3_fields
+    h = probe_tensor_suite(cm, GRID, count=1)[0]
+    other = curvature_fields(cm, GridSpec(radius=2.0, dx=0.2).points())
+    partial = {key: a for key, a in fields.items() if key != "Rm"}
+    for bad in (other, partial):
+        with pytest.raises(InvalidInput, match="fields"):
+            apply_L_fd(cm, cm.lam, cm.d, h, GRID, _fields=bad)
+        with pytest.raises(InvalidInput, match="fields"):
+            rayleigh_quotient(cm, cm.lam, cm.d, h, GRID, _fields=bad)
 
 
 def test_apply_L_fd_rejects_coarse_grid():
@@ -283,7 +332,7 @@ def test_frame_tensor_field_identity_gives_metric(nil3_fields):
 # ------------------------------------------------ einsum reference oracle
 #
 # The pointwise formulas transcribed as whole-array ellipsis einsums: an
-# independent reference for the blocked matmul kernels.  The kernels sum
+# independent reference for the batched matmul kernels.  The kernels sum
 # in another order, so agreement is to roundoff, not bitwise.
 
 def _oracle_curvature_fields(cm, pts):
@@ -360,6 +409,26 @@ def test_kernels_match_einsum_oracle(name):
     assert _rel_err(apply_L_fd(cm, cm.lam, cm.d, h, GRID, _fields=fields), ref_L) < 1e-12
     q = rayleigh_quotient(cm, cm.lam, cm.d, h, GRID, _fields=fields)
     assert abs(q - ref_q) < 1e-12 * abs(ref_q)
+
+
+@pytest.mark.parametrize("where", ["grid", "scattered"])
+@pytest.mark.parametrize("name", ["nil3", "sol3", "hyp3"])
+def test_line_fields_match_per_point_evaluation(name, where):
+    """Evaluating the chart axis and gathering is bit-identical to running
+    the pointwise kernel on every point."""
+    cm = chart_metric(name)
+    if where == "grid":
+        pts = GRID.points()
+    else:
+        # more distinct line values than one block, and repeated ones too
+        pts = np.random.default_rng(9).uniform(-2.0, 2.0, size=(2 * _BLOCK, 3))
+        pts[::3, cm.axis] = pts[1::3, cm.axis]
+    flat = pts.reshape(-1, 3)
+    ref = {key: np.empty((len(flat),) + tail) for key, tail in _FIELD_SHAPES.items()}
+    _curvature_block(cm, flat, _JET_STEP, ref)
+    fields = curvature_fields(cm, pts)
+    for key, a in ref.items():
+        assert np.array_equal(fields[key], a.reshape(fields[key].shape)), key
 
 
 @pytest.mark.parametrize("shape", [(1, 3), (5, 7, 3)])

@@ -184,13 +184,3 @@ def test_exact_solution_satisfies_flow(soliton_entries):
             gt = exact_unnormalized_solution(g0, cert, t if t > 0 else dt / 2)
             ric = curvature(e.algebra, gt).ric
             assert np.max(np.abs(gdot + 2.0 * ric)) < 1e-6, (e.name, t)
-
-
-def test_phi_form_differs_from_p_form():
-    # the alternative exponent branch is exposed for comparison only; it does
-    # not solve the flow equation unless D = 0
-    e = catalog.get("nil3")
-    cert = solve_soliton(e.algebra, e.metric)
-    p = exact_unnormalized_solution(np.eye(3), cert, 1.0)
-    phi = exact_unnormalized_solution(np.eye(3), cert, 1.0, phi_form=True)
-    assert not np.allclose(p, phi, atol=1e-3)
