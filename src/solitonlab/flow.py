@@ -91,7 +91,8 @@ def integrate(rhs, g_init, t_max, dt=1e-3, method="rkf45",
         Maps a metric matrix to a symmetric matrix.
     method : {'rk4', 'rkf45'}
         Fixed-step classic RK4, or adaptive Fehlberg 4(5) with ``dt`` as
-        the initial step and componentwise error control at (atol, rtol).
+        the initial step and componentwise error control at (atol, rtol),
+        both of which must be finite and positive.
     g_ref : array, optional
         Reference metric for the stored deviation norms (default g_init).
 
@@ -106,6 +107,12 @@ def integrate(rhs, g_init, t_max, dt=1e-3, method="rkf45",
         raise InvalidInput(f"t_max must be finite and non-negative, got {t_max}")
     if method not in ("rk4", "rkf45"):
         raise InvalidInput(f"unknown method {method!r}")
+    # a zero or NaN tolerance can make the error ratio NaN, which rejects
+    # every step without ever shrinking h; a negative or infinite one
+    # accepts every step
+    for name, tol in (("atol", atol), ("rtol", rtol)):
+        if not (np.isfinite(tol) and tol > 0):
+            raise InvalidInput(f"{name} must be finite and positive, got {tol}")
     ref = g.copy() if g_ref is None else check_metric(g_ref, g.shape[0])
 
     times = [0.0]

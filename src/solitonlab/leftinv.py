@@ -15,6 +15,12 @@ sectional curvature K = R_1212 = -1.
 The flow right-hand side needs only the Ricci form; ``ricci`` computes it
 in the defining basis from a closed formula, without the frame or ``Rm``.
 Each public function validates and factors its metric once.
+
+The operators on symmetric 2-tensors (``sym2``, ``curvature_action``,
+``lichnerowicz``, ``lie_derivative_term``) accept leading batch axes, so a
+whole stacked basis of tensors is mapped in one call; the Lichnerowicz
+Laplacian is a closed form in a few matrix products, not a loop over the
+connection matrices.
 """
 
 from __future__ import annotations
@@ -60,16 +66,21 @@ def check_metric(g, n=None) -> np.ndarray:
 
 
 def sym2(h, n=None) -> np.ndarray:
-    """Validate a symmetric 2-tensor (matrix) and return a symmetrized copy."""
+    """Validate symmetric 2-tensors (matrices) and return symmetrized copies.
+
+    ``h`` has shape ``(..., n, n)``; each matrix of the stack is checked
+    against its own scale.
+    """
     h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise InvalidMetric(f"tensor must be square, got shape {h.shape}")
-    if n is not None and h.shape[0] != n:
+    if n is not None and h.shape[-1] != n:
         raise InvalidMetric(f"tensor must be {n}x{n}")
-    scale = max(1.0, float(np.abs(h).max()))
-    if np.abs(h - h.T).max() > SYM_TOL * scale:
+    ht = h.swapaxes(-1, -2)
+    scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
+    if np.any(np.abs(h - ht).max(axis=(-2, -1)) > SYM_TOL * scale):
         raise InvalidMetric("tensor is not symmetric")
-    return 0.5 * (h + h.T)
+    return 0.5 * (h + ht)
 
 
 def orthonormal_frame(L: LieAlgebra, g) -> tuple[np.ndarray, np.ndarray]:
@@ -184,69 +195,71 @@ def ricci(L: LieAlgebra, g) -> np.ndarray:
 
 
 def curvature_action(pkg: CurvaturePackage, h) -> np.ndarray:
-    """Action of the curvature tensor on a symmetric 2-tensor.
+    """Action of the curvature tensor on symmetric 2-tensors.
 
     ``(Rh)_ij = sum_kl R_ikjl h_kl`` with all components in the
-    orthonormal frame.  For h = g (the identity in the frame) this reduces
-    to the Ricci form, which is used as a self-test elsewhere.
+    orthonormal frame; ``h`` may carry leading batch axes.  For h = g (the
+    identity in the frame) this reduces to the Ricci form, which is used as
+    a self-test elsewhere.
     """
-    h = sym2(h, pkg.Rm.shape[0])
-    out = np.einsum("ikjl,kl->ij", pkg.Rm, h)
-    return 0.5 * (out + out.T)
-
-
-def _cov_derivative_maps(pkg: CurvaturePackage) -> np.ndarray:
-    """Matrices G_i with (G_i)[p, q] = gamma[p, i, q]; each is antisymmetric."""
-    return np.einsum("piq->ipq", pkg.gamma)
+    n = pkg.Rm.shape[0]
+    h = sym2(h, n)
+    # R2[(i, j), (k, l)] = R_ikjl, so Rh is one matmul on the flattened h
+    R2 = pkg.Rm.transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    out = (h.reshape(*h.shape[:-2], n * n) @ R2.T).reshape(h.shape)
+    return 0.5 * (out + out.swapaxes(-1, -2))
 
 
 def lichnerowicz(L: LieAlgebra, g, h, pkg: CurvaturePackage | None = None) -> np.ndarray:
-    """Lichnerowicz Laplacian on a left-invariant symmetric 2-tensor.
+    """Lichnerowicz Laplacian on left-invariant symmetric 2-tensors.
 
     Parameters
     ----------
-    h : (n, n) array
-        Components in the g-orthonormal frame.
+    h : (..., n, n) array
+        Components in the g-orthonormal frame, with optional leading batch
+        axes.
     pkg : CurvaturePackage, optional
         Pass a precomputed package to avoid recomputing the curvature.
 
     Returns
     -------
-    (n, n) array
+    (..., n, n) array
         ``Delta_L h = Delta h + 2 Rh - Rc h - h Rc`` in frame components,
         where ``Delta`` is the rough Laplacian.  On left-invariant tensors
         the covariant derivative along f_i acts as the commutator with the
-        (antisymmetric) connection matrix G_i, so
+        (antisymmetric) connection matrix ``G_i[p, q] = gamma[p, i, q]``, so
 
             Delta h = sum_i [G_i, [G_i, h]] - sum_k (sum_i gamma[k,i,i]) [G_k, h].
+
+        Expanding the commutators with A = sum_i G_i G_i and
+        T = sum_k (sum_i gamma[k,i,i]) G_k gives the closed form
+
+            Delta_L h = (A - T - Ric) h + h (A + T - Ric)
+                        - 2 sum_i G_i h G_i + 2 Rh.
     """
     if pkg is None:
         pkg = curvature(L, g)
-    n = pkg.Rm.shape[0]
-    h = sym2(h, n)
-    G = _cov_derivative_maps(pkg)
-    rough = np.zeros_like(h)
-    for i in range(n):
-        Th = G[i] @ h - h @ G[i]
-        rough += G[i] @ Th - Th @ G[i]
-    trace_gamma = np.einsum("kii->k", pkg.gamma)
-    for k in range(n):
-        if trace_gamma[k] != 0.0:
-            rough -= trace_gamma[k] * (G[k] @ h - h @ G[k])
+    h = sym2(h, pkg.Rm.shape[0])
+    G = pkg.gamma.transpose(1, 0, 2)
+    A = np.einsum("ipq,iqr->pr", G, G)
+    T = np.tensordot(np.einsum("kii->k", pkg.gamma), G, axes=1)
     # in the orthonormal frame the Ricci endomorphism equals the Ricci form
     ric = pkg.ric_frame
-    out = rough + 2.0 * curvature_action(pkg, h) - ric @ h - h @ ric
-    return 0.5 * (out + out.T)
+    out = ((A - T - ric) @ h + h @ (A + T - ric)
+           - 2.0 * (G @ h[..., None, :, :] @ G).sum(axis=-3)
+           + 2.0 * curvature_action(pkg, h))
+    return 0.5 * (out + out.swapaxes(-1, -2))
 
 
 def lie_derivative_term(h, D) -> np.ndarray:
-    """Lie derivative of a left-invariant 2-tensor along the field of D.
+    """Lie derivative of left-invariant 2-tensors along the field of D.
 
     The flow of the soliton field acts by automorphisms whose derivative
     at the identity is D, so on left-invariant tensors the Lie derivative
-    is the algebraic expression ``D^T h + h D``.
+    is the algebraic expression ``D^T h + h D``; ``h`` may carry leading
+    batch axes.
     """
     Dm = _as_matrix(D)
     h = np.asarray(h, dtype=float)
-    out = Dm.T @ h + h @ Dm
-    return 0.5 * (out + out.T)
+    out = Dm.swapaxes(-1, -2) @ h + h @ Dm
+    return 0.5 * (out + out.swapaxes(-1, -2))

@@ -197,35 +197,17 @@ def derivation_space(L: LieAlgebra) -> np.ndarray:
     """
     n = L.n
     c = L.c
-    M = np.zeros((n * n * n, n * n))
-
-    def col(p, q):
-        return p * n + q
-
-    r = 0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                # D[e_i, e_j]^k  ->  + c[q, i, j] on D[k, q]
-                for q in range(n):
-                    M[r, col(k, q)] += c[q, i, j]
-                # -[De_i, e_j]^k ->  - c[k, p, j] on D[p, i]
-                for p in range(n):
-                    M[r, col(p, i)] -= c[k, p, j]
-                    M[r, col(p, j)] -= c[k, i, p]
-                r += 1
-    _, s, vt = np.linalg.svd(M)
-    ns = [vt[r] for r in range(n * n) if r >= s.size or s[r] <= TOL_RANK]
-    return np.array([v.reshape(n, n) for v in ns])
-
-
-def _span_rank(vectors, tol=TOL_RANK):
-    """Orthonormal basis of the span of the given stacked row vectors."""
-    if len(vectors) == 0:
-        return np.zeros((0, 0))
-    A = np.array(vectors)
-    _, s, vt = np.linalg.svd(A, full_matrices=False)
-    return vt[: int(np.sum(s > tol))]
+    eye = np.eye(n)
+    # row (i, j, k), column (p, q) for the unknown D[p, q]:
+    #   D[e_i, e_j]^k   -> + c[q, i, j] on D[k, q]
+    #  -[De_i, e_j]^k   -> - c[k, p, j] on D[p, i]
+    #  -[e_i, De_j]^k   -> - c[k, i, p] on D[p, j]
+    M = (np.einsum("qij,kp->ijkpq", c, eye)
+         - np.einsum("kpj,qi->ijkpq", c, eye)
+         - np.einsum("kip,qj->ijkpq", c, eye)).reshape(n ** 3, n * n)
+    # M has n^3 >= n^2 rows, so the thin SVD still returns all n^2 singular values
+    _, s, vt = np.linalg.svd(M, full_matrices=False)
+    return vt[s <= TOL_RANK].reshape(-1, n, n)
 
 
 def series_flags(L: LieAlgebra) -> dict:
@@ -240,9 +222,10 @@ def series_flags(L: LieAlgebra) -> dict:
     basis = np.eye(n)
 
     def bracket_span(U, V):
-        # span of [u, v] over the rows of U and V
-        vecs = [np.einsum("kij,i,j->k", c, u, v) for u in U for v in V]
-        return _span_rank(vecs)
+        # orthonormal basis of the span of [u, v] over the rows of U and V
+        A = np.einsum("kij,ai,bj->abk", c, U, V).reshape(-1, n)
+        _, s, vt = np.linalg.svd(A, full_matrices=False)
+        return vt[: int(np.sum(s > TOL_RANK))]
 
     # lower central series: g_1 = [g, g], g_{m+1} = [g, g_m]
     lcs = bracket_span(basis, basis)
@@ -283,11 +266,9 @@ def change_basis(L: LieAlgebra, A) -> LieAlgebra:
     if abs(det) <= TOL_ALG:
         raise InvalidInput(f"basis change is singular (det={det:.3e})")
     Ainv = np.linalg.inv(Am)
-    cnew = np.einsum("mk,kab,ai,bj->mij", Am, L.c, Ainv, Ainv)
-    ents = []
-    for i in range(L.n):
-        for j in range(i + 1, L.n):
-            for k in range(L.n):
-                if abs(cnew[k, i, j]) > 1e-15:
-                    ents.append((i, j, k, float(cnew[k, i, j])))
-    return LieAlgebra(L.n, tuple(ents))
+    cnew = np.einsum("mk,kab,ai,bj->mij", Am, L.c, Ainv, Ainv).transpose(1, 2, 0)
+    upper = np.triu(np.ones((L.n, L.n), dtype=bool), 1)[..., None]
+    # np.nonzero walks the (i, j, k) axes in lexicographic order
+    i, j, k = np.nonzero(upper & (np.abs(cnew) > 1e-15))
+    return LieAlgebra(L.n, tuple(zip(i.tolist(), j.tolist(), k.tolist(),
+                                     cnew[i, j, k].tolist())))

@@ -22,7 +22,7 @@ from scipy.linalg import expm
 
 from .errors import DomainError, UnsupportedDerivation
 from .liealg import LieAlgebra, _as_matrix, derivation_defect, is_derivation, series_flags
-from .leftinv import check_metric, curvature
+from .leftinv import CurvaturePackage, check_metric, curvature
 
 #: residual threshold for accepting a soliton certificate
 TOL_SOL = 1e-10
@@ -77,7 +77,6 @@ def solve_soliton(L: LieAlgebra, g) -> SolitonCertificate:
     structural flags of L.  If the derivation residual exceeds ``TOL_SOL``
     the classification is 'none' with the best-effort lambda and D reported.
     """
-    g = check_metric(g, L.n)
     pkg = curvature(L, g)
     c = L.c
     c2 = float(np.sum(c * c))
@@ -112,9 +111,12 @@ def solve_soliton(L: LieAlgebra, g) -> SolitonCertificate:
 
 def verify_soliton(L: LieAlgebra, g, lam, D, tol=TOL_SOL) -> VerificationReport:
     """Recompute both residuals of a supplied (lambda, D) pair."""
-    g = check_metric(g, L.n)
+    return _verify(L, curvature(L, g), lam, D, tol)
+
+
+def _verify(L: LieAlgebra, pkg: CurvaturePackage, lam, D, tol) -> VerificationReport:
+    """``verify_soliton`` from the curvature package of a validated metric."""
     Dm = _as_matrix(D)
-    pkg = curvature(L, g)
     sol_res = float(np.abs(pkg.Rc - lam * np.eye(L.n) - Dm).max())
     der_res = is_derivation(L, Dm)
     return VerificationReport(soliton_residual=sol_res, derivation_residual=der_res,

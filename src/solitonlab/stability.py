@@ -20,15 +20,15 @@ the spectral abscissa of its decaying part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidInput
 from .liealg import LieAlgebra, TOL_RANK, derivation_space
-from .leftinv import (check_metric, curvature, lichnerowicz, lie_derivative_term,
+from .leftinv import (CurvaturePackage, curvature, lichnerowicz, lie_derivative_term,
                       orthonormal_frame)
-from .soliton import SolitonCertificate, verify_soliton
+from .soliton import SolitonCertificate, _verify
 
 #: classification threshold for the quadratic-form bound
 TOL_SPEC = 1e-9
@@ -38,35 +38,31 @@ TOL_NEUTRAL = 1e-6
 GAUGE_RESIDUAL_TOL = 1e-8
 
 
-def sym_tensor_basis(n: int) -> list[np.ndarray]:
+def sym_tensor_basis(n: int) -> np.ndarray:
     """Orthonormal basis of symmetric n x n matrices w.r.t. <A,B> = sum A_ij B_ij.
 
-    Diagonal units E_ii first, then (E_ij + E_ji)/sqrt(2) for i < j in
-    lexicographic order; m = n(n+1)/2 elements.
+    An ``(m, n, n)`` stack, m = n(n+1)/2: diagonal units E_ii first, then
+    (E_ij + E_ji)/sqrt(2) for i < j in lexicographic order.
     """
-    basis = []
-    for i in range(n):
-        E = np.zeros((n, n))
-        E[i, i] = 1.0
-        basis.append(E)
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            E = np.zeros((n, n))
-            E[i, j] = E[j, i] = inv_sqrt2
-            basis.append(E)
+    iu, ju = np.triu_indices(n, 1)
+    rows = np.concatenate([np.arange(n), iu])
+    cols = np.concatenate([np.arange(n), ju])
+    k = np.arange(rows.size)
+    vals = np.where(rows == cols, 1.0, 1.0 / np.sqrt(2.0))
+    basis = np.zeros((rows.size, n, n))
+    basis[k, rows, cols] = vals
+    basis[k, cols, rows] = vals
     return basis
 
 
 def vec_sym(h: np.ndarray, basis) -> np.ndarray:
-    return np.array([float(np.sum(h * E)) for E in basis])
+    """Coordinates ``<h, E_k>`` of (..., n, n) tensors in ``basis``: shape (..., m)."""
+    return np.tensordot(h, basis, axes=([-2, -1], [-2, -1]))
 
 
 def unvec_sym(v: np.ndarray, basis) -> np.ndarray:
-    out = np.zeros_like(basis[0])
-    for coef, E in zip(v, basis):
-        out += coef * E
-    return out
+    """Tensors ``sum_k v_k E_k`` from (..., m) coordinates: shape (..., n, n)."""
+    return np.tensordot(v, basis, axes=1)
 
 
 @dataclass(frozen=True)
@@ -109,19 +105,14 @@ def gauge_subspace(L: LieAlgebra, g0) -> tuple[np.ndarray, np.ndarray]:
     span it; columns of C span the orthogonal complement inside the
     m-dimensional coordinate space of ``sym_tensor_basis``.
     """
-    g0 = check_metric(g0, L.n)
-    F, _ = orthonormal_frame(L, g0)
-    Finv = np.linalg.inv(F)
-    basis = sym_tensor_basis(L.n)
-    m = len(basis)
-    ders = derivation_space(L)
-    if ders.shape[0] == 0:
-        return np.zeros((m, 0)), np.eye(m)
-    cols = []
-    for B in ders:
-        Bhat = Finv @ B @ F
-        cols.append(vec_sym(Bhat.T + Bhat, basis))
-    A = np.array(cols).T  # m x (#derivations)
+    g0 = np.asarray(g0, dtype=float)
+    return _gauge(L, g0, orthonormal_frame(L, g0)[0])
+
+
+def _gauge(L: LieAlgebra, g0, F) -> tuple[np.ndarray, np.ndarray]:
+    """``gauge_subspace`` at a validated g0 with its frame F."""
+    Bhat = F.T @ g0 @ derivation_space(L) @ F          # F^{-1} = F^T g0
+    A = vec_sym(Bhat + Bhat.swapaxes(-1, -2), sym_tensor_basis(L.n)).T
     U, s, _ = np.linalg.svd(A)
     rank = int(np.sum(s > TOL_RANK))
     return U[:, :rank], U[:, rank:]
@@ -133,18 +124,19 @@ def assemble_operator(L: LieAlgebra, g0, cert: SolitonCertificate) -> np.ndarray
     Columns are images of the orthonormal symmetric-tensor basis, all
     components in the g0-orthonormal frame (D is conjugated into the frame).
     """
-    g0 = check_metric(g0, L.n)
-    pkg = curvature(L, g0)
+    g0 = np.asarray(g0, dtype=float)
+    return _assemble(L, g0, curvature(L, g0), cert)
+
+
+def _assemble(L: LieAlgebra, g0, pkg: CurvaturePackage,
+              cert: SolitonCertificate) -> np.ndarray:
+    """``assemble_operator`` at a validated g0 with its curvature package."""
     F = pkg.frame
-    Dhat = np.linalg.inv(F) @ np.asarray(cert.D, dtype=float) @ F
-    basis = sym_tensor_basis(L.n)
-    cols = []
-    for E in basis:
-        img = (lichnerowicz(L, g0, E, pkg=pkg)
-               + 2.0 * cert.lam * E
-               + lie_derivative_term(E, Dhat))
-        cols.append(vec_sym(img, basis))
-    return np.array(cols).T
+    Dhat = F.T @ g0 @ np.asarray(cert.D, dtype=float) @ F   # F^{-1} = F^T g0
+    E = sym_tensor_basis(L.n)
+    img = (lichnerowicz(L, g0, E, pkg=pkg) + 2.0 * cert.lam * E
+           + lie_derivative_term(E, Dhat))
+    return vec_sym(img, E).T
 
 
 def ode_jacobian(L: LieAlgebra, g0, cert: SolitonCertificate) -> np.ndarray:
@@ -154,25 +146,21 @@ def ode_jacobian(L: LieAlgebra, g0, cert: SolitonCertificate) -> np.ndarray:
     stability operator so the two matrices are directly comparable; step
     1e-6 relative to ``|g0|_F``, entrywise error O(step^2).
     """
+    g0 = np.asarray(g0, dtype=float)
+    return _jacobian(L, g0, orthonormal_frame(L, g0)[0], cert)
+
+
+def _jacobian(L: LieAlgebra, g0, F, cert: SolitonCertificate) -> np.ndarray:
+    """``ode_jacobian`` at a validated g0 with its frame F."""
     from .flow import rhs_normalized
 
-    g0 = check_metric(g0, L.n)
-    F, _ = orthonormal_frame(L, g0)
-    Finv = np.linalg.inv(F)
-    basis = sym_tensor_basis(L.n)
+    Finv = F.T @ g0
+    E = sym_tensor_basis(L.n)
+    dgs = Finv.T @ E @ Finv   # defining-basis tensors with frame components E
     s = 1e-6 * max(1.0, float(np.linalg.norm(g0)))
-    cols = []
-    for E in basis:
-        dg = Finv.T @ E @ Finv   # defining-basis tensor with frame components E
-        rp = rhs_normalized(L, g0 + s * dg, cert)
-        rm = rhs_normalized(L, g0 - s * dg, cert)
-        diff = (rp - rm) / (2.0 * s)
-        cols.append(vec_sym(F.T @ diff @ F, basis))
-    return np.array(cols).T
-
-
-def _neutral_eigs(values, tol):
-    return [i for i, w in enumerate(values) if abs(w) <= tol]
+    diff = np.array([rhs_normalized(L, g0 + s * dg, cert)
+                     - rhs_normalized(L, g0 - s * dg, cert) for dg in dgs]) / (2.0 * s)
+    return vec_sym(F.T @ diff @ F, E).T
 
 
 def stability_operator(L: LieAlgebra, g0, cert: SolitonCertificate,
@@ -183,65 +171,58 @@ def stability_operator(L: LieAlgebra, g0, cert: SolitonCertificate,
     at a soliton).  See the module docstring for how neutral gauge modes
     are handled in the verdict.
     """
-    g0 = check_metric(g0, L.n)
-    ver = verify_soliton(L, g0, cert.lam, cert.D, tol=1e-8)
+    g0 = np.asarray(g0, dtype=float)
+    pkg = curvature(L, g0)   # the report's one validation and factorization of g0
+    ver = _verify(L, pkg, cert.lam, cert.D, tol=1e-8)
     if not ver.passed:
         raise InvalidInput(
             "certificate does not verify at (L, g0): residuals "
             f"{ver.soliton_residual:.2e}, {ver.derivation_residual:.2e}")
 
-    lmat = assemble_operator(L, g0, cert)
+    lmat = _assemble(L, g0, pkg, cert)
     spectrum = np.linalg.eigvals(lmat)
     sym = 0.5 * (lmat + lmat.T)
     w, V = np.linalg.eigh(sym)
     quad_raw = float(w.max())
 
-    Q, C = gauge_subspace(L, g0)
-    neutral_idx = _neutral_eigs(w, tol)
-    if neutral_idx and Q.shape[1] > 0:
+    Q, C = _gauge(L, g0, pkg.frame)
+    neutral_idx = np.flatnonzero(np.abs(w) <= tol)
+    if neutral_idx.size and Q.shape[1] > 0:
         vecs = V[:, neutral_idx]
         resid = float(np.linalg.norm(vecs - Q @ (Q.T @ vecs), axis=0).max())
-    elif neutral_idx:
+    elif neutral_idx.size:
         resid = 1.0  # neutral modes but no gauge directions at all
     else:
         resid = 0.0
 
     complement_bound = None
     if C.shape[1] > 0:
-        complement_bound = float(np.linalg.eigvalsh(
-            0.5 * (C.T @ lmat @ C + (C.T @ lmat @ C).T)).max())
+        complement_bound = float(np.linalg.eigvalsh(C.T @ sym @ C).max())
 
     if quad_raw < -tol or quad_raw > tol:
         quad_bound = quad_raw
-    elif (neutral_idx and resid <= GAUGE_RESIDUAL_TOL
+    elif (neutral_idx.size and resid <= GAUGE_RESIDUAL_TOL
           and complement_bound is not None):
         # neutral directions are pure gauge; verdict from the complement
         quad_bound = complement_bound
     else:
         quad_bound = quad_raw
-
-    if quad_bound < -tol:
-        classification = "strict"
-    elif quad_bound > tol:
-        classification = "unstable"
-    else:
-        classification = "weak"
     epsilon = -quad_bound if quad_bound < 0 else 0.0
 
-    jac = ode_jacobian(L, g0, cert)
+    jac = _jacobian(L, g0, pkg.frame, cert)
     jac_spectrum = np.linalg.eigvals(jac)
     re = jac_spectrum.real
     decaying = re[re < -TOL_NEUTRAL]
-    return StabilityReport(
+    report = StabilityReport(
         block="left-invariant",
         lmat=lmat,
         spectrum=spectrum,
         quad_bound=float(quad_bound),
         quad_bound_raw=quad_raw,
         epsilon=float(epsilon),
-        classification=classification,
+        classification="",
         gauge_dim=int(Q.shape[1]),
-        neutral_dim=len(neutral_idx),
+        neutral_dim=int(neutral_idx.size),
         neutral_gauge_residual=resid,
         complement_bound=complement_bound,
         jac=jac,
@@ -249,10 +230,15 @@ def stability_operator(L: LieAlgebra, g0, cert: SolitonCertificate,
         jac_decay_abscissa=float(decaying.max()) if decaying.size else None,
         jac_neutral_dim=int(np.sum(np.abs(re) <= TOL_NEUTRAL)),
     )
+    return replace(report, classification=classify(report, tol))
 
 
 def classify(report: StabilityReport, tol=TOL_SPEC) -> str:
-    """Re-threshold a report's quad_bound at a different tolerance."""
+    """Threshold a report's quad_bound: the one strict/weak/unstable rule.
+
+    ``stability_operator`` classifies with it at its own ``tol``; call it
+    again to re-threshold a report at a different tolerance.
+    """
     if report.quad_bound < -tol:
         return "strict"
     if report.quad_bound > tol:

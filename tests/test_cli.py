@@ -321,6 +321,20 @@ def _run_script_target(target, *argv):
                           capture_output=True, text=True, env=_checkout_env())
 
 
+def test_flow_zero_tolerance_exits_promptly():
+    # run in a subprocess: a tolerance that stalls the step control must
+    # fail this test by timeout rather than hang the suite
+    try:
+        r = subprocess.run([sys.executable, "-m", "solitonlab", "flow", "nil3",
+                            "--perturb", "0.05", "--t-max", "1", "--tol", "0"],
+                           capture_output=True, text=True, env=_checkout_env(),
+                           timeout=30)
+    except subprocess.TimeoutExpired:
+        pytest.fail("solitonlab flow --tol 0 did not return within 30 s")
+    assert r.returncode == 2, r.stderr
+    assert "atol must be finite and positive" in r.stderr
+
+
 def test_console_entry_points():
     r = subprocess.run([sys.executable, "-m", "solitonlab", "validate", "nil3"],
                        capture_output=True, text=True, env=_checkout_env())

@@ -91,6 +91,14 @@ def test_integrate_rejects_bad_input():
         integrate(rhs, np.eye(2), 1.0, method="euler")
 
 
+@pytest.mark.parametrize("name", ["atol", "rtol"])
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+def test_integrate_rejects_bad_tolerance(name, value):
+    # at 0 or nan the error ratio is NaN and no step was ever accepted
+    with pytest.raises(InvalidInput, match=f"{name} must be finite and positive"):
+        integrate(lambda g: -g, np.eye(2), 1.0, **{name: value})
+
+
 def test_integration_stops_at_singularity():
     # drive the metric through the SPD boundary in finite time
     rhs = lambda g: -2.0 * g - 3.0 * np.eye(2)

@@ -177,6 +177,38 @@ def test_lichnerowicz_linear_and_symmetric_valued():
     assert np.allclose(lhs, lhs.T, atol=1e-12)
 
 
+@pytest.mark.parametrize("name", ["nil4", "sol3", "heis5", "hyp_4", "heis3_ext"])
+def test_symmetric_tensor_ops_accept_batch_axes(name):
+    """A (k, n, n) stack through one call equals k single calls."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    L = catalog.get(name).algebra
+    g = random_spd(L.n, rng)
+    pkg = curvature(L, g)
+    A = rng.standard_normal((7, L.n, L.n))
+    hs = A + A.swapaxes(-1, -2)
+    D = rng.standard_normal((L.n, L.n))
+    for op in (lambda h: lichnerowicz(L, g, h, pkg=pkg),
+               lambda h: curvature_action(pkg, h),
+               lambda h: lie_derivative_term(h, D),
+               sym2):
+        stacked = op(hs)
+        assert stacked.shape == hs.shape
+        for h, out in zip(hs, stacked):
+            assert np.allclose(out, op(h), rtol=0, atol=1e-13)
+        assert np.allclose(op(hs.reshape(7, 1, L.n, L.n))[:, 0], stacked,
+                           rtol=0, atol=1e-13)
+    assert np.allclose(lichnerowicz(L, g, hs), lichnerowicz(L, g, hs, pkg=pkg),
+                       rtol=0, atol=1e-13)
+
+
+def test_sym2_checks_each_tensor_of_a_stack():
+    h = np.stack([np.eye(3), np.array([[1.0, 0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])])
+    with pytest.raises(InvalidMetric, match="not symmetric"):
+        sym2(h)
+    with pytest.raises(InvalidMetric, match="must be square"):
+        sym2(np.ones(3))
+
+
 def test_lie_derivative_term():
     D = np.diag([1.0, 2.0, 3.0])
     h = np.array([[2.0, 1.0, 0.0], [1.0, 4.0, -1.0], [0.0, -1.0, 6.0]])

@@ -117,6 +117,35 @@ def test_derivation_space_abelian():
     assert derivation_space(L).shape[0] == 9  # every linear map
 
 
+def derivation_system_loops(L):
+    """The n^3 x n^2 derivation system, row (i, j, k) and column (p, q), by loops."""
+    n, c = L.n, L.c
+    M = np.zeros((n ** 3, n * n))
+    r = 0
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for q in range(n):
+                    M[r, k * n + q] += c[q, i, j]
+                for p in range(n):
+                    M[r, p * n + i] -= c[k, p, j]
+                    M[r, p * n + j] -= c[k, i, p]
+                r += 1
+    return M
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_derivation_space_matches_loop_system(name):
+    L = catalog.get(name).algebra
+    rng = np.random.default_rng(sum(map(ord, name)))
+    L = change_basis(L, np.linalg.qr(rng.standard_normal((L.n, L.n)))[0])
+    _, s, vt = np.linalg.svd(derivation_system_loops(L))
+    ref = vt[s <= 1e-10]
+    der = derivation_space(L).reshape(-1, L.n ** 2)
+    assert der.shape == ref.shape
+    assert np.allclose(der.T @ der, ref.T @ ref, rtol=0, atol=1e-12)
+
+
 def test_series_flags():
     assert series_flags(HEIS3) == {
         "nilpotent": True, "solvable": True, "unimodular": True}

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from solitonlab import catalog
-from solitonlab.liealg import change_basis
+from solitonlab.leftinv import curvature, lichnerowicz, orthonormal_frame
+from solitonlab.liealg import TOL_RANK, change_basis, derivation_space
 from solitonlab.soliton import solve_soliton
 from solitonlab.stability import (
     assemble_operator,
@@ -14,6 +15,8 @@ from solitonlab.stability import (
     unvec_sym,
     vec_sym,
 )
+
+from conftest import random_spd
 
 # classification, sharp quadratic-form bound on the gauge complement, and
 # decaying spectral abscissa of the ODE jacobian -- frozen after the
@@ -157,3 +160,140 @@ def test_classify_thresholds():
     assert classify(weak) == "weak"
     bad = type(rep)(**{**rep.__dict__, "quad_bound": 0.3})
     assert classify(bad) == "unstable"
+
+
+# ------------------------------------------------ loop-built reference assembly
+#
+# The operator assembly by loops: a list basis, one Lichnerowicz evaluation
+# per basis tensor with explicit loops over the connection matrices, and the
+# frame inverted with np.linalg.inv.  The stacked contractions of the package
+# must agree with it.
+
+def sym_basis_list(n):
+    basis = []
+    for i in range(n):
+        E = np.zeros((n, n))
+        E[i, i] = 1.0
+        basis.append(E)
+    for i in range(n):
+        for j in range(i + 1, n):
+            E = np.zeros((n, n))
+            E[i, j] = E[j, i] = 1.0 / np.sqrt(2.0)
+            basis.append(E)
+    return basis
+
+
+def vec_sym_loops(h, basis):
+    return np.array([float(np.sum(h * E)) for E in basis])
+
+
+def lichnerowicz_loops(pkg, h):
+    n = h.shape[0]
+    G = np.einsum("piq->ipq", pkg.gamma)
+    rough = np.zeros_like(h)
+    for i in range(n):
+        Th = G[i] @ h - h @ G[i]
+        rough += G[i] @ Th - Th @ G[i]
+    trace_gamma = np.einsum("kii->k", pkg.gamma)
+    for k in range(n):
+        rough -= trace_gamma[k] * (G[k] @ h - h @ G[k])
+    Rh = np.einsum("ikjl,kl->ij", pkg.Rm, h)
+    ric = pkg.ric_frame
+    out = rough + (Rh + Rh.T) - ric @ h - h @ ric
+    return 0.5 * (out + out.T)
+
+
+def assemble_operator_loops(L, g0, cert):
+    pkg = curvature(L, g0)
+    F = pkg.frame
+    Dhat = np.linalg.inv(F) @ np.asarray(cert.D) @ F
+    basis = sym_basis_list(L.n)
+    cols = []
+    for E in basis:
+        img = lichnerowicz_loops(pkg, E) + 2.0 * cert.lam * E + Dhat.T @ E + E @ Dhat
+        cols.append(vec_sym_loops(img, basis))
+    return np.array(cols).T
+
+
+def gauge_projector_loops(L, g0):
+    F, _ = orthonormal_frame(L, g0)
+    Finv = np.linalg.inv(F)
+    basis = sym_basis_list(L.n)
+    ders = derivation_space(L)
+    if ders.shape[0] == 0:
+        return np.zeros((len(basis), len(basis)))
+    cols = []
+    for B in ders:
+        Bhat = Finv @ B @ F
+        cols.append(vec_sym_loops(Bhat.T + Bhat, basis))
+    U, s, _ = np.linalg.svd(np.array(cols).T)
+    Q = U[:, :int(np.sum(s > TOL_RANK))]
+    return Q @ Q.T
+
+
+def own_and_rotated(name):
+    e = catalog.get(name)
+    L, g = e.algebra, np.asarray(e.metric)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    Q, R = np.linalg.qr(rng.standard_normal((L.n, L.n)))
+    Q = Q * np.sign(np.diag(R))
+    return [(L, g), (change_basis(L, Q), Q @ g @ Q.T)]
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_stacked_assembly_matches_loop_oracle(name):
+    for L, g0 in own_and_rotated(name):
+        cert = solve_soliton(L, g0)
+        ref = assemble_operator_loops(L, g0, cert)
+        lmat = assemble_operator(L, g0, cert)
+        assert np.linalg.norm(lmat - ref) <= 1e-13 * max(1.0, np.linalg.norm(ref))
+        Q, C = gauge_subspace(L, g0)
+        assert np.max(np.abs(Q @ Q.T - gauge_projector_loops(L, g0))) <= 1e-12
+        assert np.max(np.abs(C @ C.T + Q @ Q.T - np.eye(C.shape[0]))) <= 1e-12
+        # the trace-of-gamma term vanishes at every catalog soliton, so the
+        # Lichnerowicz closed form is also checked away from them
+        g = random_spd(L.n, np.random.default_rng(L.n))
+        pkg = curvature(L, g)
+        E = sym_tensor_basis(L.n)
+        ref = np.array([lichnerowicz_loops(pkg, h) for h in E])
+        out = lichnerowicz(L, g, E, pkg=pkg)
+        assert np.linalg.norm(out - ref) <= 1e-13 * max(1.0, np.linalg.norm(ref))
+
+
+def test_sym_basis_matches_list_basis():
+    for n in (1, 2, 4):
+        assert np.array_equal(sym_tensor_basis(n), np.array(sym_basis_list(n)))
+
+
+def test_vec_sym_accepts_batch_axes():
+    rng = np.random.default_rng(5)
+    basis = sym_tensor_basis(3)
+    A = rng.standard_normal((2, 4, 3, 3))
+    h = A + A.swapaxes(-1, -2)
+    v = vec_sym(h, basis)
+    assert v.shape == (2, 4, 6)
+    assert np.allclose(v[1, 2], vec_sym_loops(h[1, 2], basis), atol=1e-14)
+    assert np.allclose(unvec_sym(v, basis), h, atol=1e-14)
+
+
+def test_stability_operator_computes_curvature_once(monkeypatch):
+    import sys
+
+    from solitonlab import leftinv
+
+    e = catalog.get("heis5")
+    cert = solve_soliton(e.algebra, e.metric)
+    calls = []
+    real = leftinv.curvature
+
+    def counting(L, g):
+        calls.append(1)
+        return real(L, g)
+
+    # every module that bound the name, so no call path escapes the count
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("solitonlab") \
+                and getattr(mod, "curvature", None) is real:
+            monkeypatch.setattr(mod, "curvature", counting)
+    stability_operator(e.algebra, e.metric, cert)
+    assert len(calls) == 1
