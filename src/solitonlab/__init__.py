@@ -12,9 +12,8 @@ from .errors import (DomainError, GridTooCoarse, GridTooLarge, InvalidInput,
                      InvalidMetric, InvalidPerturbation, InvalidWeight,
                      NotInCatalog, SingularityReached, StiffnessError,
                      UnsupportedDerivation)
-from .liealg import (LieAlgebra, LinearMap, ValidationReport, ad, bracket,
-                     change_basis, derivation_space, is_derivation,
-                     series_flags, validate)
+from .liealg import (LieAlgebra, ValidationReport, ad, bracket, change_basis,
+                     derivation_space, is_derivation, series_flags, validate)
 from .leftinv import (CurvaturePackage, check_metric, curvature,
                       curvature_action, lichnerowicz, lie_derivative_term,
                       orthonormal_frame, ricci)

@@ -327,12 +327,7 @@ def cmd_weights(args) -> int:
 
 def cmd_catalog(args) -> int:
     if args.target:
-        entry = catalog.get(args.target)
-        doc = export_algebra(entry)
-        text = _dump_json(doc)
-        if args.out:
-            _write_atomic(args.out, text + "\n")
-        print(text)
+        _emit(export_algebra(catalog.get(args.target)), args.out)
         return 0
     rows = []
     for entry in catalog.entries():

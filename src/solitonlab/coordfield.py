@@ -343,52 +343,30 @@ _CHARTS = {
 _VALIDATED: set = set()
 
 
-def metric_jets(cm: ChartMetric, pts: np.ndarray, step: float = _JET_STEP):
+def metric_jets(cm: ChartMetric, pts: np.ndarray):
     """g, dg, d2g at the given points by 4th-order centered differences.
 
     dg[..., a, i, j] = d_a g_ij and d2g[..., a, b, i, j] = d_a d_b g_ij.
+    The metric reads only `cm.axis`, so only dg[..., axis] and
+    d2g[..., axis, axis] are differenced; every other entry is exactly 0.
     The step is independent of any grid spacing: the metric is a closed
     form, so the jets are effectively exact (1e-8 relative or better).
     """
     pts = np.asarray(pts, dtype=float)
-    h = step
-    g0 = cm.metric(pts)
-    base = pts.shape[:-1]
+    h, a = _JET_STEP, cm.axis
 
-    def shifted(da, db=None):
+    def shifted(s):
         q = pts.copy()
-        a, sa = da
-        q[..., a] += sa * h
-        if db is not None:
-            b, sb = db
-            q[..., b] += sb * h
+        q[..., a] += s * h
         return cm.metric(q)
 
-    dg = np.zeros(base + (3, 3, 3))
-    plus1, minus1, plus2, minus2 = {}, {}, {}, {}
-    for a in range(3):
-        plus1[a] = shifted((a, 1.0))
-        minus1[a] = shifted((a, -1.0))
-        plus2[a] = shifted((a, 2.0))
-        minus2[a] = shifted((a, -2.0))
-        dg[..., a, :, :] = (-plus2[a] + 8.0 * plus1[a]
-                            - 8.0 * minus1[a] + minus2[a]) / (12.0 * h)
-
-    d2g = np.zeros(base + (3, 3, 3, 3))
-    for a in range(3):
-        d2g[..., a, a, :, :] = (-plus2[a] + 16.0 * plus1[a] - 30.0 * g0
-                                + 16.0 * minus1[a] - minus2[a]) / (12.0 * h * h)
-    # mixed partials: 4th-order cross stencil from composed 1D weights
-    w = {1: 8.0 / (12.0 * h), -1: -8.0 / (12.0 * h),
-         2: -1.0 / (12.0 * h), -2: 1.0 / (12.0 * h)}
-    for a in range(3):
-        for b in range(a + 1, 3):
-            acc = 0.0
-            for sa, wa in w.items():
-                for sb, wb in w.items():
-                    acc = acc + (wa * wb) * shifted((a, sa), (b, sb))
-            d2g[..., a, b, :, :] = acc
-            d2g[..., b, a, :, :] = acc
+    g0 = cm.metric(pts)
+    plus1, minus1, plus2, minus2 = shifted(1.0), shifted(-1.0), shifted(2.0), shifted(-2.0)
+    dg = np.zeros(pts.shape[:-1] + (3, 3, 3))
+    dg[..., a, :, :] = (-plus2 + 8.0 * plus1 - 8.0 * minus1 + minus2) / (12.0 * h)
+    d2g = np.zeros(pts.shape[:-1] + (3, 3, 3, 3))
+    d2g[..., a, a, :, :] = (-plus2 + 16.0 * plus1 - 30.0 * g0
+                            + 16.0 * minus1 - minus2) / (12.0 * h * h)
     return g0, dg, d2g
 
 
@@ -419,7 +397,7 @@ def _line_points(cm: ChartMetric, pts: np.ndarray) -> tuple:
     return flat[first], inverse
 
 
-def curvature_fields(cm: ChartMetric, pts: np.ndarray, step: float = _JET_STEP) -> dict:
+def curvature_fields(cm: ChartMetric, pts: np.ndarray) -> dict:
     """Pointwise curvature data of the chart metric.
 
     Returns g, ginv, Gamma (Gamma[..., k, i, j] = Gamma^k_ij), the
@@ -438,18 +416,18 @@ def curvature_fields(cm: ChartMetric, pts: np.ndarray, step: float = _JET_STEP) 
     line, inverse = _line_points(cm, pts)
     out = {key: np.empty((len(line),) + tail) for key, tail in _FIELD_SHAPES.items()}
     for blk in _blocks(len(line)):
-        _curvature_block(cm, line[blk], step, {key: a[blk] for key, a in out.items()})
+        _curvature_block(cm, line[blk], {key: a[blk] for key, a in out.items()})
     return {key: a[inverse].reshape(base + a.shape[1:]) for key, a in out.items()}
 
 
-def _curvature_block(cm: ChartMetric, pts: np.ndarray, step: float, out: dict) -> None:
+def _curvature_block(cm: ChartMetric, pts: np.ndarray, out: dict) -> None:
     """`curvature_fields` on a flat (B, 3) block, written into `out`.
 
     Every contraction is a batched matmul over the block axis; index
     groups are merged by reshapes so each product is (B, m, k) @ (B, k, n).
     """
     B = len(pts)
-    g0, dg, d2g = metric_jets(cm, pts, step)
+    g0, dg, d2g = metric_jets(cm, pts)
     ginv = np.linalg.inv(g0)
     ginvT = np.swapaxes(ginv, -1, -2)
     # Gamma^k_ij = 1/2 g^kl (d_i g_jl + d_j g_il - d_l g_ij); low is [i, j, l]
@@ -693,18 +671,13 @@ def rayleigh_quotient(cm: ChartMetric, lam: float, d, h: np.ndarray,
     return float(np.einsum("xk,xk->x", hup, Lh.reshape(N, -1)) @ w) / den
 
 
-def radial_bump(grid: GridSpec, r_inner: float, r_outer: float,
-                dist: np.ndarray = None) -> np.ndarray:
-    """C^2 cutoff: 1 inside r_inner, 0 outside r_outer (quintic ramp).
-
-    By default the profile is in the Euclidean grid radius; passing a
-    distance field switches to metric distances.
-    """
+def radial_bump(grid: GridSpec, r_inner: float, r_outer: float) -> np.ndarray:
+    """C^2 cutoff in the Euclidean grid radius: 1 inside r_inner, 0 outside
+    r_outer (quintic ramp)."""
     if not 0.0 < r_inner < r_outer:
         raise InvalidInput("need 0 < r_inner < r_outer")
-    if dist is None:
-        pts = grid.points()
-        dist = np.sqrt(np.einsum("...k,...k->...", pts, pts))
+    pts = grid.points()
+    dist = np.sqrt(np.einsum("...k,...k->...", pts, pts))
     s = np.clip((dist - r_inner) / (r_outer - r_inner), 0.0, 1.0)
     return 1.0 - (10.0 * s ** 3 - 15.0 * s ** 4 + 6.0 * s ** 5)
 
@@ -722,19 +695,16 @@ def _frame_field(C: np.ndarray, S) -> np.ndarray:
 
 
 def probe_tensor_suite(cm: ChartMetric, grid: GridSpec, count: int = 20,
-                       seed: int = 0, r_inner: float = None,
-                       r_outer: float = None) -> list:
+                       seed: int = 0) -> list:
     """Bump-modulated compactly supported test tensors for Rayleigh probes.
 
     The first entries sweep the symmetric frame basis; the rest are
     seeded random symmetric combinations.  All are supported in the open
-    ball and C^2 at the cutoff.
+    ball (the bump ramps from 0.45 R to 0.9 R) and C^2 at the cutoff.
     """
     if count < 1:
         raise InvalidInput("count must be positive")
-    R = grid.radius
-    chi = radial_bump(grid, r_inner if r_inner else 0.45 * R,
-                      r_outer if r_outer else 0.9 * R)
+    chi = radial_bump(grid, 0.45 * grid.radius, 0.9 * grid.radius)
     basis = []
     for i in range(3):
         for j in range(i, 3):
@@ -758,19 +728,7 @@ def probe_tensor_suite(cm: ChartMetric, grid: GridSpec, count: int = 20,
 # metric distances, annuli, weighted norms
 # ---------------------------------------------------------------------------
 
-# graph and distance field of the most recent (chart, radius, npts) only: the
-# hits come from one norm, `build_annulus_cover` then `pair_distances` on its
-# grid, and a bounded cache keeps peak memory from growing with every grid seen
-_GRAPH_CACHE: dict = {}
-
-
-def _grid_cache(cm: ChartMetric, grid: GridSpec) -> dict:
-    """The cache slot of this grid, evicting any other grid's slot."""
-    key = (cm.name, grid.radius, grid.npts)
-    if key not in _GRAPH_CACHE:
-        _GRAPH_CACHE.clear()
-        _GRAPH_CACHE[key] = {}
-    return _GRAPH_CACHE[key]
+_PAIRS = 48  # sampled Hölder pairs per annulus
 
 
 def _grid_graph(cm: ChartMetric, grid: GridSpec):
@@ -779,9 +737,6 @@ def _grid_graph(cm: ChartMetric, grid: GridSpec):
     Edge (x, x + o*dx) gets weight dx * sqrt(o^T g(mid) o), the length
     of the straight segment in the metric at its midpoint.
     """
-    slot = _grid_cache(cm, grid)
-    if "graph" in slot:
-        return slot["graph"]
     npts = grid.npts
     idx = np.arange(npts ** 3).reshape((npts,) * 3)
     pts = grid.points()
@@ -804,25 +759,22 @@ def _grid_graph(cm: ChartMetric, grid: GridSpec):
         cols.append(dst)
         weights.append(length.ravel())
     n = npts ** 3
-    graph = _sparse.csr_matrix(
+    return _sparse.csr_matrix(
         (np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n))
-    slot["graph"] = graph
-    return graph
+
+
+def _dijkstra(graph, grid: GridSpec, sources) -> np.ndarray:
+    """Graph distances from flat node indices to every grid node, shaped
+    `np.shape(sources)` + the grid."""
+    out = _csgraph.dijkstra(graph, directed=False, indices=sources)
+    return out.reshape(np.shape(sources) + (grid.npts,) * 3)
 
 
 def distance_field(cm: ChartMetric, grid: GridSpec) -> np.ndarray:
     """Approximate metric distance to the origin at every grid point."""
-    slot = _grid_cache(cm, grid)
-    if "dist" in slot:
-        return slot["dist"]
-    graph = _grid_graph(cm, grid)
-    npts = grid.npts
-    origin = np.ravel_multi_index(grid.origin_index, (npts,) * 3)
-    dist = _csgraph.dijkstra(graph, directed=False, indices=origin)
-    dist = dist.reshape((npts,) * 3)
-    slot["dist"] = dist
-    return dist
+    origin = np.ravel_multi_index(grid.origin_index, (grid.npts,) * 3)
+    return _dijkstra(_grid_graph(cm, grid), grid, origin)
 
 
 @dataclass
@@ -834,24 +786,27 @@ class Annulus:
 
 @dataclass
 class AnnulusCover:
-    """Overlapping annuli A_1 = {d < 4}, A_N = {N-1 < d < N+3} (N >= 2)."""
+    """Overlapping annuli A_1 = {d < 4}, A_N = {N-1 < d < N+3} (N >= 2).
+
+    `graph` is the grid's metric graph and `dist` its distance field.
+    """
 
     cm: ChartMetric
     grid: GridSpec
+    graph: _sparse.csr_matrix
     dist: np.ndarray
     annuli: list = field(default_factory=list)
 
-    def pair_distances(self, sources: np.ndarray) -> np.ndarray:
+    def pair_distances(self, sources) -> np.ndarray:
         """Graph distances from the given flat node indices to all nodes."""
-        graph = _grid_graph(self.cm, self.grid)
-        out = _csgraph.dijkstra(graph, directed=False, indices=sources)
-        return out.reshape((len(sources),) + (self.grid.npts,) * 3)
+        return _dijkstra(self.graph, self.grid, sources)
 
 
 def build_annulus_cover(cm: ChartMetric, grid: GridSpec) -> AnnulusCover:
-    dist = distance_field(cm, grid)
+    graph = _grid_graph(cm, grid)
+    dist = _dijkstra(graph, grid, np.ravel_multi_index(grid.origin_index, (grid.npts,) * 3))
     dmax = float(np.max(dist[np.isfinite(dist)]))
-    cover = AnnulusCover(cm=cm, grid=grid, dist=dist)
+    cover = AnnulusCover(cm=cm, grid=grid, graph=graph, dist=dist)
     mask1 = dist < 4.0
     cover.annuli.append(Annulus(1, mask1, np.where(mask1, 4.0 - dist, 0.0)))
     N = 2
@@ -865,30 +820,27 @@ def build_annulus_cover(cm: ChartMetric, grid: GridSpec) -> AnnulusCover:
 
 
 def _partials_up_to(h: np.ndarray, grid: GridSpec, k: int) -> list:
-    """[order 0 partials, order 1, ...]: lists of grid component arrays."""
-    comps = h.reshape((grid.npts,) * 3 + (-1,))
-    orders = [[comps[..., m] for m in range(comps.shape[-1])]]
+    """Partials of h's components of orders 0..k, one grid array per order
+    with components last; order q + 1 holds d_a of order-q component c at
+    index 3 * c + a."""
+    orders = [h.reshape((grid.npts,) * 3 + (-1,))]
     for _q in range(k):
         prev = orders[-1]
-        nxt = []
-        for fld in prev:
-            for a in range(3):
-                nxt.append(_diff1(fld, a, grid.dx))
-        orders.append(nxt)
+        nxt = np.stack([_diff1(prev, a, grid.dx) for a in range(3)], axis=-1)
+        orders.append(nxt.reshape(prev.shape[:3] + (-1,)))
     return orders
 
 
 def weighted_holder_norm(cover: AnnulusCover, h: np.ndarray, k: int,
-                         alpha: float, w: WeightSpec,
-                         pairs_per_annulus: int = 48, seed: int = 0) -> float:
+                         alpha: float, w: WeightSpec, seed: int = 0) -> float:
     """Discrete tau-weighted little Hölder norm over the annulus cover.
 
     Per annulus N the bracket is  sum_{q<=k} sup_x d_x^q max_{|l|=q}
     |d^l h(x)|  plus the sampled Hölder seminorm  sup over pairs of
     min(d_x, d_y)^(k+alpha) |d^k h(x) - d^k h(y)| / d(x,y)^alpha; the
     norm is the max over annuli of sqrt(f_tau(N)) times the bracket.
-    Pairs are sampled from a seeded generator with d(x, y) >= dx, so the
-    seminorm is a lower bound on its continuum value.
+    `_PAIRS` pairs per annulus are sampled from a seeded generator with
+    d(x, y) >= dx, so the seminorm is a lower bound on its continuum value.
     """
     if k not in (0, 1, 2):
         raise InvalidInput(f"k must be 0, 1 or 2, got {k}")
@@ -897,30 +849,25 @@ def weighted_holder_norm(cover: AnnulusCover, h: np.ndarray, k: int,
     h = np.asarray(h, dtype=float)
     grid = cover.grid
     orders = _partials_up_to(h, grid, k)
-    abs_max = [np.max(np.abs(np.stack(flds, axis=0)), axis=0) for flds in orders]
-    top = np.stack(orders[k], axis=0)  # k-th partials, component-major
+    abs_max = [np.max(np.abs(part), axis=-1) for part in orders]
+    top = orders[k].reshape(-1, orders[k].shape[-1])  # k-th partials, one row per node
     rng = np.random.default_rng(seed)
-    npts = grid.npts
 
     best = 0.0
     for ann in cover.annuli:
         if not np.any(ann.mask):
             continue
-        sup_term = 0.0
-        vals = np.zeros(ann.mask.sum())
-        for q in range(k + 1):
-            vals = vals + (ann.d_boundary[ann.mask] ** q) * abs_max[q][ann.mask]
-        sup_term = float(np.max(vals))
+        sup_term = float(np.max(sum((ann.d_boundary[ann.mask] ** q) * abs_max[q][ann.mask]
+                                    for q in range(k + 1))))
 
         sem = 0.0
         flat = np.flatnonzero(ann.mask.ravel())
-        if len(flat) >= 2 and pairs_per_annulus > 0:
+        if len(flat) >= 2:
             n_src = min(4, len(flat))
             sources = rng.choice(flat, size=n_src, replace=False)
             dists = cover.pair_distances(sources)
             db = ann.d_boundary.ravel()
-            tflat = top.reshape(top.shape[0], -1)
-            per_src = max(1, pairs_per_annulus // n_src)
+            per_src = max(1, _PAIRS // n_src)
             for s_i, s in enumerate(sources):
                 targets = rng.choice(flat, size=min(per_src, len(flat)),
                                      replace=False)
@@ -930,7 +877,7 @@ def weighted_holder_norm(cover: AnnulusCover, h: np.ndarray, k: int,
                     continue
                 tgt = targets[ok]
                 dxy = dxy[ok]
-                diff = np.max(np.abs(tflat[:, tgt] - tflat[:, [s]]), axis=0)
+                diff = np.max(np.abs(top[tgt] - top[s]), axis=1)
                 mind = np.minimum(db[tgt], db[s])
                 sem = max(sem, float(np.max(mind ** (k + alpha) * diff / dxy ** alpha)))
 

@@ -258,7 +258,7 @@ class ConvergenceExperiment:
 
 
 def convergence_experiment(L: LieAlgebra, g0, cert: SolitonCertificate,
-                           eps=0.01, seed=0, rate_hint=None,
+                           eps=0.01, seed=0,
                            atol=1e-11, rtol=1e-11) -> ConvergenceExperiment:
     """Perturb a soliton, integrate the normalized flow, fit the decay rate.
 
@@ -267,24 +267,16 @@ def convergence_experiment(L: LieAlgebra, g0, cert: SolitonCertificate,
     to g0 itself; deviations are therefore measured against the empirical
     limit (the final integrated metric) and fitted on a window of 5
     e-folds of the expected rate that ends where the deviation from the
-    limit falls below ``10 * atol * |g0|_F``.
-
-    Parameters
-    ----------
-    rate_hint : float, optional
-        Expected decay rate; default is the decaying spectral abscissa of
-        ``ode_jacobian`` (imported lazily to avoid a module cycle).
+    limit falls below ``10 * atol * |g0|_F``.  The expected rate is the
+    decaying spectral abscissa of ``ode_jacobian`` (imported lazily to
+    avoid a module cycle).
     """
-    if rate_hint is None:
-        from .stability import TOL_NEUTRAL, ode_jacobian
-        re = np.linalg.eigvals(ode_jacobian(L, g0, cert)).real
-        decaying = re[re < -TOL_NEUTRAL]
-        if decaying.size == 0:
-            raise InvalidInput("no decaying modes: cannot set an experiment window")
-        rate_hint = -float(decaying.max())
-    omega = float(rate_hint)
-    if omega <= 0:
-        raise InvalidInput(f"rate hint must be positive, got {omega}")
+    from .stability import TOL_NEUTRAL, ode_jacobian
+    re = np.linalg.eigvals(ode_jacobian(L, g0, cert)).real
+    decaying = re[re < -TOL_NEUTRAL]
+    if decaying.size == 0:
+        raise InvalidInput("no decaying modes: cannot set an experiment window")
+    omega = -float(decaying.max())
     g0 = check_metric(g0)
     g_start = perturb(g0, eps, seed)
     t_long = 24.0 / omega

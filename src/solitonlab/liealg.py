@@ -97,27 +97,7 @@ class LieAlgebra:
         return f"LieAlgebra(n={self.n}, entries={self.entries})"
 
 
-@dataclass(frozen=True)
-class LinearMap:
-    """An n x n endomorphism with a role tag ('derivation', 'basis_change', ...)."""
-
-    mat: np.ndarray
-    role: str = "endomorphism"
-
-    def __post_init__(self):
-        a = np.asarray(self.mat, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InvalidInput(f"LinearMap must be square, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise InvalidInput("LinearMap has non-finite entries")
-        a = a.copy()
-        a.flags.writeable = False
-        object.__setattr__(self, "mat", a)
-
-
 def _as_matrix(D) -> np.ndarray:
-    if isinstance(D, LinearMap):
-        return D.mat
     a = np.asarray(D, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInput(f"expected a square matrix, got shape {a.shape}")

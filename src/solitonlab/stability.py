@@ -75,9 +75,12 @@ class StabilityReport:
     neutral (and the neutral directions are certified gauge), otherwise the
     raw bound itself.  ``quad_bound_raw`` is the unrestricted bound;
     ``epsilon = -quad_bound`` when negative.  ``jac`` is the
-    finite-difference Jacobian of the reduced normalized flow in the same
+    central-difference Jacobian of the reduced normalized flow in the same
     basis; ``jac_decay_abscissa`` is the largest real part among its
     non-neutral eigenvalues (the predictor of nonlinear decay rates).
+    ``jac`` is non-normal with clustered eigenvalues, so rounding-level
+    changes in it move ``jac_spectrum`` by up to ~1e-10: digits past that
+    depend on the BLAS and the basis and are not reproducible.
     """
 
     block: str

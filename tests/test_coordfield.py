@@ -15,9 +15,9 @@ from solitonlab.coordfield import (
     GridSpec,
     _curvature_block,
     _diff1,
-    _JET_STEP,
     _nil3_coframe,
     _nil3_metric,
+    _partials_up_to,
     WeightSpec,
     apply_L_fd,
     build_annulus_cover,
@@ -202,6 +202,21 @@ def test_metric_jets_hyp3_exponential():
     e = np.exp(1.0)   # e^{2z} at z = 1/2
     assert abs(dg[0, 2, 0, 0] - 2 * e) < 1e-6
     assert abs(d2g[0, 2, 2, 0, 0] - 4 * e) < 1e-5
+
+
+@pytest.mark.parametrize("name", ["nil3", "sol3", "hyp3"])
+def test_metric_jets_vanish_off_the_chart_axis(name):
+    """The metric reads only `cm.axis`, so every jet entry with a derivative
+    along another axis is exactly 0, not rounding noise."""
+    cm = chart_metric(name)
+    pts = np.random.default_rng(4).uniform(-4.0, 4.0, size=(33, 3))
+    pts[:, cm.axis] = GridSpec(radius=4.0, dx=0.25).axis()
+    _, dg, d2g = metric_jets(cm, pts)
+    off = [a for a in range(3) if a != cm.axis]
+    assert not np.any(dg[:, off])
+    mixed = np.ones((3, 3), dtype=bool)
+    mixed[cm.axis, cm.axis] = False
+    assert not np.any(d2g.reshape(len(pts), 9, 3, 3)[:, mixed.ravel()])
 
 
 def test_sqrt_det_positive(nil3_fields):
@@ -425,7 +440,7 @@ def test_line_fields_match_per_point_evaluation(name, where):
         pts[::3, cm.axis] = pts[1::3, cm.axis]
     flat = pts.reshape(-1, 3)
     ref = {key: np.empty((len(flat),) + tail) for key, tail in _FIELD_SHAPES.items()}
-    _curvature_block(cm, flat, _JET_STEP, ref)
+    _curvature_block(cm, flat, ref)
     fields = curvature_fields(cm, pts)
     for key, a in ref.items():
         assert np.array_equal(fields[key], a.reshape(fields[key].shape)), key
@@ -459,21 +474,31 @@ def test_distance_field_basics():
         assert d[i, j, k] <= abs(z) + 1e-9
 
 
-def test_distance_field_cached():
+def test_cover_distances_agree_on_interleaved_grids():
+    """The cover's own graph, its distance field and `distance_field` agree
+    exactly on each grid, whichever grid was used last."""
     cm = chart_metric("nil3")
-    d1 = distance_field(cm, GRID)
-    d2 = distance_field(cm, GRID)
-    assert d1 is d2
+    grids = [GRID, GridSpec(radius=1.5, dx=0.25)]
+    covers = [build_annulus_cover(cm, grid) for grid in grids]
+    for grid, cover in 2 * list(zip(grids, covers)):
+        origin = np.ravel_multi_index(grid.origin_index, (grid.npts,) * 3)
+        assert np.array_equal(cover.pair_distances([origin])[0], cover.dist)
+        assert np.array_equal(distance_field(cm, grid), cover.dist)
 
 
-def test_graph_cache_keeps_latest_grid_only():
-    cm = chart_metric("nil3")
-    d1 = distance_field(cm, GRID)
-    other = GridSpec(radius=1.5, dx=0.25)
-    distance_field(cm, other)
-    assert len(coordfield._GRAPH_CACHE) == 1
-    assert distance_field(cm, GRID) is not d1
-    np.testing.assert_array_equal(distance_field(cm, GRID), d1)
+def test_partials_are_composed_diff1():
+    """Order q + 1 holds d_a of order-q component c at index 3 * c + a."""
+    h = probe_tensor_suite(chart_metric("sol3"), GRID, count=8, seed=2)[7]
+    orders = _partials_up_to(h, GRID, 2)
+    assert [part.shape[-1] for part in orders] == [9, 27, 81]
+    comps = h.reshape(h.shape[:3] + (9,))
+    for m in range(9):
+        for a in range(3):
+            d_a = _diff1(comps[..., m], a, GRID.dx)
+            assert np.array_equal(orders[1][..., 3 * m + a], d_a)
+            for b in range(3):
+                assert np.array_equal(orders[2][..., 3 * (3 * m + a) + b],
+                                      _diff1(d_a, b, GRID.dx))
 
 
 def test_annulus_cover_invariants():
