@@ -474,6 +474,30 @@ def test_distance_field_basics():
         assert d[i, j, k] <= abs(z) + 1e-9
 
 
+def test_distance_field_cached():
+    """Repeat calls agree exactly but share no array: the field is rebuilt
+    from the grid, so a caller that edits one result leaves the next intact."""
+    cm = chart_metric("nil3")
+    d1 = distance_field(cm, GRID)
+    ref = d1.copy()
+    d1[...] = -1.0
+    d2 = distance_field(cm, GRID)
+    assert d2 is not d1
+    np.testing.assert_array_equal(d2, ref)
+
+
+def test_graph_cache_keeps_latest_grid_only():
+    """A call on another grid in between leaves the field on GRID unchanged."""
+    cm = chart_metric("nil3")
+    d1 = distance_field(cm, GRID)
+    other = GridSpec(radius=1.5, dx=0.25)
+    d_other = distance_field(cm, other)
+    assert d_other.shape == (other.npts,) * 3
+    assert not hasattr(coordfield, "_GRAPH_CACHE")
+    np.testing.assert_array_equal(distance_field(cm, GRID), d1)
+    np.testing.assert_array_equal(distance_field(cm, other), d_other)
+
+
 def test_cover_distances_agree_on_interleaved_grids():
     """The cover's own graph, its distance field and `distance_field` agree
     exactly on each grid, whichever grid was used last."""
