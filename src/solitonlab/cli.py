@@ -379,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default="normalized")
     sp.add_argument("--dt", type=float, default=1e-3)
     sp.add_argument("--t-max", type=float, default=10.0)
-    sp.add_argument("--method", choices=("rk4", "rkf45"), default="rkf45")
+    sp.add_argument("--method", choices=("rk4", "dop853"), default="dop853")
     sp.add_argument("--perturb", type=float, default=0.0)
     common(sp)
     sp.set_defaults(func=cmd_flow)

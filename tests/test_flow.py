@@ -1,3 +1,9 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +12,7 @@ from solitonlab.errors import (
     InvalidInput,
     InvalidPerturbation,
     SingularityReached,
+    StiffnessError,
 )
 from solitonlab.flow import (
     FlowTrajectory,
@@ -61,9 +68,9 @@ def test_rk4_fourth_order_convergence():
     assert 12.0 <= errs[1] / errs[2] <= 20.0
 
 
-def test_rkf45_adaptive_accuracy():
+def test_dop853_adaptive_accuracy():
     rhs = lambda g: rhs_unnormalized(NIL3.algebra, g)
-    traj = integrate(rhs, np.eye(3), 1.0, dt=1e-2, method="rkf45",
+    traj = integrate(rhs, np.eye(3), 1.0, dt=1e-2, method="dop853",
                      atol=1e-12, rtol=1e-12)
     rel = (np.linalg.norm(traj.metrics[-1] - nil3_exact(1.0))
            / np.linalg.norm(nil3_exact(1.0)))
@@ -89,6 +96,16 @@ def test_integrate_rejects_bad_input():
         integrate(rhs, np.eye(2), -1.0)
     with pytest.raises(InvalidInput):
         integrate(rhs, np.eye(2), 1.0, method="euler")
+    for max_step in (0.0, -1.0, np.nan):
+        with pytest.raises(InvalidInput, match="max_step must be positive"):
+            integrate(rhs, np.eye(2), 1.0, max_step=max_step)
+
+
+def test_integrate_zero_horizon_returns_initial_point():
+    for method in ("rk4", "dop853"):
+        traj = integrate(lambda g: -g, np.diag([1.0, 2.0]), 0.0, method=method)
+        assert traj.times.tolist() == [0.0], method
+        assert np.array_equal(traj.metrics[0], np.diag([1.0, 2.0])), method
 
 
 @pytest.mark.parametrize("name", ["atol", "rtol"])
@@ -102,9 +119,49 @@ def test_integrate_rejects_bad_tolerance(name, value):
 def test_integration_stops_at_singularity():
     # drive the metric through the SPD boundary in finite time
     rhs = lambda g: -2.0 * g - 3.0 * np.eye(2)
+    for method in ("rk4", "dop853"):
+        with pytest.raises(SingularityReached) as exc:
+            integrate(rhs, np.eye(2), 5.0, dt=1e-3, method=method)
+        assert 0.0 < exc.value.t < 5.0, method
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_integration_stops_at_non_finite_iterate(bad):
+    # a non-finite matrix is not a metric, whatever its Cholesky factor says
     with pytest.raises(SingularityReached) as exc:
-        integrate(rhs, np.eye(2), 5.0, dt=1e-3, method="rk4")
-    assert 0.0 < exc.value.t < 5.0
+        integrate(lambda g: np.full_like(g, bad), np.eye(2), 0.01, method="rk4")
+    assert exc.value.t == pytest.approx(1e-3)
+
+
+def test_adaptive_step_underflow_at_blow_up():
+    # dg/dt = g g from I is g = I / (1 - t), which blows up at t = 1
+    with pytest.raises(StiffnessError) as exc:
+        integrate(lambda g: g @ g, np.eye(2), 2.0, method="dop853")
+    t = float(re.search(r"at t=(\S+)\)", str(exc.value)).group(1))
+    assert abs(t - 1.0) < 1e-3
+
+
+def test_adaptive_nan_rhs_raises_promptly():
+    # run in a subprocess: a NaN error ratio that never shrinks the step
+    # must fail this test by timeout rather than hang the suite
+    code = ("import numpy as np\n"
+            "from solitonlab.flow import integrate\n"
+            "from solitonlab.errors import StiffnessError\n"
+            "try:\n"
+            "    integrate(lambda g: np.full_like(g, np.nan), np.eye(2), 1.0)\n"
+            "except StiffnessError as e:\n"
+            "    print('StiffnessError', e)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    try:
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, env=env, timeout=30)
+    except subprocess.TimeoutExpired:
+        pytest.fail("integrate on a NaN rhs did not return within 30 s")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("StiffnessError"), r.stdout
+    assert "at t=0)" in r.stdout, r.stdout
 
 
 def test_perturb_properties():
@@ -153,7 +210,7 @@ def test_unnormalized_flow_matches_exact_solution_sol3():
     e = catalog.get("sol3")
     cert = solve_soliton(e.algebra, e.metric)
     rhs = lambda g: rhs_unnormalized(e.algebra, g)
-    traj = integrate(rhs, np.asarray(e.metric), 0.5, method="rkf45",
+    traj = integrate(rhs, np.asarray(e.metric), 0.5, method="dop853",
                      atol=1e-12, rtol=1e-12)
     want = exact_unnormalized_solution(np.asarray(e.metric), cert, 0.5)
     assert np.linalg.norm(traj.metrics[-1] - want) < 1e-9
@@ -185,6 +242,19 @@ def test_convergence_experiment_fit_window_reaches_slowest_mode(name, seed):
     rel = abs(exp.fit.omega - exp.predicted_rate) / exp.predicted_rate
     assert rel <= 0.20, rel
     assert exp.fit.r_squared >= 0.98
+
+
+def test_convergence_experiment_fit_window_holds_five_steps(soliton_entries):
+    # the step cap of 1/omega keeps at least 5 accepted steps in the
+    # 5-e-fold window; uncapped, high-order steps can leave it with 3.
+    # Every non-flat catalog soliton is strictly stable (criterion 5).
+    for e in soliton_entries:
+        g0 = np.asarray(e.metric)
+        cert = solve_soliton(e.algebra, g0)
+        for seed in range(10):
+            exp = convergence_experiment(e.algebra, g0, cert, eps=0.01,
+                                         seed=seed)
+            assert exp.fit.n_points >= 5, (e.name, seed, exp.fit.n_points)
 
 
 def test_convergence_experiment_rejects_bad_eps():
