@@ -241,8 +241,6 @@ def cmd_flow(args) -> int:
         rhs = lambda g: rhs_unnormalized(L, g)
     traj = integrate(rhs, g_init, args.t_max, dt=args.dt, method=args.method,
                      atol=args.tol, rtol=args.tol, g_ref=g0)
-    traj.meta.update({"name": name, "mode": args.mode, "seed": args.seed,
-                      "eps": args.perturb})
 
     exact_devs = None
     if args.mode == "unnormalized" and is_soliton and args.perturb == 0:
@@ -350,22 +348,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "solvable Lie groups")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, grid=False):
-        sp.add_argument("--tol", type=float, default=1e-10)
-        sp.add_argument("--seed", type=int, default=42)
-        sp.add_argument("--out", default=None)
-        if grid:
-            sp.add_argument("--radius", type=float, default=4.0)
-            sp.add_argument("--dx", type=float, default=0.125)
+    options = {"out": {}, "tol": dict(type=float, default=1e-10),
+               "seed": dict(type=int, default=42),
+               "radius": dict(type=float, default=4.0), "dx": dict(type=float, default=0.125)}
+
+    def common(sp, *names):
+        # every subcommand writes --out; the others only where they are read
+        for name in ("out",) + names:
+            sp.add_argument("--" + name, **options[name])
 
     sp = sub.add_parser("validate", help="check antisymmetry and Jacobi")
     sp.add_argument("target")
-    common(sp)
+    common(sp, "tol")
     sp.set_defaults(func=cmd_validate)
 
     sp = sub.add_parser("soliton", help="solve and verify the soliton equation")
     sp.add_argument("target")
-    common(sp)
+    common(sp, "tol")
     sp.set_defaults(func=cmd_soliton)
 
     sp = sub.add_parser("spectrum", help="linear stability spectra at a soliton")
@@ -381,13 +380,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--t-max", type=float, default=10.0)
     sp.add_argument("--method", choices=("rk4", "dop853"), default="dop853")
     sp.add_argument("--perturb", type=float, default=0.0)
-    common(sp)
+    common(sp, "tol", "seed")
     sp.set_defaults(func=cmd_flow)
 
     sp = sub.add_parser("rayleigh", help="grid Rayleigh quotients of L")
     sp.add_argument("target", help="chart model: nil3, sol3 or hyp3")
     sp.add_argument("--count", type=int, default=20)
-    common(sp, grid=True)
+    common(sp, "seed", "radius", "dx")
     sp.set_defaults(func=cmd_rayleigh)
 
     sp = sub.add_parser("weights", help="weight summability check")

@@ -14,7 +14,7 @@ II.5 and II.10), stepped one accepted step at a time through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import DOP853
@@ -25,6 +25,7 @@ from .errors import (InvalidInput, InvalidMetric, InvalidPerturbation,
 from .liealg import LieAlgebra
 from .leftinv import check_metric, ricci
 from .soliton import SolitonCertificate
+from .stability import TOL_NEUTRAL, ode_jacobian
 
 
 @dataclass
@@ -41,14 +42,12 @@ class FitResult:
 
 @dataclass
 class FlowTrajectory:
-    """Sampled flow: times, metrics, deviations from ``g_ref``, last fit."""
+    """Sampled flow: times, metrics and deviations from ``g_ref``."""
 
     times: np.ndarray
     metrics: np.ndarray
     deviations: np.ndarray
     g_ref: np.ndarray
-    meta: dict = field(default_factory=dict)
-    fitted: FitResult | None = None
 
 
 def rhs_unnormalized(L: LieAlgebra, g) -> np.ndarray:
@@ -82,10 +81,11 @@ def integrate(rhs, g_init, t_max, dt=1e-3, method="dop853",
         Fixed-step classic RK4 with step ``dt``, or adaptive Dormand-Prince
         8(5,3) (``scipy.integrate.DOP853``) with ``dt`` as the first step
         (clipped to ``t_max``) and error control at (atol, rtol), both of
-        which must be finite and positive.  scipy's error norm is the RMS
-        over the n^2 entries of the scaled error, where the Fehlberg 4(5)
-        loop it replaced took their maximum, and scipy raises an ``rtol``
-        below 100 machine epsilons to that value.
+        which must be finite and positive, and ``rtol`` at least 100
+        machine epsilons (scipy would raise a smaller one to that with
+        only a warning).  scipy's error norm is the RMS over the n^2 entries of the
+        scaled error, where the Fehlberg 4(5) loop it replaced took their
+        maximum.
     g_ref : array, optional
         Reference metric for the stored deviation norms (default g_init).
     max_step : float, optional
@@ -112,6 +112,9 @@ def integrate(rhs, g_init, t_max, dt=1e-3, method="dop853",
     for name, tol in (("atol", atol), ("rtol", rtol)):
         if not (np.isfinite(tol) and tol > 0):
             raise InvalidInput(f"{name} must be finite and positive, got {tol}")
+    if method == "dop853" and rtol < 100 * np.finfo(float).eps:
+        raise InvalidInput(f"rtol must be at least 100 machine epsilons "
+                           f"({100 * np.finfo(float).eps:.3g}), got {rtol}")
     ref = g.copy() if g_ref is None else check_metric(g_ref, g.shape[0])
 
     times = [0.0]
@@ -163,9 +166,7 @@ def integrate(rhs, g_init, t_max, dt=1e-3, method="dop853",
     times = np.array(times)
     mets = np.array(mets)
     devs = np.linalg.norm(mets - ref, axis=(1, 2))
-    return FlowTrajectory(times=times, metrics=mets, deviations=devs, g_ref=ref,
-                          meta={"method": method, "dt": dt, "t_max": t_max,
-                                "atol": atol, "rtol": rtol})
+    return FlowTrajectory(times=times, metrics=mets, deviations=devs, g_ref=ref)
 
 
 def perturb(g0, eps, seed) -> np.ndarray:
@@ -205,7 +206,7 @@ def fit_decay_rate(traj: FlowTrajectory, g_ref=None, window=None) -> FitResult:
     stored reference).  The window defaults to the second half of the run;
     samples with deviation <= 1e-14 (machine-converged) are dropped.  The
     fit is rejected (``ok=False``) when fewer than 3 usable samples remain
-    or R^2 < 0.98.  The result is also stored on ``traj.fitted``.
+    or R^2 < 0.98.
     """
     ref = traj.g_ref if g_ref is None else np.asarray(g_ref, dtype=float)
     devs = np.linalg.norm(traj.metrics - ref, axis=(1, 2))
@@ -217,7 +218,6 @@ def fit_decay_rate(traj: FlowTrajectory, g_ref=None, window=None) -> FitResult:
     fit = FitResult(C=np.nan, omega=np.nan, r_squared=np.nan,
                     window=(lo, hi), n_points=int(mask.sum()), ok=False)
     if mask.sum() < 3:
-        traj.fitted = fit
         return fit
     x = t[mask]
     y = np.log(devs[mask])
@@ -229,7 +229,6 @@ def fit_decay_rate(traj: FlowTrajectory, g_ref=None, window=None) -> FitResult:
     fit = FitResult(C=float(np.exp(intercept)), omega=float(-slope),
                     r_squared=float(r2), window=(lo, hi),
                     n_points=int(mask.sum()), ok=bool(r2 >= 0.98))
-    traj.fitted = fit
     return fit
 
 
@@ -258,9 +257,8 @@ def convergence_experiment(L: LieAlgebra, g0, cert: SolitonCertificate,
     limit falls below ``10 * atol * |g0|_F``.  The fit uses the accepted
     steps, which are capped at 1/omega so that the window holds at least 5
     of them.  The expected rate is the decaying spectral abscissa of
-    ``ode_jacobian`` (imported lazily to avoid a module cycle).
+    ``ode_jacobian``.
     """
-    from .stability import TOL_NEUTRAL, ode_jacobian
     re = np.linalg.eigvals(ode_jacobian(L, g0, cert)).real
     decaying = re[re < -TOL_NEUTRAL]
     if decaying.size == 0:

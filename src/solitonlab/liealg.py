@@ -207,25 +207,20 @@ def series_flags(L: LieAlgebra) -> dict:
         _, s, vt = np.linalg.svd(A, full_matrices=False)
         return vt[: int(np.sum(s > TOL_RANK))]
 
-    # lower central series: g_1 = [g, g], g_{m+1} = [g, g_m]
-    lcs = bracket_span(basis, basis)
-    while True:
-        nxt = bracket_span(basis, lcs) if lcs.shape[0] else lcs
-        if nxt.shape[0] in (0, lcs.shape[0]):
-            lcs = nxt
-            break
-        lcs = nxt
-    nilpotent = lcs.shape[0] == 0
+    def reaches_zero(step):
+        # iterate a descending series from [g, g]; it stops at {0} or at
+        # the first term whose dimension no longer drops
+        U = bracket_span(basis, basis)
+        while U.shape[0]:
+            nxt = step(U)
+            if nxt.shape[0] == U.shape[0]:
+                return False
+            U = nxt
+        return True
 
-    # derived series: g^(1) = [g, g], g^(m+1) = [g^(m), g^(m)]
-    der = bracket_span(basis, basis)
-    while True:
-        nxt = bracket_span(der, der) if der.shape[0] else der
-        if nxt.shape[0] in (0, der.shape[0]):
-            der = nxt
-            break
-        der = nxt
-    solvable = der.shape[0] == 0
+    # lower central series g_{m+1} = [g, g_m]; derived series g^(m+1) = [g^(m), g^(m)]
+    nilpotent = reaches_zero(lambda U: bracket_span(basis, U))
+    solvable = reaches_zero(lambda U: bracket_span(U, U))
 
     unimodular = bool(np.abs(L.trace_form).max() <= TOL_ALG)
     return {"nilpotent": bool(nilpotent), "solvable": bool(solvable),

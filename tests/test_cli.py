@@ -335,6 +335,18 @@ def test_flow_zero_tolerance_exits_promptly():
     assert "atol must be finite and positive" in r.stderr
 
 
+def test_flow_tolerance_below_rtol_floor_exits_2(tmp_path):
+    r = subprocess.run([sys.executable, "-m", "solitonlab", "flow", "nil3",
+                        "--t-max", "0.1", "--tol", "1e-15",
+                        "--out", str(tmp_path / "run.csv")],
+                       capture_output=True, text=True, env=_checkout_env(),
+                       timeout=60)
+    assert r.returncode == 2, r.stderr
+    assert "rtol must be at least 100 machine epsilons" in r.stderr
+    assert "UserWarning" not in r.stderr
+    assert not (tmp_path / "run.csv").exists()
+
+
 def test_console_entry_points():
     r = subprocess.run([sys.executable, "-m", "solitonlab", "validate", "nil3"],
                        capture_output=True, text=True, env=_checkout_env())

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +117,19 @@ def test_integrate_rejects_bad_tolerance(name, value):
         integrate(lambda g: -g, np.eye(2), 1.0, **{name: value})
 
 
+def test_integrate_refuses_rtol_below_scipy_floor():
+    # scipy would raise such an rtol to 100 eps with only a warning
+    eps = np.finfo(float).eps
+    with pytest.raises(InvalidInput, match="rtol must be at least 100 machine"):
+        integrate(lambda g: -g, np.eye(2), 1.0, atol=1e-15, rtol=1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # the floor itself passes scipy unwarned
+        traj = integrate(lambda g: -g, np.eye(2), 1.0, rtol=100 * eps)
+    assert traj.times[-1] == 1.0
+    # the fixed-step method has no error control, so any positive rtol is fine
+    integrate(lambda g: -g, np.eye(2), 0.01, method="rk4", rtol=1e-15)
+
+
 def test_integration_stops_at_singularity():
     # drive the metric through the SPD boundary in finite time
     rhs = lambda g: -2.0 * g - 3.0 * np.eye(2)
@@ -186,7 +200,7 @@ def test_fit_decay_rate_on_synthetic_data():
     metrics = np.array([g_inf + 0.02 * np.exp(-0.75 * t) * h for t in times])
     devs = np.linalg.norm(metrics - g_inf, axis=(1, 2))
     traj = FlowTrajectory(times=times, metrics=metrics, deviations=devs,
-                          g_ref=g_inf, meta={}, fitted=None)
+                          g_ref=g_inf)
     fit = fit_decay_rate(traj)
     assert fit.ok
     assert abs(fit.omega - 0.75) < 1e-10
@@ -200,7 +214,7 @@ def test_fit_decay_rate_window_and_floor():
     metrics = np.array([g_inf + 1e-3 * np.exp(-2.0 * t) * h for t in times])
     devs = np.linalg.norm(metrics - g_inf, axis=(1, 2))
     traj = FlowTrajectory(times=times, metrics=metrics, deviations=devs,
-                          g_ref=g_inf, meta={}, fitted=None)
+                          g_ref=g_inf)
     fit = fit_decay_rate(traj, window=(1.0, 4.0))
     assert fit.ok and abs(fit.omega - 2.0) < 1e-9
     assert fit.window[0] >= 1.0 and fit.window[1] <= 4.0

@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from solitonlab import catalog
+from solitonlab import catalog, stability
+from solitonlab.flow import rhs_normalized
 from solitonlab.leftinv import curvature, lichnerowicz, orthonormal_frame
 from solitonlab.liealg import TOL_RANK, change_basis, derivation_space
 from solitonlab.soliton import solve_soliton
@@ -297,3 +301,55 @@ def test_stability_operator_computes_curvature_once(monkeypatch):
             monkeypatch.setattr(mod, "curvature", counting)
     stability_operator(e.algebra, e.metric, cert)
     assert len(calls) == 1
+
+
+# ------------------------------------------ finite-difference reference Jacobian
+
+def jacobian_central_differences(L, g0, cert):
+    """Central differences of ``rhs_normalized`` along the frame basis tensors.
+
+    Step 1e-6 relative to |g0|_F, so each entry is off by O(step^2) plus
+    rounding over the step: about 1e-9 on the catalog.
+    """
+    F, _ = orthonormal_frame(L, g0)
+    Finv = F.T @ g0
+    E = sym_tensor_basis(L.n)
+    dgs = Finv.T @ E @ Finv   # defining-basis tensors with frame components E
+    s = 1e-6 * max(1.0, float(np.linalg.norm(g0)))
+    diff = np.array([rhs_normalized(L, g0 + s * dg, cert)
+                     - rhs_normalized(L, g0 - s * dg, cert) for dg in dgs]) / (2.0 * s)
+    return vec_sym(F.T @ diff @ F, E).T
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_jacobian_is_operator_plus_gauge(name):
+    """J - L is the Lie derivative of g0 along a field: it lies in the gauge span."""
+    for L, g0 in own_and_rotated(name):
+        rep = stability_operator(L, g0, solve_soliton(L, g0))
+        Q, _ = gauge_subspace(L, g0)
+        diff = rep.jac - rep.lmat
+        resid = np.linalg.norm(diff - Q @ (Q.T @ diff), axis=0).max()
+        assert resid <= 1e-12, (name, resid)
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_jacobian_matches_central_differences(name):
+    for L, g0 in own_and_rotated(name):
+        cert = solve_soliton(L, g0)
+        ref = jacobian_central_differences(L, g0, cert)
+        assert np.max(np.abs(ode_jacobian(L, g0, cert) - ref)) <= 1e-8, name
+
+
+def test_stability_imports_nothing_from_flow():
+    tree = ast.parse(Path(stability.__file__).read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            mods = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            mods = [a.name for a in node.names]
+        else:
+            continue
+        if any(m.split(".")[-1] == "flow" for m in mods):
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    assert not found, found
