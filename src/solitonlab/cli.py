@@ -17,6 +17,7 @@ verification failed, flow hit a singularity, series did not converge),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -405,10 +406,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process (parsing leaves it unchanged)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:

@@ -57,10 +57,10 @@ def rhs_unnormalized(L: LieAlgebra, g) -> np.ndarray:
 
 def rhs_normalized(L: LieAlgebra, g, cert: SolitonCertificate) -> np.ndarray:
     """-2 ric(g) + 2 lambda g + D^T g + g D with (lambda, D) from the certificate."""
+    ric = ricci(L, g)                  # validates g before any arithmetic
     g = np.asarray(g, dtype=float)
-    D = cert.D
-    out = -2.0 * ricci(L, g) + 2.0 * cert.lam * g + D.T @ g + g @ D
-    return 0.5 * (out + out.T)
+    gM = g.dot(cert.D) + cert.lam * g  # g M with M = lambda I + D
+    return (gM + gM.T) - 2.0 * ric     # exactly symmetric
 
 
 def _is_spd(g) -> bool:
@@ -83,9 +83,8 @@ def integrate(rhs, g_init, t_max, dt=1e-3, method="dop853",
         (clipped to ``t_max``) and error control at (atol, rtol), both of
         which must be finite and positive, and ``rtol`` at least 100
         machine epsilons (scipy would raise a smaller one to that with
-        only a warning).  scipy's error norm is the RMS over the n^2 entries of the
-        scaled error, where the Fehlberg 4(5) loop it replaced took their
-        maximum.
+        only a warning).  scipy's error norm is the RMS over the n^2
+        entries of the scaled error.
     g_ref : array, optional
         Reference metric for the stored deviation norms (default g_init).
     max_step : float, optional

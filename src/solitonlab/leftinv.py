@@ -25,6 +25,7 @@ connection matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,12 +49,16 @@ def _factor(g, n=None) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidMetric(f"metric must be square, got shape {g.shape}")
     if n is not None and g.shape[0] != n:
         raise InvalidMetric(f"metric must be {n}x{n}, got {g.shape[0]}x{g.shape[0]}")
-    amax = float(np.abs(g).max())      # non-finite iff some entry is
-    if not np.isfinite(amax):
-        raise InvalidMetric("metric has non-finite entries")
-    if np.abs(g - g.T).max() > SYM_TOL * max(1.0, amax):
-        raise InvalidMetric("metric is not symmetric")
-    g = 0.5 * (g + g.T)
+    if g.size == 0:
+        raise InvalidMetric("metric is empty")
+    asym = float((g - g.T).max())  # max |g - g^T|: 0 iff finite and symmetric
+    if asym:
+        amax = float(np.abs(g).max())      # non-finite iff some entry is
+        if not math.isfinite(amax):
+            raise InvalidMetric("metric has non-finite entries")
+        if asym > SYM_TOL * max(1.0, amax):
+            raise InvalidMetric("metric is not symmetric")
+        g = 0.5 * (g + g.T)
     C, info = dpotrf(g, lower=1)
     if info != 0:
         raise InvalidMetric("metric is not positive definite")
@@ -62,7 +67,7 @@ def _factor(g, n=None) -> tuple[np.ndarray, np.ndarray]:
 
 def check_metric(g, n=None) -> np.ndarray:
     """Validate an SPD matrix and return it (symmetrized) as a float array."""
-    return _factor(g, n)[0]
+    return _factor(g, n)[0].copy()
 
 
 def sym2(h, n=None) -> np.ndarray:
@@ -76,6 +81,8 @@ def sym2(h, n=None) -> np.ndarray:
         raise InvalidMetric(f"tensor must be square, got shape {h.shape}")
     if n is not None and h.shape[-1] != n:
         raise InvalidMetric(f"tensor must be {n}x{n}")
+    if h.shape[-1] == 0:
+        raise InvalidMetric("tensor is empty")
     ht = h.swapaxes(-1, -2)
     scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
     if np.any(np.abs(h - ht).max(axis=(-2, -1)) > SYM_TOL * scale):
@@ -174,23 +181,20 @@ def ricci(L: LieAlgebra, g) -> np.ndarray:
                     + 1/4 sum_ij <[f_i, f_j], X> <[f_i, f_j], Y>
                     - 1/2 (<[Z, X], Y> + <[Z, Y], X>).
 
-    In the defining basis the frame sums become traces against g^{-1}:
-
-        t1[a, b] = <ad_a, g ad_b g^{-1}>,   t3 = g K g,
-        K[k, l]  = <c^k, g^{-1} c^l g^{-1}>,   Z = g^{-1} tau,
-
-    with <.,.> the Frobenius product, c^k the matrix ``c[k]`` and tau the
-    trace form.  g is validated and factored once; ``curvature().ric`` is
-    the full-``Rm`` reference for the same quantity.
+    With g = C C^T, F = C^{-T} and P = c F, the frame sums are the Gram
+    matrices Y Y^T and W W^T of the balanced products Y[a] = C^T ad_a F and
+    W[a] = (g F^T P)[a] = (<[f_i, f_j], e_a>)_ij, and ad_Z = -P F^T tau
+    (tau the trace form).  Y, W and g P F^T tau do not change under g -> t g,
+    so ric(t g) = ric(g) to rounding for t in [1e-200, 1e200].  g is validated
+    and factored once; ``curvature().ric`` is the full-``Rm`` reference.
     """
     g, C = _factor(g, L.n)
-    Ci = dtrtri(C, lower=1)[0]
-    gi = Ci.T @ Ci
-    n, ad, c = L.n, L.ad_stack, L.c
-    t1 = ad.reshape(n, -1) @ (g @ ad @ gi).reshape(n, -1).T
-    K = c.reshape(n, -1) @ (gi @ c @ gi).reshape(n, -1).T
-    gz = g @ (gi @ L.trace_form @ ad.reshape(n, -1)).reshape(n, n)   # g ad_Z
-    ric = 0.25 * (g @ K @ g) - 0.5 * (t1 + L.killing + gz + gz.T)
+    F = dtrtri(C, lower=1)[0].T
+    P = L.c.reshape(-1, L.n).dot(F).reshape(L.c.shape)
+    Y = (C.T @ P.transpose(1, 0, 2)).reshape(L.n, -1)
+    W = g.dot((F.T @ P).reshape(L.n, -1))
+    ric = (0.25 * W.dot(W.T) - 0.5 * (Y.dot(Y.T) + L.killing)
+           + g.dot(P.dot(L.trace_form.dot(F))))
     return 0.5 * (ric + ric.T)
 
 

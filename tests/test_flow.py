@@ -11,6 +11,7 @@ import pytest
 from solitonlab import catalog
 from solitonlab.errors import (
     InvalidInput,
+    InvalidMetric,
     InvalidPerturbation,
     SingularityReached,
     StiffnessError,
@@ -25,7 +26,9 @@ from solitonlab.flow import (
     rhs_unnormalized,
 )
 from solitonlab.leftinv import curvature
-from solitonlab.soliton import exact_unnormalized_solution, solve_soliton
+from solitonlab.liealg import change_basis
+from solitonlab.soliton import (SolitonCertificate, exact_unnormalized_solution,
+                                solve_soliton)
 
 NIL3 = catalog.get("nil3")
 
@@ -47,6 +50,48 @@ def test_rhs_normalized_vanishes_at_solitons(soliton_entries):
         res = np.linalg.norm(rhs_normalized(e.algebra, np.asarray(e.metric),
                                             cert))
         assert res < 1e-12, e.name
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_rhs_normalized_matches_definition_and_is_symmetric(name):
+    """-2 ric + 2 lambda g + D^T g + g D, ric from the full-Rm curvature."""
+    e = catalog.get(name)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    Q, _ = np.linalg.qr(rng.standard_normal((e.algebra.n, e.algebra.n)))
+    g0 = np.asarray(e.metric, dtype=float)
+    # a non-symmetric D as well, which tells D^T g + g D from g D^T + D g
+    D_asym = rng.standard_normal((e.algebra.n, e.algebra.n))
+    for L, gb in ((e.algebra, g0), (change_basis(e.algebra, Q), Q @ g0 @ Q.T)):
+        sol = solve_soliton(L, gb)
+        for cert in (sol, SolitonCertificate(sol.lam, D_asym, 0.0, "none")):
+            for g in (gb, perturb(gb, 0.05, seed=1)):
+                out = rhs_normalized(L, g, cert)
+                assert np.array_equal(out, out.T)
+                terms = (-2.0 * curvature(L, g).ric, 2.0 * cert.lam * g,
+                         cert.D.T @ g + g @ cert.D)
+                err = np.linalg.norm(out - sum(terms))
+                assert err <= 1e-13 * sum(np.linalg.norm(t) for t in terms), name
+
+
+@pytest.mark.parametrize("g, msg", [
+    (np.eye(4), "must be 3x3"),
+    (np.ones((3, 4)), "must be square"),
+    (np.ones(3), "must be square"),
+    (np.diag([1.0, np.nan, 1.0]), "non-finite"),
+])
+def test_rhs_normalized_validates_before_arithmetic(g, msg):
+    # unvalidated, these would reach g D: numpy's ValueError, a wrong shape or NaN
+    cert = solve_soliton(NIL3.algebra, NIL3.metric)
+    with pytest.raises(InvalidMetric, match=msg):
+        rhs_normalized(NIL3.algebra, g, cert)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (2, 0, 0)])
+def test_integrate_and_perturb_reject_empty_metric(shape):
+    with pytest.raises(InvalidMetric):
+        integrate(lambda g: -g, np.zeros(shape), 1.0)
+    with pytest.raises(InvalidMetric):
+        perturb(np.zeros(shape), 0.01, seed=0)
 
 
 def test_rk4_tracks_closed_form():

@@ -216,6 +216,24 @@ def test_lie_derivative_term():
     assert np.allclose(out, D.T @ h + h @ D)
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (2, 0, 0)])
+def test_empty_input_raises_invalid_metric(shape):
+    with pytest.raises(InvalidMetric):
+        check_metric(np.zeros(shape))
+    with pytest.raises(InvalidMetric):
+        sym2(np.zeros(shape))
+
+
+def test_check_metric_returns_a_fresh_symmetric_copy():
+    g = np.diag([1.0, 2.0, 3.0])
+    out = check_metric(g)
+    assert out is not g and not np.shares_memory(out, g)
+    assert np.array_equal(out, g)
+    g[0, 1] = 1e-16          # within tolerance: symmetrized
+    out = check_metric(g)
+    assert np.array_equal(out, out.T) and out[0, 1] == 0.5e-16
+
+
 def test_check_metric_rejects_bad_input():
     with pytest.raises(InvalidInput):
         check_metric(np.diag([1.0, -1.0]))
@@ -257,6 +275,19 @@ def test_ricci_invariant_under_metric_scaling(name, seed, a):
     L = catalog.get(name).algebra
     g = random_spd(L.n, np.random.default_rng(seed))
     assert_rel_close(ricci(L, a * g), ricci(L, g), 1e-12)
+
+
+@pytest.mark.parametrize("name", [n for n in catalog.names()
+                                  if not n.startswith("abelian")])
+def test_ricci_exact_under_extreme_metric_scaling(name):
+    """ric(t g) = ric(g) where g^{-1} or t^2-sized products would under- or overflow."""
+    L = catalog.get(name).algebra
+    rng = np.random.default_rng(sum(map(ord, name)))
+    for g in (np.asarray(catalog.get(name).metric, dtype=float),
+              random_spd(L.n, rng)):
+        ref = ricci(L, g)
+        for t in (1e-200, 1e-150, 1e150, 1e200):
+            assert_rel_close(ricci(L, t * g), ref, 1e-13)
 
 
 @settings(max_examples=30, deadline=None)
