@@ -221,13 +221,13 @@ class GridSpec:
         """Grid coordinates, shape (npts, npts, npts, 3).
 
         Raises `GridTooLarge` before allocating anything when the grid's
-        fields plus the operator's temporaries exceed physical memory.
+        coordinates plus the operator's temporaries exceed physical memory.
         """
         need = self.npts ** 3 * _POINT_BYTES
         phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         if need > phys:
             raise GridTooLarge(
-                f"{self.npts}^3 grid needs ~{need / 2 ** 30:.3g} GiB for its fields "
+                f"{self.npts}^3 grid needs ~{need / 2 ** 30:.3g} GiB for its coordinates "
                 f"and operator, above the {phys / 2 ** 30:.3g} GiB of physical memory")
         ax = self.axis()
         X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
@@ -377,24 +377,26 @@ def _blocks(n: int):
 
 _FIELD_SHAPES = {"g": (3, 3), "ginv": (3, 3), "Gamma": (3, 3, 3), "Rm": (3, 3, 3, 3),
                  "ric": (3, 3), "Rc": (3, 3), "scal": (), "sqrt_det": ()}
-# bytes per grid point of the fields plus what the operator holds at its
-# peak: h, its slab copy, T (27), L h, g^-1 h g^-1, one 9-component
-# temporary and the grid coordinates
-_POINT_BYTES = 8 * (sum(math.prod(tail) for tail in _FIELD_SHAPES.values())
-                    + 9 + 9 + 27 + 9 + 9 + 9 + 3)
+# bytes per grid point that a grid still allocates: the coordinates and what
+# the operator holds at its peak (h, its slab copy, L h, and T (27) with the
+# 9-component product buffer); curvature fields are views of their line and
+# cost nothing per point
+_POINT_BYTES = 8 * (3 + 9 + 9 + 9 + 36)
 
 
-def _line_points(cm: ChartMetric, pts: np.ndarray) -> tuple:
-    """One point per distinct value of the chart axis, and the gather index.
+def _line_reduced(cm: ChartMetric, pts: np.ndarray) -> np.ndarray:
+    """`pts` cut to length 1 along every leading axis on which the chart
+    coordinate `pts[..., cm.axis]` is exactly constant.
 
-    `line[inverse]` reproduces `pts` up to the coordinates the chart
-    metric does not read, so anything computed from the metric on `line`
-    and gathered with `inverse` equals its per-point evaluation.
+    The metric reads that coordinate only, so anything computed from it on
+    the reduced points and broadcast back to `pts.shape[:-1]` equals its
+    per-point evaluation: an N^3 grid reduces to its N line points, and
+    scattered points stay as they are.
     """
-    flat = pts.reshape(-1, 3)
-    # 1-D input: NumPy 2 shapes the inverse like the input, NumPy 1 flattens it
-    _, first, inverse = np.unique(flat[:, cm.axis], return_index=True, return_inverse=True)
-    return flat[first], inverse
+    v = pts[..., cm.axis]
+    return pts[tuple(
+        slice(0, 1) if n > 1 and np.all(v == v[(slice(None),) * k + (slice(0, 1),)])
+        else slice(None) for k, n in enumerate(v.shape))]
 
 
 def curvature_fields(cm: ChartMetric, pts: np.ndarray) -> dict:
@@ -405,19 +407,21 @@ def curvature_fields(cm: ChartMetric, pts: np.ndarray) -> dict:
     Ricci tensor, the Ricci endomorphism Rc = g^(-1) ric, scal, and
     sqrt(det g); each has the leading shape of `pts`.
 
-    The metric reads only `pts[..., cm.axis]`, so the fields are
-    evaluated once per distinct value of that coordinate (N points for an
-    N^3 grid) and gathered back; the result is bit-identical to
-    evaluating every point.  Scattered points may all be distinct, so the
-    line is still processed `_BLOCK` points at a time.
+    The metric reads only `pts[..., cm.axis]`, so the kernel runs on the
+    points reduced by `_line_reduced` (N points for an N^3 grid), and each
+    field is a read-only `np.broadcast_to` view of that line, with stride 0
+    along the axes the chart coordinate is constant on.  Values are
+    bit-identical to evaluating every point.  Scattered points may all be
+    distinct, so the reduced points are still processed `_BLOCK` at a time.
     """
     pts = np.asarray(pts, dtype=float)
-    base = pts.shape[:-1]
-    line, inverse = _line_points(cm, pts)
-    out = {key: np.empty((len(line),) + tail) for key, tail in _FIELD_SHAPES.items()}
-    for blk in _blocks(len(line)):
-        _curvature_block(cm, line[blk], {key: a[blk] for key, a in out.items()})
-    return {key: a[inverse].reshape(base + a.shape[1:]) for key, a in out.items()}
+    red = _line_reduced(cm, pts)
+    flat = red.reshape(-1, 3)
+    out = {key: np.empty((len(flat),) + tail) for key, tail in _FIELD_SHAPES.items()}
+    for blk in _blocks(len(flat)):
+        _curvature_block(cm, flat[blk], {key: a[blk] for key, a in out.items()})
+    return {key: np.broadcast_to(a.reshape(red.shape[:-1] + a.shape[1:]),
+                                 pts.shape[:-1] + a.shape[1:]) for key, a in out.items()}
 
 
 def _curvature_block(cm: ChartMetric, pts: np.ndarray, out: dict) -> None:
@@ -598,8 +602,9 @@ def _apply_L(cm: ChartMetric, lam: float, d, hs: np.ndarray, grid: GridSpec,
     applied as a batched matmul over the N line values on (9 or 27) x N^2
     slabs: the Gamma correction of nabla h (27 x 9), the g^ab Laplacian
     weights (9 x 27 per a), the trace and M terms on T (9 x 27), and the
-    zeroth-order terms (9 x 9).  Grid-sized temporaries are 9-component
-    slabs besides T itself.
+    zeroth-order terms (9 x 9).  T and the 9-component buffer that every
+    other product goes through are one (N, 36, N, N) block; the buffer ends
+    up holding g^-1 h g^-1.
     """
     N, dx, I = grid.npts, grid.dx, np.eye(3)
     d = np.asarray(d, dtype=float)
@@ -621,33 +626,36 @@ def _apply_L(cm: ChartMetric, lam: float, d, hs: np.ndarray, grid: GridSpec,
     # nabla_a h_ij = d_a h_ij - G^p_ai h_pj - G^p_aj h_pi, stored as T[x, (a, i, j)]
     K = (np.einsum("npai,qj->naijpq", G, I)
          + np.einsum("npaj,qi->naijpq", G, I)).reshape(N, 3, 9, 9)
-    T = np.empty((N, 27, N, N))
-    T2 = T.reshape(N, 27, N * N)
+    # one allocation for T and the product buffer: with glibc malloc, a block
+    # this size freed once lifts the heap's trim threshold above what a call
+    # holds, so later calls reuse its pages instead of faulting them in again
+    work = np.empty((N, 36, N, N))
+    T, buf4 = work[:, :27], work[:, 27:]
+    T2, buf = T.reshape(N, 27, N * N), buf4.reshape(N, 9, N * N)
     for a in range(3):
         dh = _diff1(hs, sax[a], dx, out=T[:, 9 * a:9 * a + 9])
         if d[a] != 0.0:                                          # Lie_{X0}: d_a x^a d_a h
-            out4 += (d[a] * coord[a]) * dh
-        T2[:, 9 * a:9 * a + 9] -= K[:, a] @ hs2
+            out4 += np.multiply(d[a] * coord[a], dh, out=buf4)
+        T2[:, 9 * a:9 * a + 9] -= np.matmul(K[:, a], hs2, out=buf)
 
     # Delta h_ij = g^ab [ d_a T_bij - G^p_ab T_pij - G^p_ai T_bpj - G^p_aj T_bip ]
     trG = np.einsum("nab,npab->np", g, G)
     M = np.einsum("nab,npai->nibp", g, G)
     Q = (np.einsum("nb,pi,qj->nijbpq", trG, I, I) + np.einsum("nibp,qj->nijbpq", M, I)
          + np.einsum("njbp,qi->nijbpq", M, I))
-    out -= Q.reshape(N, 9, 27) @ T2
+    out -= np.matmul(Q.reshape(N, 9, 27), T2, out=buf)
     # g^ab / (2 dx): the centered difference's denominator is folded in
     W = np.einsum("nab,ik,jl->naijbkl", g / (2.0 * dx), I, I).reshape(N, 3, 9, 27)
     for a in range(3):
         if a == cm.axis:
             # the weights vary along their own axis: difference W[x] T[x +- 1]
-            out[:-1] += W[:-1, a] @ T2[1:]
-            out[1:] -= W[1:, a] @ T2[:-1]
+            out[:-1] += np.matmul(W[:-1, a], T2[1:], out=buf[:-1])
+            out[1:] -= np.matmul(W[1:, a], T2[:-1], out=buf[1:])
         else:
             # the weights are constant along a, so d_a commutes with them
-            _add_diff(out4, (W[:, a] @ T2).reshape(N, 9, N, N), sax[a])
-    del T, T2, dh                   # free T (dh views it) before allocating hup
+            _add_diff(out4, np.matmul(W[:, a], T2, out=buf).reshape(N, 9, N, N), sax[a])
 
-    hup = (H.reshape(N, 9, 9) @ hs2).reshape(N, 9, N, N)
+    hup = np.matmul(H.reshape(N, 9, 9), hs2, out=buf).reshape(N, 9, N, N)
     r2 = coord[0] ** 2 + coord[1] ** 2 + coord[2] ** 2
     np.copyto(out4, 0.0, where=r2 >= grid.radius ** 2)
     return out4, hup
@@ -683,9 +691,10 @@ def radial_bump(grid: GridSpec, r_inner: float, r_outer: float) -> np.ndarray:
 
 
 def frame_tensor_field(cm: ChartMetric, grid: GridSpec, S) -> np.ndarray:
-    """Coordinate components of the left-invariant field with frame matrix S."""
-    line, inverse = _line_points(cm, grid.points())
-    return _frame_field(cm.coframe(line), S)[inverse].reshape((grid.npts,) * 3 + (3, 3))
+    """Coordinate components of the left-invariant field with frame matrix S,
+    as a read-only view broadcast from the chart-axis line."""
+    C = cm.coframe(_line_reduced(cm, grid.points()))
+    return np.broadcast_to(_frame_field(C, S), (grid.npts,) * 3 + (3, 3))
 
 
 def _frame_field(C: np.ndarray, S) -> np.ndarray:
@@ -717,11 +726,8 @@ def probe_tensor_suite(cm: ChartMetric, grid: GridSpec, count: int = 20,
         A = rng.uniform(-1.0, 1.0, size=(3, 3))
         S = 0.5 * (A + A.T)
         mats.append(S / np.linalg.norm(S))
-    line, inverse = _line_points(cm, grid.points())
-    C = cm.coframe(line)
-    chi = chi[..., None, None]
-    return [chi * _frame_field(C, S)[inverse].reshape(chi.shape[:3] + (3, 3))
-            for S in mats[:count]]
+    C = cm.coframe(_line_reduced(cm, grid.points()))
+    return [chi[..., None, None] * _frame_field(C, S) for S in mats[:count]]
 
 
 # ---------------------------------------------------------------------------
@@ -759,15 +765,16 @@ def _grid_graph(cm: ChartMetric, grid: GridSpec):
         cols.append(dst)
         weights.append(length.ravel())
     n = npts ** 3
-    return _sparse.csr_matrix(
+    upper = _sparse.csr_matrix(
         (np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n))
+    return upper + upper.T  # symmetric: a directed search needs no conversion
 
 
 def _dijkstra(graph, grid: GridSpec, sources) -> np.ndarray:
     """Graph distances from flat node indices to every grid node, shaped
     `np.shape(sources)` + the grid."""
-    out = _csgraph.dijkstra(graph, directed=False, indices=sources)
+    out = _csgraph.dijkstra(graph, directed=True, indices=sources)
     return out.reshape(np.shape(sources) + (grid.npts,) * 3)
 
 

@@ -47,4 +47,4 @@ class GridTooCoarse(InvalidInput):
 
 
 class GridTooLarge(InvalidInput):
-    """Grid too large for its fields and operator to fit in physical memory."""
+    """Grid too large for its coordinates and operator to fit in physical memory."""

@@ -1,6 +1,7 @@
 import ast
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -135,6 +136,23 @@ def test_grid_too_large_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def test_grid_memory_guard_counts_no_field_bytes(monkeypatch):
+    """The per-point budget covers the coordinates and the operator only,
+    not the 146 doubles of curvature fields a grid no longer holds."""
+    grid = GridSpec(radius=2.0, dx=0.25)
+    n = grid.npts ** 3
+
+    def with_memory(phys):
+        pages = {"SC_PHYS_PAGES": phys, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(coordfield, "os", SimpleNamespace(sysconf=pages.__getitem__))
+
+    with_memory(n * 8 * 146)        # too small for full-grid fields alone
+    assert grid.points().shape == (grid.npts,) * 3 + (3,)
+    with_memory(n * 8 * 3)          # too small for the coordinates alone
+    with pytest.raises(GridTooLarge, match="coordinates and operator"):
+        grid.points()
 
 
 # ----------------------------------------------------------------- charts
@@ -426,24 +444,58 @@ def test_kernels_match_einsum_oracle(name):
     assert abs(q - ref_q) < 1e-12 * abs(ref_q)
 
 
-@pytest.mark.parametrize("where", ["grid", "scattered"])
+@pytest.mark.parametrize("where", ["grid", "transposed", "scattered", "constant"])
 @pytest.mark.parametrize("name", ["nil3", "sol3", "hyp3"])
 def test_line_fields_match_per_point_evaluation(name, where):
-    """Evaluating the chart axis and gathering is bit-identical to running
-    the pointwise kernel on every point."""
+    """Evaluating the reduced points and broadcasting is bit-identical to
+    running the pointwise kernel on every point."""
     cm = chart_metric(name)
     if where == "grid":
         pts = GRID.points()
-    else:
+    elif where == "transposed":
+        pts = GRID.points().transpose(2, 1, 0, 3)
+    elif where == "scattered":
         # more distinct line values than one block, and repeated ones too
         pts = np.random.default_rng(9).uniform(-2.0, 2.0, size=(2 * _BLOCK, 3))
         pts[::3, cm.axis] = pts[1::3, cm.axis]
+    else:
+        # the chart coordinate is constant along the first axis only
+        pts = np.random.default_rng(10).uniform(-2.0, 2.0, size=(5, 7, 3))
+        pts[..., cm.axis] = pts[:1, :, cm.axis]
     flat = pts.reshape(-1, 3)
     ref = {key: np.empty((len(flat),) + tail) for key, tail in _FIELD_SHAPES.items()}
     _curvature_block(cm, flat, ref)
     fields = curvature_fields(cm, pts)
     for key, a in ref.items():
         assert np.array_equal(fields[key], a.reshape(fields[key].shape)), key
+    if where == "constant":
+        assert fields["g"].strides[:2] == (0, 8 * 9)
+
+
+@pytest.mark.parametrize("name", ["nil3", "sol3", "hyp3"])
+def test_grid_fields_are_read_only_views_of_the_line(name):
+    """On the 65^3 grid the fields cost one line of memory: stride 0 along
+    the two invariant axes, read-only, and no grid-sized allocation."""
+    cm = chart_metric(name)
+    grid = GridSpec(radius=4.0, dx=0.125)
+    assert grid.npts == 65
+    pts = grid.points()
+    tracemalloc.start()
+    try:
+        fields = curvature_fields(cm, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    invariant = [a for a in range(3) if a != cm.axis]
+    for key, tail in _FIELD_SHAPES.items():
+        a = fields[key]
+        assert a.shape == (65,) * 3 + tail and a.dtype == np.float64, key
+        assert all(a.strides[b] == 0 for b in invariant), key
+        assert a.strides[cm.axis] != 0, key
+        assert not a.flags.writeable, key
+    with pytest.raises(ValueError):
+        fields["g"][0, 0, 0] = 0.0
 
 
 @pytest.mark.parametrize("shape", [(1, 3), (5, 7, 3)])
@@ -506,6 +558,7 @@ def test_cover_distances_agree_on_interleaved_grids():
     covers = [build_annulus_cover(cm, grid) for grid in grids]
     for grid, cover in 2 * list(zip(grids, covers)):
         origin = np.ravel_multi_index(grid.origin_index, (grid.npts,) * 3)
+        assert (cover.graph != cover.graph.T).nnz == 0
         assert np.array_equal(cover.pair_distances([origin])[0], cover.dist)
         assert np.array_equal(distance_field(cm, grid), cover.dist)
 
