@@ -1,16 +1,9 @@
 #!/usr/bin/env python3
-"""Run the tier-1 suite and report its wall time and peak memory.
+"""Run the tier-1 command of ROADMAP.md, exit with pytest's exit code, and
+append its wall time and peak RSS to $GITHUB_STEP_SUMMARY (stderr if unset).
 
-    python .github/tier1.py [extra pytest arguments]
-
-Runs `python -m pytest -q --continue-on-collection-errors` with `src` on
-PYTHONPATH (the tier-1 command in ROADMAP.md), exits with pytest's exit
-code, and appends one line with the wall time and the peak resident set
-size of the test process to the file named by $GITHUB_STEP_SUMMARY, or
-prints it to stderr when that variable is unset.
+    python .github/tier1.py
 """
-
-from __future__ import annotations
 
 import os
 import resource
@@ -18,25 +11,19 @@ import subprocess
 import sys
 import time
 
-
-def main(argv: list) -> int:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in ("src", env.get("PYTHONPATH")) if p)
-    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", *argv]
-    t0 = time.perf_counter()
-    code = subprocess.call(cmd, env=env)
-    wall = time.perf_counter() - t0
-    # ru_maxrss is in KiB on Linux; for children it is the largest one's peak
-    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-    line = f"tier-1: exit code {code}, {wall:.1f} s wall, peak RSS {peak_mb:.0f} MB\n"
-    summary = os.environ.get("GITHUB_STEP_SUMMARY")
-    if summary:
-        with open(summary, "a") as fh:
-            fh.write(line)
-    else:
-        sys.stderr.write(line)
-    return code
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+env = dict(os.environ)
+env["PYTHONPATH"] = os.pathsep.join(p for p in ("src", env.get("PYTHONPATH")) if p)
+t0 = time.perf_counter()
+code = subprocess.call([sys.executable, "-m", "pytest", "-q",
+                        "--continue-on-collection-errors"], env=env)
+wall = time.perf_counter() - t0
+# ru_maxrss is in KiB on Linux; for children it is the largest one's peak
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+line = f"tier-1: exit code {code}, {wall:.1f} s wall, peak RSS {peak_mb:.0f} MB\n"
+summary = os.environ.get("GITHUB_STEP_SUMMARY")
+if summary:
+    with open(summary, "a") as fh:
+        fh.write(line)
+else:
+    sys.stderr.write(line)
+sys.exit(code)

@@ -222,16 +222,23 @@ class GridSpec:
 
         Raises `GridTooLarge` before allocating anything when the grid's
         coordinates plus the operator's temporaries exceed physical memory.
+        The budget covers only these; a caller that keeps further grid-sized
+        arrays checks them itself (as `probe_tensor_suite` does).
         """
-        need = self.npts ** 3 * _POINT_BYTES
-        phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        if need > phys:
-            raise GridTooLarge(
-                f"{self.npts}^3 grid needs ~{need / 2 ** 30:.3g} GiB for its coordinates "
-                f"and operator, above the {phys / 2 ** 30:.3g} GiB of physical memory")
+        self.require_memory(_POINT_BYTES, "its coordinates and operator")
         ax = self.axis()
         X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
         return np.stack([X, Y, Z], axis=-1)
+
+    def require_memory(self, point_bytes: int, what: str) -> None:
+        """Raise `GridTooLarge` if `point_bytes` per grid point, spent on
+        `what`, exceed physical memory."""
+        need = self.npts ** 3 * point_bytes
+        phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if need > phys:
+            raise GridTooLarge(
+                f"{self.npts}^3 grid needs ~{need / 2 ** 30:.3g} GiB for {what}, "
+                f"above the {phys / 2 ** 30:.3g} GiB of physical memory")
 
     @property
     def origin_index(self) -> tuple:
@@ -411,8 +418,9 @@ def curvature_fields(cm: ChartMetric, pts: np.ndarray) -> dict:
     points reduced by `_line_reduced` (N points for an N^3 grid), and each
     field is a read-only `np.broadcast_to` view of that line, with stride 0
     along the axes the chart coordinate is constant on.  Values are
-    bit-identical to evaluating every point.  Scattered points may all be
-    distinct, so the reduced points are still processed `_BLOCK` at a time.
+    bit-identical to evaluating every point.  Only constancy along whole
+    array axes is exploited: scattered points, and a grid flattened to
+    (N^3, 3), are evaluated point by point, `_BLOCK` at a time.
     """
     pts = np.asarray(pts, dtype=float)
     red = _line_reduced(cm, pts)
@@ -626,9 +634,12 @@ def _apply_L(cm: ChartMetric, lam: float, d, hs: np.ndarray, grid: GridSpec,
     # nabla_a h_ij = d_a h_ij - G^p_ai h_pj - G^p_aj h_pi, stored as T[x, (a, i, j)]
     K = (np.einsum("npai,qj->naijpq", G, I)
          + np.einsum("npaj,qi->naijpq", G, I)).reshape(N, 3, 9, 9)
-    # one allocation for T and the product buffer: with glibc malloc, a block
-    # this size freed once lifts the heap's trim threshold above what a call
-    # holds, so later calls reuse its pages instead of faulting them in again
+    # one allocation for T and the product buffer: with glibc malloc and a
+    # block under its 32 MiB cap on the dynamic mmap threshold (N <= 48, which
+    # covers the 17^3 and 33^3 probe grids), the block freed once lifts the
+    # heap's trim threshold above what a call holds, so later calls reuse its
+    # pages instead of faulting them in again; larger blocks (65^3: 79 MB) are
+    # mmapped and unmapped on every call whatever the layout
     work = np.empty((N, 36, N, N))
     T, buf4 = work[:, :27], work[:, 27:]
     T2, buf = T.reshape(N, 27, N * N), buf4.reshape(N, 9, N * N)
@@ -713,6 +724,9 @@ def probe_tensor_suite(cm: ChartMetric, grid: GridSpec, count: int = 20,
     """
     if count < 1:
         raise InvalidInput("count must be positive")
+    # the suite's 9 doubles per point and tensor, held next to the operator
+    grid.require_memory(_POINT_BYTES + 72 * count,
+                        f"its coordinates, operator and {count} probe tensors")
     chi = radial_bump(grid, 0.45 * grid.radius, 0.9 * grid.radius)
     basis = []
     for i in range(3):

@@ -155,6 +155,20 @@ def test_grid_memory_guard_counts_no_field_bytes(monkeypatch):
         grid.points()
 
 
+def test_probe_suite_counts_its_tensors_in_the_memory_guard(monkeypatch):
+    """A grid whose operator fits but whose probe suite would not is refused
+    before the suite is built."""
+    cm = chart_metric("nil3")
+    grid = GridSpec(radius=2.0, dx=0.25)
+    need = grid.npts ** 3 * (coordfield._POINT_BYTES + 72 * 20)
+    pages = {"SC_PHYS_PAGES": need - 1, "SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(coordfield, "os", SimpleNamespace(sysconf=pages.__getitem__))
+    assert grid.points().shape == (grid.npts,) * 3 + (3,)
+    with pytest.raises(GridTooLarge, match="20 probe tensors"):
+        probe_tensor_suite(cm, grid, count=20)
+    assert len(probe_tensor_suite(cm, grid, count=2)) == 2
+
+
 # ----------------------------------------------------------------- charts
 
 def test_chart_metric_unknown_name():
