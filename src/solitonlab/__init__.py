@@ -20,10 +20,11 @@ from .leftinv import (CurvaturePackage, check_metric, curvature,
 from .soliton import (SolitonCertificate, SolitonVectorField,
                       VerificationReport, exact_unnormalized_solution,
                       solve_soliton, soliton_vector_field, verify_soliton)
-from .stability import StabilityReport, classify, ode_jacobian, stability_operator
+from .stability import (StabilityReport, classify, decay_abscissa, ode_jacobian,
+                        stability_operator)
 from .flow import (ConvergenceExperiment, FitResult, FlowTrajectory,
                    convergence_experiment, fit_decay_rate, integrate, perturb,
-                   rhs_normalized, rhs_unnormalized)
+                   predicted_rate, relax_fit, rhs_normalized, rhs_unnormalized)
 from .coordfield import (AnnulusCover, ChartMetric, GridSpec, WeightSpec,
                          apply_L_fd, build_annulus_cover, chart_metric,
                          distance_field, probe_tensor_suite, radial_bump,

@@ -170,6 +170,8 @@ def cmd_validate(args) -> int:
 
 def cmd_soliton(args) -> int:
     from .soliton import verify_soliton
+    if not (np.isfinite(args.tol) and args.tol > 0):
+        raise InvalidInput(f"tolerance must be positive, got {args.tol}")
     L, g, name = resolve_target(args.target)
     cert = solve_soliton(L, g)
     ver = verify_soliton(L, g, cert.lam, cert.D, tol=max(args.tol, 1e-12))
@@ -178,7 +180,7 @@ def cmd_soliton(args) -> int:
            "class": cert.classification,
            "soliton_residual": ver.soliton_residual,
            "derivation_residual": ver.derivation_residual,
-           "verified": ver.passed}, args.out)
+           "tol": ver.tol, "verified": ver.passed}, args.out)
     return 0 if cert.classification != "none" and ver.passed else 1
 
 
@@ -225,8 +227,8 @@ def _csv_text(traj, exact_devs=None) -> str:
 
 
 def cmd_flow(args) -> int:
-    from .flow import (fit_decay_rate, integrate, perturb, rhs_normalized,
-                       rhs_unnormalized)
+    from .flow import (integrate, perturb, predicted_rate, relax_fit,
+                       rhs_normalized, rhs_unnormalized)
     L, g0, name = resolve_target(args.target)
     cert = solve_soliton(L, g0)
     is_soliton = cert.classification != "none"
@@ -252,29 +254,11 @@ def cmd_flow(args) -> int:
 
     fit = None
     if args.mode == "normalized" and args.perturb:
-        # The perturbed flow relaxes to a (possibly gauge-shifted) soliton, so
-        # the decay fit must reference the trajectory's own limit, not g0.
-        g_inf = traj.metrics[-1]
-        dev_lim = np.linalg.norm(traj.metrics - g_inf, axis=(1, 2))
-        floor = max(1e-6 * float(np.linalg.norm(g0)), 50.0 * args.tol)
-        above = np.nonzero(dev_lim >= floor)[0]
-        if above.size >= 3:
-            t2 = float(traj.times[above[-1]])
-            res = fit_decay_rate(traj, g_ref=g_inf, window=(0.5 * t2, t2))
-            # Refit away from t_max: the reference point itself sits on the
-            # trajectory, so the last few e-folds before it read too steep.
-            # Any roughly-exponential first pass is good enough to place the
-            # clean window.
-            if res.omega > 0 and res.r_squared > 0.5:
-                t2 = min(t2, args.t_max - 4.0 / res.omega)
-                t1 = max(0.0, t2 - 5.0 / res.omega)
-                if t2 > t1:
-                    res = fit_decay_rate(traj, g_ref=g_inf, window=(t1, t2))
-        else:
-            res = fit_decay_rate(traj, g_ref=g_inf)
+        omega = predicted_rate(L, g0, cert)
+        res = relax_fit(traj, omega, max(1e-6 * float(np.linalg.norm(g0)), 50.0 * args.tol))
         fit = {"C": res.C, "omega": res.omega, "r_squared": res.r_squared,
-               "window": list(res.window), "n_points": res.n_points,
-               "ok": res.ok, "reference": "trajectory limit"}
+               "window": res.window, "n_points": res.n_points, "ok": res.ok,
+               "predicted_rate": omega, "reference": "trajectory limit"}
 
     csv_path = args.out or f"{name}_{args.mode}.csv"
     _write_atomic(csv_path, _csv_text(traj, exact_devs))

@@ -20,7 +20,7 @@ the spectral abscissa of its decaying part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,8 +76,9 @@ class StabilityReport:
     raw bound itself.  ``quad_bound_raw`` is the unrestricted bound;
     ``epsilon = -quad_bound`` when negative.  ``jac`` is the Jacobian of
     the reduced normalized flow in the same basis (``ode_jacobian``);
-    ``jac_decay_abscissa`` is the largest real part among its
-    non-neutral eigenvalues (the predictor of nonlinear decay rates).
+    ``jac_decay_abscissa`` is its ``decay_abscissa`` (the predictor of
+    nonlinear decay rates).  ``classification`` thresholds ``quad_bound``
+    (``classify``).
     ``jac`` is non-normal with clustered eigenvalues, so rounding-level
     changes in it move ``jac_spectrum`` by up to ~1e-10: digits past that
     depend on the BLAS and the basis and are not reproducible.
@@ -89,7 +90,6 @@ class StabilityReport:
     quad_bound: float
     quad_bound_raw: float
     epsilon: float
-    classification: str
     gauge_dim: int
     neutral_dim: int
     neutral_gauge_residual: float
@@ -98,6 +98,17 @@ class StabilityReport:
     jac_spectrum: np.ndarray
     jac_decay_abscissa: float | None
     jac_neutral_dim: int
+
+    @property
+    def classification(self) -> str:
+        return classify(self)
+
+
+def decay_abscissa(spectrum) -> float | None:
+    """Largest real part among the eigenvalues below ``-TOL_NEUTRAL`` (None if none)."""
+    re = np.asarray(spectrum).real
+    decaying = re[re < -TOL_NEUTRAL]
+    return float(decaying.max()) if decaying.size else None
 
 
 def gauge_subspace(L: LieAlgebra, g0) -> tuple[np.ndarray, np.ndarray]:
@@ -169,8 +180,7 @@ def _jacobian(pkg: CurvaturePackage, lmat) -> np.ndarray:
     return lmat - vec_sym(A + A.swapaxes(-1, -2), E).T
 
 
-def stability_operator(L: LieAlgebra, g0, cert: SolitonCertificate,
-                       tol=TOL_SPEC) -> StabilityReport:
+def stability_operator(L: LieAlgebra, g0, cert: SolitonCertificate) -> StabilityReport:
     """Assemble L, classify the quadratic form, and attach the ODE Jacobian.
 
     The certificate is re-verified first (the operator is only meaningful
@@ -192,7 +202,7 @@ def stability_operator(L: LieAlgebra, g0, cert: SolitonCertificate,
     quad_raw = float(w.max())
 
     Q, C = _gauge(L, g0, pkg.frame)
-    neutral_idx = np.flatnonzero(np.abs(w) <= tol)
+    neutral_idx = np.flatnonzero(np.abs(w) <= TOL_SPEC)
     if neutral_idx.size and Q.shape[1] > 0:
         vecs = V[:, neutral_idx]
         resid = float(np.linalg.norm(vecs - Q @ (Q.T @ vecs), axis=0).max())
@@ -205,7 +215,7 @@ def stability_operator(L: LieAlgebra, g0, cert: SolitonCertificate,
     if C.shape[1] > 0:
         complement_bound = float(np.linalg.eigvalsh(C.T @ sym @ C).max())
 
-    if quad_raw < -tol or quad_raw > tol:
+    if abs(quad_raw) > TOL_SPEC:
         quad_bound = quad_raw
     elif (neutral_idx.size and resid <= GAUGE_RESIDUAL_TOL
           and complement_bound is not None):
@@ -217,36 +227,28 @@ def stability_operator(L: LieAlgebra, g0, cert: SolitonCertificate,
 
     jac = _jacobian(pkg, lmat)
     jac_spectrum = np.linalg.eigvals(jac)
-    re = jac_spectrum.real
-    decaying = re[re < -TOL_NEUTRAL]
-    report = StabilityReport(
+    return StabilityReport(
         block="left-invariant",
         lmat=lmat,
         spectrum=spectrum,
         quad_bound=float(quad_bound),
         quad_bound_raw=quad_raw,
         epsilon=float(epsilon),
-        classification="",
         gauge_dim=int(Q.shape[1]),
         neutral_dim=int(neutral_idx.size),
         neutral_gauge_residual=resid,
         complement_bound=complement_bound,
         jac=jac,
         jac_spectrum=jac_spectrum,
-        jac_decay_abscissa=float(decaying.max()) if decaying.size else None,
-        jac_neutral_dim=int(np.sum(np.abs(re) <= TOL_NEUTRAL)),
+        jac_decay_abscissa=decay_abscissa(jac_spectrum),
+        jac_neutral_dim=int(np.sum(np.abs(jac_spectrum.real) <= TOL_NEUTRAL)),
     )
-    return replace(report, classification=classify(report, tol))
 
 
-def classify(report: StabilityReport, tol=TOL_SPEC) -> str:
-    """Threshold a report's quad_bound: the one strict/weak/unstable rule.
-
-    ``stability_operator`` classifies with it at its own ``tol``; call it
-    again to re-threshold a report at a different tolerance.
-    """
-    if report.quad_bound < -tol:
+def classify(report: StabilityReport) -> str:
+    """Threshold a report's quad_bound at ``TOL_SPEC``: the one strict/weak/unstable rule."""
+    if report.quad_bound < -TOL_SPEC:
         return "strict"
-    if report.quad_bound > tol:
+    if report.quad_bound > TOL_SPEC:
         return "unstable"
     return "weak"

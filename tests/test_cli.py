@@ -156,6 +156,24 @@ def test_soliton_from_file_with_custom_metric(tmp_path, capsys):
     assert report["soliton_residual"] < 1e-10
 
 
+def test_soliton_reports_tolerance_used(capsys):
+    code, out, _ = run_main(capsys, "soliton", "nil3", "--tol", "1e-15")
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["tol"] == 1e-12      # the verification floor
+    code, out, _ = run_main(capsys, "soliton", "nil3")
+    assert json.loads(out)["tol"] == 1e-10
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "0", "inf"])
+def test_soliton_bad_tolerance_is_usage_error(capsys, value):
+    # refused as validate refuses it, not reported as a failed verification
+    code, out, err = run_main(capsys, "soliton", "nil3", "--tol", value)
+    assert code == 2
+    assert out == ""
+    assert "tolerance must be positive" in err
+
+
 # --------------------------------------------------------------- spectrum
 
 def test_spectrum_strictly_stable(capsys):
@@ -212,6 +230,46 @@ def test_flow_normalized_fit(tmp_path, capsys):
     assert fit["ok"] is True
     assert fit["r_squared"] > 0.98
     assert fit["omega"] > 0.5
+
+
+def test_flow_fit_needs_horizon_for_slow_mode(tmp_path, capsys):
+    # nil4's slowest mode decays at 0.5: at t-max 10 the trajectory's end
+    # is not yet its limit and the fitted rate misses the prediction
+    out_path = str(tmp_path / "nil4.csv")
+    code, out, _ = run_main(capsys, "flow", "nil4", "--perturb", "0.05",
+                            "--t-max", "10", "--out", out_path)
+    fit = json.loads(out)["fit"]
+    assert code == 0
+    assert abs(fit["predicted_rate"] - 0.5) <= 1e-9
+    assert fit["ok"] is False
+    code, out, _ = run_main(capsys, "flow", "nil4", "--perturb", "0.05",
+                            "--t-max", "30", "--out", out_path)
+    fit = json.loads(out)["fit"]
+    assert code == 0
+    assert fit["ok"] is True
+    assert abs(fit["omega"] - 0.5) <= 0.01
+
+
+def test_flow_predicted_rate_is_spectrum_decay_abscissa(tmp_path, capsys):
+    for e in catalog.entries():
+        if e.expected.classification == "flat":
+            continue
+        _, out, _ = run_main(capsys, "spectrum", e.name)
+        absc = json.loads(out)["jac_decay_abscissa"]
+        code, out, _ = run_main(capsys, "flow", e.name, "--perturb", "0.05",
+                                "--t-max", "1", "--out", str(tmp_path / "run.csv"))
+        assert code == 0
+        assert json.loads(out)["fit"]["predicted_rate"] == -absc, e.name
+
+
+def test_flow_fit_without_decaying_mode(tmp_path, capsys):
+    code, out, _ = run_main(capsys, "flow", "abelian_3", "--perturb", "0.05",
+                            "--t-max", "1", "--out", str(tmp_path / "ab.csv"))
+    fit = json.loads(out)["fit"]
+    assert code == 0
+    assert fit["predicted_rate"] is None
+    assert fit["window"] is None
+    assert fit["ok"] is False
 
 
 def test_flow_normalized_rejects_non_soliton(tmp_path, capsys):

@@ -22,6 +22,7 @@ from solitonlab.flow import (
     fit_decay_rate,
     integrate,
     perturb,
+    relax_fit,
     rhs_normalized,
     rhs_unnormalized,
 )
@@ -246,7 +247,7 @@ def test_fit_decay_rate_on_synthetic_data():
     devs = np.linalg.norm(metrics - g_inf, axis=(1, 2))
     traj = FlowTrajectory(times=times, metrics=metrics, deviations=devs,
                           g_ref=g_inf)
-    fit = fit_decay_rate(traj)
+    fit = fit_decay_rate(traj, window=(6.0, 12.0))
     assert fit.ok
     assert abs(fit.omega - 0.75) < 1e-10
     assert fit.r_squared > 0.999999
@@ -263,6 +264,28 @@ def test_fit_decay_rate_window_and_floor():
     fit = fit_decay_rate(traj, window=(1.0, 4.0))
     assert fit.ok and abs(fit.omega - 2.0) < 1e-9
     assert fit.window[0] >= 1.0 and fit.window[1] <= 4.0
+
+
+def test_relax_fit_places_window_by_predicted_rate():
+    # deviations from the last metric decay at 0.75 until the end nears
+    times = np.linspace(0.0, 30.0, 601)
+    g_inf = np.diag([2.0, 1.0, 1.0])
+    h = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    metrics = np.array([g_inf + 0.02 * np.exp(-0.75 * t) * h for t in times])
+    traj = FlowTrajectory(times=times, metrics=metrics,
+                          deviations=np.zeros(times.size), g_ref=metrics[0])
+    fit = relax_fit(traj, 0.75, 1e-12)
+    assert fit.ok and abs(fit.omega - 0.75) < 1e-2
+    # t2 is capped 4 e-folds before the end; the window holds 5 e-folds
+    assert fit.window == pytest.approx((30.0 - 9.0 / 0.75, 30.0 - 4.0 / 0.75))
+    # a clean fit at the wrong rate is not ok
+    assert relax_fit(traj, 0.5, 1e-12).ok is False
+    # the floor ends the window early when the signal reaches it first
+    fit = relax_fit(traj, 0.75, 1e-4)
+    assert fit.window[1] < 8.0 and fit.ok
+    for omega, floor in ((None, 1e-12), (0.75, 1.0)):
+        fit = relax_fit(traj, omega, floor)
+        assert fit.window is None and fit.n_points == 0 and not fit.ok
 
 
 def test_unnormalized_flow_matches_exact_solution_sol3():
@@ -314,6 +337,17 @@ def test_convergence_experiment_fit_window_holds_five_steps(soliton_entries):
             exp = convergence_experiment(e.algebra, g0, cert, eps=0.01,
                                          seed=seed)
             assert exp.fit.n_points >= 5, (e.name, seed, exp.fit.n_points)
+
+
+def test_convergence_experiment_refuses_unplaceable_window():
+    flat = catalog.get("abelian_3")
+    cert = solve_soliton(flat.algebra, flat.metric)
+    with pytest.raises(InvalidInput, match="no decaying modes"):
+        convergence_experiment(flat.algebra, flat.metric, cert)
+    # unperturbed, the soliton never leaves its fixed point
+    cert = solve_soliton(NIL3.algebra, NIL3.metric)
+    with pytest.raises(InvalidInput, match="fit floor"):
+        convergence_experiment(NIL3.algebra, NIL3.metric, cert, eps=0.0)
 
 
 def test_convergence_experiment_rejects_bad_eps():
