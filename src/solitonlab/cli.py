@@ -28,7 +28,7 @@ import numpy as np
 from . import catalog
 from .errors import (InvalidInput, InvalidPerturbation, NotInCatalog,
                      SingularityReached, StiffnessError, UnsupportedDerivation)
-from .liealg import LieAlgebra, validate
+from .liealg import LieAlgebra, check_tol, validate
 from .soliton import exact_unnormalized_solution, solve_soliton
 
 # InvalidInput covers its subclasses (InvalidMetric, InvalidWeight, DomainError,
@@ -42,16 +42,18 @@ def _fmt(x: float) -> str:
 
 
 def _jsonable(obj):
+    """`obj` as plain JSON types; a non-finite float becomes None (`null`),
+    since JSON (RFC 8259) has no NaN or Infinity."""
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.bool_, bool)):   # before int: bool is an int subclass
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        return float(obj) if np.isfinite(obj) else None
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, complex):
-        return [float(obj.real), float(obj.imag)]
+        return [_jsonable(obj.real), _jsonable(obj.imag)]
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -60,7 +62,7 @@ def _jsonable(obj):
 
 
 def _dump_json(report: dict) -> str:
-    return json.dumps(_jsonable(report), sort_keys=True, indent=2)
+    return json.dumps(_jsonable(report), sort_keys=True, indent=2, allow_nan=False)
 
 
 def _write_atomic(path: str, text: str):
@@ -170,8 +172,7 @@ def cmd_validate(args) -> int:
 
 def cmd_soliton(args) -> int:
     from .soliton import verify_soliton
-    if not (np.isfinite(args.tol) and args.tol > 0):
-        raise InvalidInput(f"tolerance must be positive, got {args.tol}")
+    check_tol(args.tol)
     L, g, name = resolve_target(args.target)
     cert = solve_soliton(L, g)
     ver = verify_soliton(L, g, cert.lam, cert.D, tol=max(args.tol, 1e-12))

@@ -28,8 +28,10 @@ from scipy import integrate as _integrate
 from scipy import sparse as _sparse
 from scipy.sparse import csgraph as _csgraph
 
+from . import catalog
 from .errors import (GridTooCoarse, GridTooLarge, InvalidInput, InvalidWeight,
                      NotInCatalog)
+from .leftinv import curvature
 
 _JET_STEP = 1e-2  # step for numeric differentiation of closed-form metrics
 _BLOCK = 1024     # points per block of the pointwise curvature algebra
@@ -86,8 +88,9 @@ def _sphere_area_const(n: int) -> float:
 def _log_volume_neg(a: float, n: int, R: float) -> float:
     """log of the comparison volume V_a(R) for a < 0.
 
-    V_a(R) = A_{n-1} * int_0^R sinh(kappa*s)^(n-1) ds with kappa = sqrt(-a).
-    The integrand overflows for large R, so factor out the growth:
+    V_a(R) = A_{n-1} * int_0^R (sinh(kappa*s)/kappa)^(n-1) ds with
+    kappa = sqrt(-a).  The integrand overflows for large R, so factor out
+    the growth:
     int_0^R sinh(kappa s)^(n-1) ds
         = e^(kappa(n-1)R) * int_0^R e^(-kappa(n-1)u) ((1-e^(-2kappa(R-u)))/2)^(n-1) du
     and integrate the bounded factor by quadrature.
@@ -102,7 +105,8 @@ def _log_volume_neg(a: float, n: int, R: float) -> float:
     val, _err = _integrate.quad(integrand, 0.0, upper, limit=200)
     if val <= 0.0:
         return -math.inf
-    return math.log(_sphere_area_const(n)) + rate * R + math.log(val)
+    return (math.log(_sphere_area_const(n)) - (n - 1) * math.log(kappa)
+            + rate * R + math.log(val))
 
 
 def summability_check(w: WeightSpec, N_max: int = 250_000) -> dict:
@@ -154,11 +158,12 @@ def summability_check(w: WeightSpec, N_max: int = 250_000) -> dict:
             log_terms[stop:] = log_terms[stop - 1] + slope * np.arange(1, len(Ns) - stop + 1)
         with np.errstate(over="ignore"):
             terms = np.exp(np.where(log_terms > -700, log_terms, -np.inf))
-        # geometric tail via V_a(R) <= A_{n-1} e^(kappa(n-1)R) / (2^(n-1) kappa(n-1))
+        # geometric tail via
+        # V_a(R) <= A_{n-1} e^(kappa(n-1)R) / (2^(n-1) kappa^(n-1) kappa(n-1))
         rate = 2.0 * (kappa * (w.n - 1) - nt)
         if rate < 0:
-            log_C = (math.log(_sphere_area_const(w.n)) - (w.n - 1) * math.log(2.0)
-                     - math.log(kappa * (w.n - 1)))
+            log_C = (math.log(_sphere_area_const(w.n))
+                     - (w.n - 1) * math.log(2.0 * kappa) - math.log(kappa * (w.n - 1)))
             log_first = log_C + 2.0 * (N_max + 1) * (kappa * (w.n - 1) - nt) + 2.0 * nt
             tail = math.exp(log_first - math.log1p(-math.exp(rate))) if log_first > -700 else 0.0
             tail_finite = True
@@ -246,106 +251,56 @@ class GridSpec:
         return (m, m, m)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChartMetric:
-    """Closed-form coefficient field of a 3D model geometry.
+    """Left-invariant coframe of a 3D model geometry in one global chart.
 
-    `metric(pts)` maps (..., 3) coordinates to (..., 3, 3) SPD matrices;
-    `coframe(pts)` returns the left-invariant coframe rows C so that
-    g = C^T C, used to push frame tensors into coordinates.  `d` holds
-    the eigenvalues of the soliton derivation in these coordinates (the
-    drift X0 = d_k x^k d/dx^k) and `lam` the soliton constant.
+    Left translation by the normal subgroup acts on the chart as a
+    coordinate translation, so the geometry reads one coordinate only,
+    t = x[axis]: `coframe(t)` maps t of shape (...) to the coframe rows C
+    of shape (..., 3, 3), used to push frame tensors into coordinates, and
+    `metric(t)` is g = C^T C.  Every curvature field is constant along the
+    other two axes, which is what lets the chart layer work on one line.
 
-    Left translation by the normal subgroup acts on each chart as a
-    coordinate translation, so `metric` and `coframe` read one coordinate
-    only: `axis`.  Every curvature field is constant along the other two
-    axes, which is what lets the chart layer work on one line.
+    The soliton data are those of the catalog entry `name`: `lam` is its
+    soliton constant and `d` the diagonal of its derivation D (diagonal on
+    every chart), the eigenvalues of the drift X0 = d_k x^k d/dx^k.
     """
 
     name: str
-    metric: Callable
     coframe: Callable
-    d: np.ndarray
-    lam: float
-    algebra: str  # catalog entry with the matching left-invariant geometry
-    axis: int     # the one coordinate the metric depends on
+    axis: int  # the one coordinate the coframe depends on
 
     def __post_init__(self):
-        self.d = np.asarray(self.d, dtype=float)
         if self.axis not in (0, 1, 2):
             raise InvalidInput(f"chart axis must be 0, 1 or 2, got {self.axis!r}")
 
+    def metric(self, t) -> np.ndarray:
+        C = self.coframe(t)
+        # einsum adds the products in index order, so where they are exact
+        # (nil3) g is exactly the closed form
+        return np.einsum("...ki,...kj->...ij", C, C)
 
-def _nil3_metric(p):
-    p = np.asarray(p, dtype=float)
-    x = p[..., 0]
-    g = np.zeros(p.shape[:-1] + (3, 3))
-    g[..., 0, 0] = 1.0
-    g[..., 1, 1] = 1.0 + x * x
-    g[..., 1, 2] = -x
-    g[..., 2, 1] = -x
-    g[..., 2, 2] = 1.0
-    return g
+    @property
+    def lam(self) -> float:
+        return catalog.get(self.name).expected.lam
 
-
-def _nil3_coframe(p):
-    p = np.asarray(p, dtype=float)
-    x = p[..., 0]
-    C = np.zeros(p.shape[:-1] + (3, 3))
-    C[..., 0, 0] = 1.0
-    C[..., 1, 1] = 1.0
-    C[..., 2, 1] = -x
-    C[..., 2, 2] = 1.0
-    return C
+    @property
+    def d(self) -> np.ndarray:
+        return np.diag(catalog.get(self.name).expected.D)
 
 
-def _sol3_metric(p):
-    p = np.asarray(p, dtype=float)
-    z = p[..., 2]
-    g = np.zeros(p.shape[:-1] + (3, 3))
-    g[..., 0, 0] = np.exp(-2.0 * z)
-    g[..., 1, 1] = np.exp(2.0 * z)
-    g[..., 2, 2] = 1.0
-    return g
-
-
-def _sol3_coframe(p):
-    p = np.asarray(p, dtype=float)
-    z = p[..., 2]
-    C = np.zeros(p.shape[:-1] + (3, 3))
-    C[..., 0, 0] = np.exp(-z)
-    C[..., 1, 1] = np.exp(z)
-    C[..., 2, 2] = 1.0
-    return C
-
-
-def _hyp3_metric(p):
-    p = np.asarray(p, dtype=float)
-    z = p[..., 2]
-    g = np.zeros(p.shape[:-1] + (3, 3))
-    g[..., 0, 0] = np.exp(2.0 * z)
-    g[..., 1, 1] = np.exp(2.0 * z)
-    g[..., 2, 2] = 1.0
-    return g
-
-
-def _hyp3_coframe(p):
-    p = np.asarray(p, dtype=float)
-    z = p[..., 2]
-    C = np.zeros(p.shape[:-1] + (3, 3))
-    C[..., 0, 0] = np.exp(z)
-    C[..., 1, 1] = np.exp(z)
-    C[..., 2, 2] = 1.0
+def _coframe(t, c00, c11, c21=0.0) -> np.ndarray:
+    """Coframe rows [[c00, 0, 0], [0, c11, 0], [0, c21, 1]] at each t."""
+    C = np.zeros(np.shape(t) + (3, 3))
+    C[..., 0, 0], C[..., 1, 1], C[..., 2, 1], C[..., 2, 2] = c00, c11, c21, 1.0
     return C
 
 
 _CHARTS = {
-    "nil3": lambda: ChartMetric("nil3", _nil3_metric, _nil3_coframe,
-                                (1.0, 1.0, 2.0), -1.5, "nil3", axis=0),
-    "sol3": lambda: ChartMetric("sol3", _sol3_metric, _sol3_coframe,
-                                (2.0, 2.0, 0.0), -2.0, "sol3", axis=2),
-    "hyp3": lambda: ChartMetric("hyp3", _hyp3_metric, _hyp3_coframe,
-                                (0.0, 0.0, 0.0), -2.0, "hyp_3", axis=2),
+    "nil3": ChartMetric("nil3", lambda x: _coframe(x, 1.0, 1.0, -x), axis=0),
+    "sol3": ChartMetric("sol3", lambda z: _coframe(z, np.exp(-z), np.exp(z)), axis=2),
+    "hyp3": ChartMetric("hyp3", lambda z: _coframe(z, np.exp(z), np.exp(z)), axis=2),
 }
 _VALIDATED: set = set()
 
@@ -354,21 +309,16 @@ def metric_jets(cm: ChartMetric, pts: np.ndarray):
     """g, dg, d2g at the given points by 4th-order centered differences.
 
     dg[..., a, i, j] = d_a g_ij and d2g[..., a, b, i, j] = d_a d_b g_ij.
-    The metric reads only `cm.axis`, so only dg[..., axis] and
-    d2g[..., axis, axis] are differenced; every other entry is exactly 0.
-    The step is independent of any grid spacing: the metric is a closed
-    form, so the jets are effectively exact (1e-8 relative or better).
+    The metric reads only t = pts[..., cm.axis], so only dg[..., axis] and
+    d2g[..., axis, axis] are differenced, in t; every other entry is
+    exactly 0.  The step is independent of any grid spacing: the coframe
+    is a closed form, so the jets are effectively exact (1e-8 relative or
+    better).
     """
     pts = np.asarray(pts, dtype=float)
-    h, a = _JET_STEP, cm.axis
-
-    def shifted(s):
-        q = pts.copy()
-        q[..., a] += s * h
-        return cm.metric(q)
-
-    g0 = cm.metric(pts)
-    plus1, minus1, plus2, minus2 = shifted(1.0), shifted(-1.0), shifted(2.0), shifted(-2.0)
+    h, a, t = _JET_STEP, cm.axis, pts[..., cm.axis]
+    g0 = cm.metric(t)
+    plus1, minus1, plus2, minus2 = (cm.metric(t + s * h) for s in (1.0, -1.0, 2.0, -2.0))
     dg = np.zeros(pts.shape[:-1] + (3, 3, 3))
     dg[..., a, :, :] = (-plus2 + 8.0 * plus1 - 8.0 * minus1 + minus2) / (12.0 * h)
     d2g = np.zeros(pts.shape[:-1] + (3, 3, 3, 3))
@@ -404,6 +354,12 @@ def _line_reduced(cm: ChartMetric, pts: np.ndarray) -> np.ndarray:
     return pts[tuple(
         slice(0, 1) if n > 1 and np.all(v == v[(slice(None),) * k + (slice(0, 1),)])
         else slice(None) for k, n in enumerate(v.shape))]
+
+
+def _on_axis(cm: ChartMetric, values: np.ndarray) -> np.ndarray:
+    """Values of the chart coordinate, shaped to lie along `cm.axis` of a
+    grid and broadcast over the other two axes."""
+    return values.reshape([-1 if k == cm.axis else 1 for k in range(3)])
 
 
 def curvature_fields(cm: ChartMetric, pts: np.ndarray) -> dict:
@@ -474,34 +430,20 @@ def _curvature_block(cm: ChartMetric, pts: np.ndarray, out: dict) -> None:
 def chart_metric(name: str) -> ChartMetric:
     """Look up a chart model; validated against `leftinv` on first load.
 
-    The metric must not change under shifts along the two axes other than
-    the declared `axis` (checked exactly at seeded sample points), and the
-    coordinate Ricci endomorphism at the origin (computed from the numeric
-    jets) must agree, up to isometry, with the left-invariant Ricci
-    endomorphism of the matching catalog algebra to 1e-6.
+    The coordinate Ricci endomorphism at the origin (computed from the
+    numeric jets) must agree, up to isometry, with the left-invariant Ricci
+    endomorphism of the catalog entry `name` to 1e-6.  That the geometry
+    reads only `axis` needs no check: the coframe is a function of that
+    one coordinate.
     """
     try:
-        cm = _CHARTS[name]()
+        cm = _CHARTS[name]
     except KeyError:
         raise NotInCatalog(f"unknown chart model {name!r}; "
                            f"known: {', '.join(sorted(_CHARTS))}") from None
     if name not in _VALIDATED:
-        from . import catalog
-        from .leftinv import curvature
-
-        rng = np.random.default_rng(0)
-        pts = rng.uniform(-2.0, 2.0, size=(8, 3))
-        g = cm.metric(pts)
-        for b in (b for b in range(3) if b != cm.axis):
-            shifted = pts.copy()
-            shifted[:, b] += rng.uniform(-2.0, 2.0, size=len(pts))
-            if not np.array_equal(cm.metric(shifted), g):
-                raise InvalidInput(
-                    f"chart {name!r} failed axis validation: its metric varies "
-                    f"along axis {b}, not only along the declared axis {cm.axis}")
-        origin = np.zeros((1, 3))
-        Rc_chart = curvature_fields(cm, origin)["Rc"][0]
-        entry = catalog.get(cm.algebra)
+        Rc_chart = curvature_fields(cm, np.zeros((1, 3)))["Rc"][0]
+        entry = catalog.get(name)
         Rc_alg = curvature(entry.algebra, entry.metric).Rc
         ev_chart = np.sort(np.linalg.eigvalsh(0.5 * (Rc_chart + Rc_chart.T)))
         ev_alg = np.sort(np.linalg.eigvalsh(0.5 * (Rc_alg + Rc_alg.T)))
@@ -704,7 +646,7 @@ def radial_bump(grid: GridSpec, r_inner: float, r_outer: float) -> np.ndarray:
 def frame_tensor_field(cm: ChartMetric, grid: GridSpec, S) -> np.ndarray:
     """Coordinate components of the left-invariant field with frame matrix S,
     as a read-only view broadcast from the chart-axis line."""
-    C = cm.coframe(_line_reduced(cm, grid.points()))
+    C = cm.coframe(_on_axis(cm, grid.axis()))
     return np.broadcast_to(_frame_field(C, S), (grid.npts,) * 3 + (3, 3))
 
 
@@ -740,7 +682,7 @@ def probe_tensor_suite(cm: ChartMetric, grid: GridSpec, count: int = 20,
         A = rng.uniform(-1.0, 1.0, size=(3, 3))
         S = 0.5 * (A + A.T)
         mats.append(S / np.linalg.norm(S))
-    C = cm.coframe(_line_reduced(cm, grid.points()))
+    C = cm.coframe(_on_axis(cm, grid.axis()))
     return [chi[..., None, None] * _frame_field(C, S) for S in mats[:count]]
 
 
@@ -755,11 +697,14 @@ def _grid_graph(cm: ChartMetric, grid: GridSpec):
     """26-neighbor graph with edge lengths in the chart metric.
 
     Edge (x, x + o*dx) gets weight dx * sqrt(o^T g(mid) o), the length
-    of the straight segment in the metric at its midpoint.
+    of the straight segment in the metric at its midpoint.  The metric
+    reads only the chart coordinate, so each offset's lengths are computed
+    once per value of it (the axis when o keeps it, else the axis
+    midpoints) and broadcast over the other two axes.
     """
-    npts = grid.npts
+    grid.require_memory(_POINT_BYTES, "its metric graph")
+    npts, ax = grid.npts, grid.axis()
     idx = np.arange(npts ** 3).reshape((npts,) * 3)
-    pts = grid.points()
     offsets = [(a, b, c) for a in (-1, 0, 1) for b in (-1, 0, 1)
                for c in (-1, 0, 1) if (a, b, c) > (0, 0, 0)]
     rows, cols, weights = [], [], []
@@ -769,15 +714,13 @@ def _grid_graph(cm: ChartMetric, grid: GridSpec):
         sl_dst = tuple(slice(1, None) if o == 1
                        else slice(None, -1) if o == -1 else slice(None)
                        for o in off)
-        src = idx[sl_src].ravel()
-        dst = idx[sl_dst].ravel()
-        mid = 0.5 * (pts[sl_src] + pts[sl_dst])
-        gmid = cm.metric(mid)
+        src = idx[sl_src]
+        mid = ax if off[cm.axis] == 0 else 0.5 * (ax[:-1] + ax[1:])
         o = np.asarray(off, dtype=float)
-        length = grid.dx * np.sqrt(np.einsum("i,...ij,j->...", o, gmid, o))
-        rows.append(src)
-        cols.append(dst)
-        weights.append(length.ravel())
+        length = grid.dx * np.sqrt(np.einsum("i,...ij,j->...", o, cm.metric(mid), o))
+        rows.append(src.ravel())
+        cols.append(idx[sl_dst].ravel())
+        weights.append(np.broadcast_to(_on_axis(cm, length), src.shape).ravel())
     n = npts ** 3
     upper = _sparse.csr_matrix(
         (np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),

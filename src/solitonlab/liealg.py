@@ -121,14 +121,19 @@ def jacobi_residual(L: LieAlgebra) -> float:
     return float(np.abs(jac).max()) if L.n > 1 else 0.0
 
 
+def check_tol(tol) -> None:
+    """Raise ``InvalidInput`` unless ``tol`` is finite and positive."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise InvalidInput(f"tolerance must be positive, got {tol}")
+
+
 def validate(L: LieAlgebra, tol: float = TOL_ALG) -> ValidationReport:
     """Check antisymmetry and the Jacobi identity to ``tol``.
 
     Antisymmetry is enforced by the sparse storage, so its residual is
     computed from the dense expansion as a consistency check only.
     """
-    if not (np.isfinite(tol) and tol > 0):
-        raise InvalidInput(f"tolerance must be positive, got {tol}")
+    check_tol(tol)
     c = L.c
     if not np.all(np.isfinite(c)):
         raise InvalidInput("non-finite structure constants")

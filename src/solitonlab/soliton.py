@@ -21,7 +21,8 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import DomainError, UnsupportedDerivation
-from .liealg import LieAlgebra, _as_matrix, derivation_defect, is_derivation, series_flags
+from .liealg import (LieAlgebra, _as_matrix, check_tol, derivation_defect, is_derivation,
+                     series_flags)
 from .leftinv import CurvaturePackage, check_metric, curvature
 
 #: residual threshold for accepting a soliton certificate
@@ -110,7 +111,11 @@ def solve_soliton(L: LieAlgebra, g) -> SolitonCertificate:
 
 
 def verify_soliton(L: LieAlgebra, g, lam, D, tol=TOL_SOL) -> VerificationReport:
-    """Recompute both residuals of a supplied (lambda, D) pair."""
+    """Recompute both residuals of a supplied (lambda, D) pair.
+
+    Raises ``InvalidInput`` unless ``tol`` is finite and positive.
+    """
+    check_tol(tol)
     return _verify(L, curvature(L, g), lam, D, tol)
 
 

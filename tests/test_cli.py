@@ -294,6 +294,31 @@ def test_weights_convergent(capsys):
     assert doc["bound"] > doc["sum"] > 0
 
 
+def _strict_json(text):
+    """Parse as RFC 8259 JSON: a bare NaN or Infinity fails."""
+    def refuse(name):
+        raise ValueError(f"non-finite constant {name} in JSON output")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_weights_divergent_report_writes_null(capsys):
+    code, out, _ = run_main(capsys, "weights", "--a", "-9", "--dim", "4",
+                            "--tau", "0.5", "--nmax", "400")
+    doc = _strict_json(out)
+    assert code == 1
+    assert doc["converged"] is False
+    assert doc["sum"] is None and doc["bound"] is None and doc["tail_bound"] is None
+    assert None in [value for _, value in doc["partial_sums"]]
+
+
+def test_flow_empty_fit_writes_null(tmp_path, capsys):
+    code, out, _ = run_main(capsys, "flow", "abelian_3", "--perturb", "0.05",
+                            "--t-max", "1", "--out", str(tmp_path / "ab.csv"))
+    fit = _strict_json(out)["fit"]
+    assert code == 0
+    assert fit["C"] is None and fit["omega"] is None and fit["r_squared"] is None
+
+
 def test_weights_illegal_exponent(capsys):
     code, _, err = run_main(capsys, "weights", "--a", "0", "--tau", "1")
     assert code == 2

@@ -1,4 +1,5 @@
 import ast
+import math
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -7,17 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from solitonlab import catalog, coordfield
 from solitonlab.coordfield import (
     _BLOCK,
     _FIELD_SHAPES,
-    ChartMetric,
     GridSpec,
     _curvature_block,
     _diff1,
-    _nil3_coframe,
-    _nil3_metric,
+    _grid_graph,
     _partials_up_to,
     WeightSpec,
     apply_L_fd,
@@ -89,6 +89,19 @@ def test_summability_legal_cases_converge():
             assert res["tail_bound"] < 1e-5 * res["bound"]
             sums = res["partial_sums"]
             assert sums[-1] + res["tail_bound"] == pytest.approx(res["bound"])
+
+
+@pytest.mark.parametrize("a", [-4.0, -1.0, -0.25])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_negative_curvature_volume_matches_quadrature(a, n):
+    """V_a(R) is the ball volume of the space form of curvature a:
+    A_{n-1} int_0^R (sinh(kappa s)/kappa)^(n-1) ds, kappa = sqrt(-a)."""
+    kappa = np.sqrt(-a)
+    area = n * np.pi ** (n / 2) / math.gamma(n / 2 + 1)
+    for R in (0.5, 2.0, 6.0):
+        ref, _ = quad(lambda s: (np.sinh(kappa * s) / kappa) ** (n - 1), 0.0, R)
+        assert coordfield._log_volume_neg(a, n, R) == pytest.approx(
+            math.log(area * ref), rel=1e-10, abs=1e-10)
 
 
 def test_summability_reports_divergence():
@@ -176,20 +189,65 @@ def test_chart_metric_unknown_name():
         chart_metric("torus")
 
 
-def test_chart_with_wrong_axis_is_refused(monkeypatch):
-    # nil3's metric varies along x, not along the declared z
-    monkeypatch.setitem(coordfield._CHARTS, "nil3_z", lambda: ChartMetric(
-        "nil3_z", _nil3_metric, _nil3_coframe, (1.0, 1.0, 2.0), -1.5, "nil3", axis=2))
-    with pytest.raises(InvalidInput, match="axis"):
-        chart_metric("nil3_z")
-    assert "nil3_z" not in coordfield._VALIDATED
+# Closed-form metrics and coframes of the three charts as functions of the
+# full coordinates (..., 3): an independent reference for `ChartMetric.metric`
+# (C^T C of a coframe of one coordinate) and for the evaluations on the axis.
+
+def _ref_metric(name, p):
+    x, z = p[..., 0], p[..., 2]
+    g = np.zeros(p.shape[:-1] + (3, 3))
+    g[..., 2, 2] = 1.0
+    if name == "nil3":
+        g[..., 0, 0] = 1.0
+        g[..., 1, 1] = 1.0 + x * x
+        g[..., 1, 2] = -x
+        g[..., 2, 1] = -x
+    elif name == "sol3":
+        g[..., 0, 0] = np.exp(-2.0 * z)
+        g[..., 1, 1] = np.exp(2.0 * z)
+    else:
+        g[..., 0, 0] = np.exp(2.0 * z)
+        g[..., 1, 1] = np.exp(2.0 * z)
+    return g
+
+
+def _ref_coframe(name, p):
+    x, z = p[..., 0], p[..., 2]
+    C = np.zeros(p.shape[:-1] + (3, 3))
+    C[..., 2, 2] = 1.0
+    if name == "nil3":
+        C[..., 0, 0] = 1.0
+        C[..., 1, 1] = 1.0
+        C[..., 2, 1] = -x
+    elif name == "sol3":
+        C[..., 0, 0] = np.exp(-z)
+        C[..., 1, 1] = np.exp(z)
+    else:
+        C[..., 0, 0] = np.exp(z)
+        C[..., 1, 1] = np.exp(z)
+    return C
+
+
+@pytest.mark.parametrize("name", ["nil3", "sol3", "hyp3"])
+def test_chart_metric_matches_closed_form(name):
+    """g = C^T C of the one-coordinate coframe equals the closed form to
+    1e-15 relative, entry by entry (exactly on nil3, where no exponential
+    is squared)."""
+    cm = chart_metric(name)
+    pts = np.random.default_rng(6).uniform(-4.0, 4.0, size=(2000, 3))
+    pts[:33, cm.axis] = GridSpec(radius=4.0, dx=0.25).axis()
+    g, ref = cm.metric(pts[:, cm.axis]), _ref_metric(name, pts)
+    np.testing.assert_allclose(g, ref, rtol=1e-15, atol=0.0)
+    if name == "nil3":
+        assert np.array_equal(g, ref)
+    assert np.array_equal(cm.coframe(pts[:, cm.axis]), _ref_coframe(name, pts))
 
 
 def test_charts_identity_at_origin():
     o = np.zeros((1, 3))
     for name in ("nil3", "sol3", "hyp3"):
         cm = chart_metric(name)
-        assert np.allclose(cm.metric(o)[0], np.eye(3), atol=1e-15)
+        assert np.allclose(cm.metric(o[:, cm.axis])[0], np.eye(3), atol=1e-15)
 
 
 def test_nil3_origin_ricci_endomorphism(nil3_fields):
@@ -368,6 +426,35 @@ def test_radial_bump_shape():
     assert np.all(chi[r <= 0.8] == 1.0)
     assert np.all(chi[r >= 1.6] == 0.0)
     assert np.all((chi >= 0.0) & (chi <= 1.0))
+
+
+@pytest.mark.parametrize("name", ["nil3", "sol3", "hyp3"])
+def test_frame_fields_and_probes_match_per_point_coframe(name):
+    """The frame fields and the probe suite, built from the coframe on the
+    chart axis, equal the per-point formulas bit for bit: C^T sym(S) C with
+    C the closed-form coframe at every grid point, times the bump."""
+    cm = chart_metric(name)
+    C = _ref_coframe(name, GRID.points())
+
+    def ref_field(S):
+        return np.swapaxes(C, -1, -2) @ (0.5 * (S + S.T)) @ C
+
+    S = np.random.default_rng(8).normal(size=(3, 3))
+    assert np.array_equal(frame_tensor_field(cm, GRID, S), ref_field(S))
+    mats = []
+    for i in range(3):
+        for j in range(i, 3):
+            E = np.zeros((3, 3))
+            E[i, j] = E[j, i] = 1.0
+            mats.append(E)
+    rng = np.random.default_rng(4)
+    while len(mats) < 9:
+        A = rng.uniform(-1.0, 1.0, size=(3, 3))
+        mats.append(0.5 * (A + A.T) / np.linalg.norm(0.5 * (A + A.T)))
+    chi = radial_bump(GRID, 0.45 * GRID.radius, 0.9 * GRID.radius)
+    suite = probe_tensor_suite(cm, GRID, count=9, seed=4)
+    for h, M in zip(suite, mats):
+        assert np.array_equal(h, chi[..., None, None] * ref_field(M))
 
 
 def test_frame_tensor_field_identity_gives_metric(nil3_fields):
@@ -575,6 +662,38 @@ def test_cover_distances_agree_on_interleaved_grids():
         assert (cover.graph != cover.graph.T).nnz == 0
         assert np.array_equal(cover.pair_distances([origin])[0], cover.dist)
         assert np.array_equal(distance_field(cm, grid), cover.dist)
+
+
+@pytest.mark.parametrize("name", ["nil3", "sol3", "hyp3"])
+def test_grid_graph_matches_full_midpoint_graph(name):
+    """Edge lengths computed once per chart-coordinate value equal, exactly,
+    those from the metric at each edge's midpoint on the whole 17^3 grid."""
+    cm = chart_metric(name)
+    grid = GridSpec(radius=2.0, dx=0.25)
+    n, pts = grid.npts, grid.points()
+    assert n == 17
+    idx = np.arange(n ** 3).reshape((n,) * 3)
+    rows, cols, weights = [], [], []
+    for off in [(a, b, c) for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (-1, 0, 1)
+                if (a, b, c) > (0, 0, 0)]:
+        src = tuple(slice(1, None) if o == -1 else slice(None, -1) if o == 1
+                    else slice(None) for o in off)
+        dst = tuple(slice(None, -1) if o == -1 else slice(1, None) if o == 1
+                    else slice(None) for o in off)
+        mid = 0.5 * (pts[src] + pts[dst])
+        o = np.asarray(off, dtype=float)
+        length = grid.dx * np.sqrt(np.einsum("i,...ij,j->...", o,
+                                             cm.metric(mid[..., cm.axis]), o))
+        rows.append(idx[src].ravel())
+        cols.append(idx[dst].ravel())
+        weights.append(length.ravel())
+    upper = coordfield._sparse.csr_matrix(
+        (np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n ** 3, n ** 3))
+    ref = (upper + upper.T).sorted_indices()
+    graph = _grid_graph(cm, grid).sorted_indices()
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(graph, part), getattr(ref, part)), part
 
 
 def test_partials_are_composed_diff1():

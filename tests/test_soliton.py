@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from solitonlab import catalog
-from solitonlab.errors import DomainError, UnsupportedDerivation
+from solitonlab.errors import DomainError, InvalidInput, UnsupportedDerivation
 from solitonlab.leftinv import curvature
-from solitonlab.liealg import LieAlgebra, change_basis, is_derivation
+from solitonlab.liealg import LieAlgebra, change_basis, is_derivation, validate
 from solitonlab.soliton import (
     exact_unnormalized_solution,
     solve_soliton,
@@ -80,6 +80,15 @@ def test_verify_pass_and_fail_cases():
     bad = verify_soliton(HEIS3, np.eye(3), -1.0, np.diag([1.0, 1.0, 2.0]))
     assert not bad.passed
     assert abs(bad.soliton_residual - 0.5) < 1e-14
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
+def test_verify_refuses_bad_tolerance(tol):
+    """Refused as `liealg.validate` refuses it, not reported as a verdict."""
+    with pytest.raises(InvalidInput, match="tolerance must be positive"):
+        verify_soliton(HEIS3, np.eye(3), -1.5, np.diag([1.0, 1.0, 2.0]), tol=tol)
+    with pytest.raises(InvalidInput, match="tolerance must be positive"):
+        validate(HEIS3, tol=tol)
 
 
 def test_lambda_invariant_under_orthogonal_change():
