@@ -28,6 +28,7 @@ import numpy as np
 from . import catalog
 from .errors import (InvalidInput, InvalidPerturbation, NotInCatalog,
                      SingularityReached, StiffnessError, UnsupportedDerivation)
+from .leftinv import check_metric
 from .liealg import LieAlgebra, check_tol, validate
 from .soliton import exact_unnormalized_solution, solve_soliton
 
@@ -135,7 +136,6 @@ def parse_algebra_file(path: str):
             raise InvalidInput(f"{path}: metric must be a matrix of numbers") from None
         if g.shape != (n, n):
             raise InvalidInput(f"{path}: metric must be {n}x{n}")
-        from .leftinv import check_metric
         check_metric(g)
     name = os.path.splitext(os.path.basename(path))[0]
     return L, g, name
@@ -211,8 +211,8 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _csv_text(traj, exact_devs=None) -> str:
-    n = traj.g_ref.shape[0]
+def _csv_text(traj, devs, exact_devs=None) -> str:
+    n = traj.metrics.shape[-1]
     cols = ["t"] + [f"g{i + 1}{j + 1}" for i in range(n) for j in range(n)] + ["dev"]
     if exact_devs is not None:
         cols.append("exact_dev")
@@ -220,7 +220,7 @@ def _csv_text(traj, exact_devs=None) -> str:
     for idx, t in enumerate(traj.times):
         row = [_fmt(t)]
         row += [_fmt(v) for v in traj.metrics[idx].ravel()]
-        row.append(_fmt(traj.deviations[idx]))
+        row.append(_fmt(devs[idx]))
         if exact_devs is not None:
             row.append(_fmt(exact_devs[idx]))
         lines.append(",".join(row))
@@ -231,6 +231,7 @@ def cmd_flow(args) -> int:
     from .flow import (integrate, perturb, predicted_rate, relax_fit,
                        rhs_normalized, rhs_unnormalized)
     L, g0, name = resolve_target(args.target)
+    g0 = check_metric(g0)
     cert = solve_soliton(L, g0)
     is_soliton = cert.classification != "none"
     if args.mode == "normalized" and not is_soliton:
@@ -244,7 +245,8 @@ def cmd_flow(args) -> int:
     else:
         rhs = lambda g: rhs_unnormalized(L, g)
     traj = integrate(rhs, g_init, args.t_max, dt=args.dt, method=args.method,
-                     atol=args.tol, rtol=args.tol, g_ref=g0)
+                     tol=args.tol)
+    devs = np.linalg.norm(traj.metrics - g0, axis=(1, 2))
 
     exact_devs = None
     if args.mode == "unnormalized" and is_soliton and args.perturb == 0:
@@ -262,16 +264,14 @@ def cmd_flow(args) -> int:
                "predicted_rate": omega, "reference": "trajectory limit"}
 
     csv_path = args.out or f"{name}_{args.mode}.csv"
-    _write_atomic(csv_path, _csv_text(traj, exact_devs))
-    report = {"name": name, "dim": L.n, "mode": args.mode,
-              "method": args.method, "dt": args.dt, "t_max": args.t_max,
-              "eps": args.perturb, "seed": args.seed,
-              "lambda": cert.lam if is_soliton else None,
-              "class": cert.classification, "steps": len(traj.times),
-              "final_dev": traj.deviations[-1], "fit": fit, "csv": csv_path}
-    json_path = os.path.splitext(csv_path)[0] + ".json"
-    _write_atomic(json_path, _dump_json(report) + "\n")
-    print(_dump_json(report))
+    _write_atomic(csv_path, _csv_text(traj, devs, exact_devs))
+    _emit({"name": name, "dim": L.n, "mode": args.mode,
+           "method": args.method, "dt": args.dt, "t_max": args.t_max,
+           "eps": args.perturb, "seed": args.seed,
+           "lambda": cert.lam if is_soliton else None,
+           "class": cert.classification, "steps": len(traj.times),
+           "final_dev": devs[-1], "fit": fit, "csv": csv_path},
+          os.path.splitext(csv_path)[0] + ".json")
     return 0
 
 
@@ -280,10 +280,8 @@ def cmd_rayleigh(args) -> int:
                              probe_tensor_suite, rayleigh_quotient)
     cm = chart_metric(args.target)
     grid = GridSpec(args.radius, args.dx)
-    if args.count < 1:
-        raise InvalidInput("probe suite must contain at least one tensor")
-    fields = curvature_fields(cm, grid.points())
     suite = probe_tensor_suite(cm, grid, count=args.count, seed=args.seed)
+    fields = curvature_fields(cm, grid.points())
     quotients = [rayleigh_quotient(cm, cm.lam, cm.d, h, grid, _fields=fields)
                  for h in suite]
     _emit({"chart": cm.name, "lambda": cm.lam, "count": args.count,

@@ -22,13 +22,13 @@ from scipy.linalg.lapack import dpotrf
 
 from .errors import (InvalidInput, InvalidMetric, InvalidPerturbation,
                      SingularityReached, StiffnessError)
-from .liealg import LieAlgebra
+from .liealg import LieAlgebra, check_tol
 from .leftinv import check_metric, ricci
 from .soliton import SolitonCertificate
 from .stability import decay_abscissa, ode_jacobian
 
 
-#: error tolerance (atol and rtol) of the relax experiment's integration
+#: error tolerance (``integrate``'s ``tol``) of the relax experiment's integration
 RELAX_TOL = 1e-11
 
 
@@ -46,12 +46,10 @@ class FitResult:
 
 @dataclass
 class FlowTrajectory:
-    """Sampled flow: times, metrics and deviations from ``g_ref``."""
+    """Sampled flow: accepted step times and the metrics at them."""
 
     times: np.ndarray
     metrics: np.ndarray
-    deviations: np.ndarray
-    g_ref: np.ndarray
 
 
 def rhs_unnormalized(L: LieAlgebra, g) -> np.ndarray:
@@ -72,8 +70,7 @@ def _is_spd(g) -> bool:
     return bool(np.isfinite(g).all()) and dpotrf(g, lower=1)[1] == 0
 
 
-def integrate(rhs, g_init, t_max, dt=1e-3, method="dop853",
-              atol=1e-9, rtol=1e-9, g_ref=None,
+def integrate(rhs, g_init, t_max, dt=1e-3, method="dop853", tol=1e-9,
               max_step=np.inf) -> FlowTrajectory:
     """Integrate dg/dt = rhs(g) from g_init up to t_max.
 
@@ -84,13 +81,12 @@ def integrate(rhs, g_init, t_max, dt=1e-3, method="dop853",
     method : {'rk4', 'dop853'}
         Fixed-step classic RK4 with step ``dt``, or adaptive Dormand-Prince
         8(5,3) (``scipy.integrate.DOP853``) with ``dt`` as the first step
-        (clipped to ``t_max``) and error control at (atol, rtol), both of
-        which must be finite and positive, and ``rtol`` at least 100
-        machine epsilons (scipy would raise a smaller one to that with
-        only a warning).  scipy's error norm is the RMS over the n^2
-        entries of the scaled error.
-    g_ref : array, optional
-        Reference metric for the stored deviation norms (default g_init).
+        (clipped to ``t_max``) and ``tol`` as both its absolute and its
+        relative tolerance, at least 100 machine epsilons (scipy would raise
+        a smaller one to that with only a warning).  scipy's error norm is
+        the RMS over the n^2 entries of the scaled error.
+    tol : float
+        Finite and positive; RK4 has no error control and ignores it.
     max_step : float, optional
         Largest step of the adaptive method (default unbounded); RK4
         ignores it.
@@ -110,66 +106,60 @@ def integrate(rhs, g_init, t_max, dt=1e-3, method="dop853",
     if method not in ("rk4", "dop853"):
         raise InvalidInput(f"unknown method {method!r}")
     # a zero or NaN tolerance rejects every step until the step size
-    # underflows, an infinite one accepts every step, and scipy refuses a
-    # negative atol but raises a negative rtol with only a warning
-    for name, tol in (("atol", atol), ("rtol", rtol)):
-        if not (np.isfinite(tol) and tol > 0):
-            raise InvalidInput(f"{name} must be finite and positive, got {tol}")
-    if method == "dop853" and rtol < 100 * np.finfo(float).eps:
-        raise InvalidInput(f"rtol must be at least 100 machine epsilons "
-                           f"({100 * np.finfo(float).eps:.3g}), got {rtol}")
-    ref = g.copy() if g_ref is None else check_metric(g_ref, g.shape[0])
+    # underflows, and an infinite one accepts every step
+    check_tol(tol)
+    if method == "dop853" and tol < 100 * np.finfo(float).eps:
+        raise InvalidInput(f"tolerance must be at least 100 machine epsilons "
+                           f"({100 * np.finfo(float).eps:.3g}), got {tol}")
 
-    times = [0.0]
-    mets = [g.copy()]
+    times, mets = [0.0], [g.copy()]
+    steps = (_rk4_steps(rhs, g, t_max, dt) if method == "rk4"
+             else _dop853_steps(rhs, g, t_max, dt, tol, max_step))
+    for t, g in steps:
+        # symmetrized in place: the next step starts from it, so asymmetric
+        # rounding does not accumulate from step to step
+        g[...] = 0.5 * (g + g.T)
+        if not _is_spd(g):
+            raise SingularityReached(t)
+        times.append(t)
+        mets.append(g.copy())
+    return FlowTrajectory(times=np.array(times), metrics=np.array(mets))
 
-    def step_rk4(y, h):
+
+def _rk4_steps(rhs, g, t_max, dt):
+    """(t, g) after each classic RK4 step of ``dt``, then one shorter step
+    to ``t_max`` if ``dt`` does not divide it; each step starts from the
+    array the previous one yielded."""
+    def step(y, h):
         k1 = rhs(y)
         k2 = rhs(y + 0.5 * h * k1)
         k3 = rhs(y + 0.5 * h * k2)
         k4 = rhs(y + h * k3)
-        out = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return 0.5 * (out + out.T)
+        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    if method == "rk4":
-        t = 0.0
-        n_full = int(np.floor(t_max / dt + 1e-12))
-        rem = t_max - n_full * dt
-        for i in range(n_full):
-            g = step_rk4(g, dt)
-            t = (i + 1) * dt
-            if not _is_spd(g):
-                raise SingularityReached(t)
-            times.append(t)
-            mets.append(g.copy())
-        if rem > 1e-12 * max(dt, 1.0):
-            g = step_rk4(g, rem)
-            if not _is_spd(g):
-                raise SingularityReached(t_max)
-            times.append(t_max)
-            mets.append(g.copy())
-    elif t_max > 0:
-        n = g.shape[0]
-        solver = DOP853(lambda t, y: rhs(y.reshape(n, n)).ravel(), 0.0,
-                        g.ravel(), t_max, first_step=min(dt, t_max),
-                        max_step=max_step, rtol=rtol, atol=atol)
-        while solver.status == "running":
-            message = solver.step()
-            if solver.status == "failed":
-                raise StiffnessError(f"{message} (at t={solver.t:.6g})")
-            # symmetrize the solver's own state, so asymmetric rounding
-            # does not accumulate from step to step
-            g = solver.y.reshape(n, n)
-            g[...] = 0.5 * (g + g.T)
-            if not _is_spd(g):
-                raise SingularityReached(solver.t)
-            times.append(solver.t)
-            mets.append(g.copy())
+    n_full = int(np.floor(t_max / dt + 1e-12))
+    for i in range(n_full):
+        g = step(g, dt)
+        yield (i + 1) * dt, g
+    rem = t_max - n_full * dt
+    if rem > 1e-12 * max(dt, 1.0):
+        yield t_max, step(g, rem)
 
-    times = np.array(times)
-    mets = np.array(mets)
-    devs = np.linalg.norm(mets - ref, axis=(1, 2))
-    return FlowTrajectory(times=times, metrics=mets, deviations=devs, g_ref=ref)
+
+def _dop853_steps(rhs, g, t_max, dt, tol, max_step):
+    """(t, g) after each accepted DOP853 step, g a view of the solver's own
+    state (so changing it in place changes the next step's start)."""
+    if t_max == 0:
+        return
+    n = g.shape[0]
+    solver = DOP853(lambda t, y: rhs(y.reshape(n, n)).ravel(), 0.0, g.ravel(),
+                    t_max, first_step=min(dt, t_max), max_step=max_step,
+                    rtol=tol, atol=tol)
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise StiffnessError(f"{message} (at t={solver.t:.6g})")
+        yield solver.t, solver.y.reshape(n, n)
 
 
 def perturb(g0, eps, seed) -> np.ndarray:
@@ -202,17 +192,14 @@ def perturb(g0, eps, seed) -> np.ndarray:
         f"no SPD perturbation of size eps={eps} found in 100 draws")
 
 
-def fit_decay_rate(traj: FlowTrajectory, window, g_ref=None) -> FitResult:
+def fit_decay_rate(times, deviations, window) -> FitResult:
     """Least-squares line through (t, log deviation) on the window (lo, hi).
 
-    Deviations are recomputed against ``g_ref`` (default: the trajectory's
-    stored reference); samples with deviation <= 1e-14 (machine-converged)
-    are dropped.  The fit is rejected (``ok=False``) when fewer than 3
-    usable samples remain or R^2 < 0.98.
+    Samples with deviation <= 1e-14 (machine-converged) are dropped.  The
+    fit is rejected (``ok=False``) when fewer than 3 usable samples remain
+    or R^2 < 0.98.
     """
-    ref = traj.g_ref if g_ref is None else np.asarray(g_ref, dtype=float)
-    devs = np.linalg.norm(traj.metrics - ref, axis=(1, 2))
-    t = traj.times
+    t, devs = np.asarray(times), np.asarray(deviations)
     lo, hi = float(window[0]), float(window[1])
     mask = (t >= lo) & (t <= hi) & (devs > 1e-14)
     fit = FitResult(C=np.nan, omega=np.nan, r_squared=np.nan,
@@ -249,13 +236,13 @@ def relax_fit(traj: FlowTrajectory, omega, floor) -> FitResult:
     mode) or fewer than 3 samples at or above ``floor`` no window is placed
     (``window`` None, ``ok`` False).
     """
-    g_inf = traj.metrics[-1]
-    above = np.flatnonzero(np.linalg.norm(traj.metrics - g_inf, axis=(1, 2)) >= floor)
+    devs = np.linalg.norm(traj.metrics - traj.metrics[-1], axis=(1, 2))
+    above = np.flatnonzero(devs >= floor)
     if omega is None or above.size < 3:
         return FitResult(C=np.nan, omega=np.nan, r_squared=np.nan, window=None,
                          n_points=0, ok=False)
     t2 = min(float(traj.times[above[-1]]), float(traj.times[-1]) - 4.0 / omega)
-    fit = fit_decay_rate(traj, g_ref=g_inf, window=(max(0.0, t2 - 5.0 / omega), t2))
+    fit = fit_decay_rate(traj.times, devs, (max(0.0, t2 - 5.0 / omega), t2))
     return replace(fit, ok=fit.ok and abs(fit.omega - omega) <= 0.2 * omega)
 
 
@@ -289,7 +276,7 @@ def convergence_experiment(L: LieAlgebra, g0, cert: SolitonCertificate,
     g_start = perturb(g0, eps, seed)
     traj = integrate(lambda g: rhs_normalized(L, g, cert), g_start, 24.0 / omega,
                      dt=min(1e-3, 0.01 / omega), method="dop853",
-                     atol=RELAX_TOL, rtol=RELAX_TOL, g_ref=g0, max_step=1.0 / omega)
+                     tol=RELAX_TOL, max_step=1.0 / omega)
     fit = relax_fit(traj, omega, 10.0 * RELAX_TOL * float(np.linalg.norm(g0)))
     if fit.window is None:
         raise InvalidInput("trajectory never rose above the fit floor; "

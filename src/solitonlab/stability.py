@@ -84,7 +84,6 @@ class StabilityReport:
     depend on the BLAS and the basis and are not reproducible.
     """
 
-    block: str
     lmat: np.ndarray
     spectrum: np.ndarray
     quad_bound: float
@@ -228,7 +227,6 @@ def stability_operator(L: LieAlgebra, g0, cert: SolitonCertificate) -> Stability
     jac = _jacobian(pkg, lmat)
     jac_spectrum = np.linalg.eigvals(jac)
     return StabilityReport(
-        block="left-invariant",
         lmat=lmat,
         spectrum=spectrum,
         quad_bound=float(quad_bound),

@@ -110,6 +110,14 @@ def test_oversize_grid_is_usage_error(capsys):
     assert "physical memory" in err
 
 
+def test_empty_probe_suite_is_usage_error(capsys):
+    code, out, err = run_main(capsys, "rayleigh", "nil3", "--count", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "count must be positive" in err
+    assert "Traceback" not in err
+
+
 # -------------------------------------------------------------- validate
 
 def test_validate_catalog_entry(capsys):
@@ -415,7 +423,7 @@ def test_flow_zero_tolerance_exits_promptly():
     except subprocess.TimeoutExpired:
         pytest.fail("solitonlab flow --tol 0 did not return within 30 s")
     assert r.returncode == 2, r.stderr
-    assert "atol must be finite and positive" in r.stderr
+    assert "tolerance must be positive" in r.stderr
 
 
 def test_flow_tolerance_below_rtol_floor_exits_2(tmp_path):
@@ -425,7 +433,7 @@ def test_flow_tolerance_below_rtol_floor_exits_2(tmp_path):
                        capture_output=True, text=True, env=_checkout_env(),
                        timeout=60)
     assert r.returncode == 2, r.stderr
-    assert "rtol must be at least 100 machine epsilons" in r.stderr
+    assert "tolerance must be at least 100 machine epsilons" in r.stderr
     assert "UserWarning" not in r.stderr
     assert not (tmp_path / "run.csv").exists()
 

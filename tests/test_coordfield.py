@@ -182,6 +182,33 @@ def test_probe_suite_counts_its_tensors_in_the_memory_guard(monkeypatch):
     assert len(probe_tensor_suite(cm, grid, count=2)) == 2
 
 
+def test_metric_graph_counts_its_build_peak_in_the_memory_guard(monkeypatch):
+    """A grid whose coordinates and operator fit but whose metric graph
+    would not at its build peak is refused before the graph is built."""
+    cm = chart_metric("nil3")
+    grid = GridSpec(radius=2.0, dx=0.25)
+    per_point = (coordfield._POINT_BYTES + coordfield._GRAPH_BYTES) // 2
+    pages = {"SC_PHYS_PAGES": grid.npts ** 3 * per_point, "SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(coordfield, "os", SimpleNamespace(sysconf=pages.__getitem__))
+    assert grid.points().shape == (grid.npts,) * 3 + (3,)
+    with pytest.raises(GridTooLarge, match="its metric graph"):
+        distance_field(cm, grid)
+    with pytest.raises(GridTooLarge, match="its metric graph"):
+        build_annulus_cover(cm, grid)
+
+
+def test_metric_graph_build_peak_within_its_memory_figure():
+    grid = GridSpec(radius=2.0, dx=0.125)
+    assert grid.npts == 33
+    tracemalloc.start()
+    try:
+        _grid_graph(chart_metric("hyp3"), grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= grid.npts ** 3 * coordfield._GRAPH_BYTES
+
+
 # ----------------------------------------------------------------- charts
 
 def test_chart_metric_unknown_name():

@@ -117,8 +117,7 @@ def test_rk4_fourth_order_convergence():
 
 def test_dop853_adaptive_accuracy():
     rhs = lambda g: rhs_unnormalized(NIL3.algebra, g)
-    traj = integrate(rhs, np.eye(3), 1.0, dt=1e-2, method="dop853",
-                     atol=1e-12, rtol=1e-12)
+    traj = integrate(rhs, np.eye(3), 1.0, dt=1e-2, method="dop853", tol=1e-12)
     rel = (np.linalg.norm(traj.metrics[-1] - nil3_exact(1.0))
            / np.linalg.norm(nil3_exact(1.0)))
     assert rel < 1e-9
@@ -130,9 +129,10 @@ def test_integrate_records_deviations():
     e = catalog.get("sol3")
     cert = solve_soliton(e.algebra, e.metric)
     rhs = lambda g: rhs_normalized(e.algebra, g, cert)
-    traj = integrate(rhs, np.asarray(e.metric), 2.0, g_ref=np.asarray(e.metric))
-    assert traj.deviations.shape == (len(traj.times),)
-    assert np.max(traj.deviations) < 1e-12   # stationary point stays put
+    traj = integrate(rhs, np.asarray(e.metric), 2.0)
+    devs = np.linalg.norm(traj.metrics - np.asarray(e.metric), axis=(1, 2))
+    assert devs.shape == (len(traj.times),)
+    assert np.max(devs) < 1e-12   # stationary point stays put
 
 
 def test_integrate_rejects_bad_input():
@@ -155,25 +155,24 @@ def test_integrate_zero_horizon_returns_initial_point():
         assert np.array_equal(traj.metrics[0], np.diag([1.0, 2.0])), method
 
 
-@pytest.mark.parametrize("name", ["atol", "rtol"])
 @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
-def test_integrate_rejects_bad_tolerance(name, value):
+def test_integrate_rejects_bad_tolerance(value):
     # at 0 or nan the error ratio is NaN and no step was ever accepted
-    with pytest.raises(InvalidInput, match=f"{name} must be finite and positive"):
-        integrate(lambda g: -g, np.eye(2), 1.0, **{name: value})
+    with pytest.raises(InvalidInput, match="tolerance must be positive"):
+        integrate(lambda g: -g, np.eye(2), 1.0, tol=value)
 
 
 def test_integrate_refuses_rtol_below_scipy_floor():
     # scipy would raise such an rtol to 100 eps with only a warning
     eps = np.finfo(float).eps
-    with pytest.raises(InvalidInput, match="rtol must be at least 100 machine"):
-        integrate(lambda g: -g, np.eye(2), 1.0, atol=1e-15, rtol=1e-15)
+    with pytest.raises(InvalidInput, match="tolerance must be at least 100 machine"):
+        integrate(lambda g: -g, np.eye(2), 1.0, tol=1e-15)
     with warnings.catch_warnings():
         warnings.simplefilter("error")   # the floor itself passes scipy unwarned
-        traj = integrate(lambda g: -g, np.eye(2), 1.0, rtol=100 * eps)
+        traj = integrate(lambda g: -g, np.eye(2), 1.0, tol=100 * eps)
     assert traj.times[-1] == 1.0
-    # the fixed-step method has no error control, so any positive rtol is fine
-    integrate(lambda g: -g, np.eye(2), 0.01, method="rk4", rtol=1e-15)
+    # the fixed-step method has no error control, so any positive tol is fine
+    integrate(lambda g: -g, np.eye(2), 0.01, method="rk4", tol=1e-15)
 
 
 def test_integration_stops_at_singularity():
@@ -245,9 +244,7 @@ def test_fit_decay_rate_on_synthetic_data():
     h = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     metrics = np.array([g_inf + 0.02 * np.exp(-0.75 * t) * h for t in times])
     devs = np.linalg.norm(metrics - g_inf, axis=(1, 2))
-    traj = FlowTrajectory(times=times, metrics=metrics, deviations=devs,
-                          g_ref=g_inf)
-    fit = fit_decay_rate(traj, window=(6.0, 12.0))
+    fit = fit_decay_rate(times, devs, window=(6.0, 12.0))
     assert fit.ok
     assert abs(fit.omega - 0.75) < 1e-10
     assert fit.r_squared > 0.999999
@@ -259,9 +256,7 @@ def test_fit_decay_rate_window_and_floor():
     h = np.array([[1.0, 0.0], [0.0, -1.0]])
     metrics = np.array([g_inf + 1e-3 * np.exp(-2.0 * t) * h for t in times])
     devs = np.linalg.norm(metrics - g_inf, axis=(1, 2))
-    traj = FlowTrajectory(times=times, metrics=metrics, deviations=devs,
-                          g_ref=g_inf)
-    fit = fit_decay_rate(traj, window=(1.0, 4.0))
+    fit = fit_decay_rate(times, devs, window=(1.0, 4.0))
     assert fit.ok and abs(fit.omega - 2.0) < 1e-9
     assert fit.window[0] >= 1.0 and fit.window[1] <= 4.0
 
@@ -272,8 +267,7 @@ def test_relax_fit_places_window_by_predicted_rate():
     g_inf = np.diag([2.0, 1.0, 1.0])
     h = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     metrics = np.array([g_inf + 0.02 * np.exp(-0.75 * t) * h for t in times])
-    traj = FlowTrajectory(times=times, metrics=metrics,
-                          deviations=np.zeros(times.size), g_ref=metrics[0])
+    traj = FlowTrajectory(times=times, metrics=metrics)
     fit = relax_fit(traj, 0.75, 1e-12)
     assert fit.ok and abs(fit.omega - 0.75) < 1e-2
     # t2 is capped 4 e-folds before the end; the window holds 5 e-folds
@@ -292,8 +286,7 @@ def test_unnormalized_flow_matches_exact_solution_sol3():
     e = catalog.get("sol3")
     cert = solve_soliton(e.algebra, e.metric)
     rhs = lambda g: rhs_unnormalized(e.algebra, g)
-    traj = integrate(rhs, np.asarray(e.metric), 0.5, method="dop853",
-                     atol=1e-12, rtol=1e-12)
+    traj = integrate(rhs, np.asarray(e.metric), 0.5, method="dop853", tol=1e-12)
     want = exact_unnormalized_solution(np.asarray(e.metric), cert, 0.5)
     assert np.linalg.norm(traj.metrics[-1] - want) < 1e-9
 
