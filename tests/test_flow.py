@@ -155,11 +155,15 @@ def test_integrate_zero_horizon_returns_initial_point():
         assert np.array_equal(traj.metrics[0], np.diag([1.0, 2.0])), method
 
 
+@pytest.mark.parametrize("name", ["atol", "rtol"])
 @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
-def test_integrate_rejects_bad_tolerance(value):
+def test_integrate_rejects_bad_tolerance(name, value):
     # at 0 or nan the error ratio is NaN and no step was ever accepted
     with pytest.raises(InvalidInput, match="tolerance must be positive"):
         integrate(lambda g: -g, np.eye(2), 1.0, tol=value)
+    # tol is DOP853's atol and rtol alike; neither is a parameter of its own
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+        integrate(lambda g: -g, np.eye(2), 1.0, **{name: value})
 
 
 def test_integrate_refuses_rtol_below_scipy_floor():
