@@ -17,9 +17,8 @@ from .liealg import (LieAlgebra, ValidationReport, ad, bracket, change_basis,
 from .leftinv import (CurvaturePackage, check_metric, curvature,
                       curvature_action, lichnerowicz, lie_derivative_term,
                       orthonormal_frame, ricci)
-from .soliton import (SolitonCertificate, SolitonVectorField,
-                      VerificationReport, exact_unnormalized_solution,
-                      solve_soliton, soliton_vector_field, verify_soliton)
+from .soliton import (SolitonCertificate, VerificationReport,
+                      exact_unnormalized_solution, solve_soliton, verify_soliton)
 from .stability import (StabilityReport, classify, decay_abscissa, ode_jacobian,
                         stability_operator)
 from .flow import (ConvergenceExperiment, FitResult, FlowTrajectory,

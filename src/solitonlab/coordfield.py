@@ -32,6 +32,7 @@ from scipy.sparse import csgraph as _csgraph
 from . import catalog
 from .errors import (GridTooCoarse, GridTooLarge, InvalidInput, InvalidWeight,
                      NotInCatalog)
+from .leftinv import SYM_TOL
 
 _JET_STEP = 1e-2  # step for numeric differentiation of closed-form metrics
 _BLOCK = 1024     # points per block of the pointwise curvature algebra
@@ -334,10 +335,10 @@ def _blocks(n: int):
 _FIELD_SHAPES = {"g": (3, 3), "ginv": (3, 3), "Gamma": (3, 3, 3), "Rm": (3, 3, 3, 3),
                  "ric": (3, 3), "Rc": (3, 3), "scal": (), "sqrt_det": ()}
 # bytes per grid point that a grid still allocates: the coordinates and what
-# the operator holds at its peak (h, its slab copy, L h, and T (27) with the
-# 9-component product buffer); curvature fields are views of their line and
-# cost nothing per point
-_POINT_BYTES = 8 * (3 + 9 + 9 + 9 + 36)
+# the operator holds at its peak: h, its 6-component slab, L h (6), T (18), the
+# product buffer (6) and 2 for the mask, coefficients and end planes (36.8 in
+# all at 33^3, tracemalloc); curvature fields are views of their line
+_POINT_BYTES = 8 * (3 + 9 + 6 + 6 + 24 + 2)
 # bytes per grid point at the peak of building the metric graph: ~36.2 per
 # directed edge and 26 edges per interior point (tracemalloc: 883 B/pt at
 # 33^3 and 911 B/pt at 65^3, where boundary points have fewer edges); the
@@ -444,44 +445,50 @@ def chart_metric(name: str) -> ChartMetric:
 # grid derivatives and the FD operator
 # ---------------------------------------------------------------------------
 
-def _diff1(field: np.ndarray, axis: int, dx: float, out: np.ndarray = None) -> np.ndarray:
-    """Second-order centered first derivative with zero ghost cells.
+def _diff(field: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """out = field[k+1] - field[k-1] along `axis`, with zero ghost cells.
 
-    Written into `out` when given (it must not overlap `field`).
+    The axes of `out` after the first must be contiguous together (a
+    C-contiguous array, or a slab's run of components): the interior is then
+    one shifted subtraction per index of axis 0, and the ends are set after.
     """
-    if out is None:
-        out = np.empty_like(field)
-    src = np.moveaxis(field, axis, 0)
-    dst = np.moveaxis(out, axis, 0)
-    np.subtract(src[2:], src[:-2], out=dst[1:-1])
+    n = field.shape[0]
+    src, dst = field.reshape(n, -1), out.reshape(n, -1)
+    if axis == 0:
+        np.subtract(src[2:], src[:-2], out=dst[1:-1])
+    else:
+        s = math.prod(field.shape[axis + 1:])
+        np.subtract(src[:, 2 * s:], src[:, :-2 * s], out=dst[:, s:-s])
+    src, dst = np.moveaxis(field, axis, 0), np.moveaxis(out, axis, 0)
     dst[0] = src[1]
     np.negative(src[-2], out=dst[-1])
-    dst /= 2.0 * dx
     return out
 
 
-def _add_diff(out: np.ndarray, field: np.ndarray, axis: int) -> None:
-    """out[k] += field[k+1] - field[k-1] along `axis`, zero ghost cells."""
-    src = np.moveaxis(field, axis, 0)
-    dst = np.moveaxis(out, axis, 0)
-    dst[:-1] += src[1:]
-    dst[1:] -= src[:-1]
+def _diff1(field: np.ndarray, axis: int, dx: float) -> np.ndarray:
+    """Second-order centered first derivative with zero ghost cells."""
+    out = _diff(field, axis, np.empty(field.shape))
+    out /= 2.0 * dx
+    return out
 
 
-# The operator works on slabs: a grid tensor field h of shape (N, N, N, 3, 3)
-# is held as (N, 9, N, N), the chart axis first, then the 9 components, then
-# the other two axes in order.  Each line value x then owns a contiguous
-# (9, N^2) block, so a pointwise linear map that depends on x only is one
-# batched matmul over the N line values.
-
-def _slab(h: np.ndarray, axis: int) -> np.ndarray:
-    N = h.shape[0]
-    return np.ascontiguousarray(np.moveaxis(h.reshape((N,) * 3 + (9,)), (axis, 3), (0, 1)))
+# The operator works on slabs of the 6 components 00, 11, 22, 01, 02, 12 of a
+# symmetric tensor field: (N, 6, N, N), the chart axis first, then the
+# components, then the other two axes.  Each line value x owns a contiguous
+# (6, N^2) block, so a pointwise map that depends on x only is one batched matmul.
+_I6, _J6 = np.array([0, 1, 2, 0, 0, 1]), np.array([0, 1, 2, 1, 2, 2])
+_FULL = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])  # component of entry (i, j)
+_MULT = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])     # entries per component
 
 
-def _unslab(hs: np.ndarray, axis: int) -> np.ndarray:
-    N = hs.shape[0]
-    return np.moveaxis(hs, (0, 1), (axis, 3)).reshape((N,) * 3 + (3, 3))
+def _sym_map(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """(..., 6, 6) component matrices of h -> X^T h Y + Y^T h X on symmetric
+    h, for X and Y of shape (..., 3, 3)."""
+    i, j, p, q = _I6[:, None], _J6[:, None], _I6, _J6
+    A = (X[..., p, i] * Y[..., q, j] + Y[..., p, i] * X[..., q, j]
+         + X[..., q, i] * Y[..., p, j] + Y[..., q, i] * X[..., p, j])
+    A[..., :3] *= 0.5  # a diagonal component is one entry, not two
+    return A
 
 
 def _operator_input(cm: ChartMetric, h: np.ndarray, grid: GridSpec,
@@ -489,8 +496,9 @@ def _operator_input(cm: ChartMetric, h: np.ndarray, grid: GridSpec,
     """Checked operator input: h in slab layout, and the curvature fields
     on the N grid points of the chart axis.
 
-    Grid fields are read at index 0 on the invariant axes; without them
-    the N line points are evaluated.
+    h must be symmetric: max|h_ij - h_ji| may not exceed `SYM_TOL` times
+    max|h|.  Grid fields are read at index 0 on the invariant axes; without
+    them the N line points are evaluated.
     """
     if grid.dx > grid.radius / 8.0 + 1e-12:
         raise GridTooCoarse(
@@ -503,118 +511,146 @@ def _operator_input(cm: ChartMetric, h: np.ndarray, grid: GridSpec,
     if fields is None:
         pts = np.zeros((N, 3))
         pts[:, cm.axis] = grid.axis()
-        return _slab(h, cm.axis), curvature_fields(cm, pts)
-    bad = sorted(key for key, tail in _FIELD_SHAPES.items()
-                 if key not in fields or np.shape(fields[key]) != (N,) * 3 + tail)
-    if bad:
-        raise InvalidInput(f"fields {bad} do not match the {N}^3 grid")
-    line = [0, 0, 0]
-    line[cm.axis] = slice(None)
-    return _slab(h, cm.axis), {key: fields[key][tuple(line)] for key in _FIELD_SHAPES}
+        line = curvature_fields(cm, pts)
+    else:
+        bad = sorted(key for key, tail in _FIELD_SHAPES.items()
+                     if key not in fields or np.shape(fields[key]) != (N,) * 3 + tail)
+        if bad:
+            raise InvalidInput(f"fields {bad} do not match the {N}^3 grid")
+        on_line = [0, 0, 0]
+        on_line[cm.axis] = slice(None)
+        line = {key: fields[key][tuple(on_line)] for key in _FIELD_SHAPES}
+    full = np.ascontiguousarray(np.moveaxis(h.reshape((N,) * 3 + (9,)), (cm.axis, 3), (0, 1)))
+    asym = max(float(np.max(np.abs(full[:, 3 * i + j] - full[:, 3 * j + i])))
+               for i, j in zip(_I6[3:], _J6[3:]))
+    hs = np.take(full, 3 * _I6 + _J6, axis=1)
+    scale = max(float(hs.max()), -float(hs.min()))
+    if asym > SYM_TOL * scale:
+        raise InvalidInput(f"field is not symmetric: max|h_ij - h_ji| = {asym:.3e} "
+                           f"against max|h| = {scale:.3e}")
+    return hs, line
 
 
 def apply_L_fd(cm: ChartMetric, lam: float, d, h: np.ndarray,
                grid: GridSpec, _fields: dict = None) -> np.ndarray:
-    """Apply L = Delta_L + 2 lam + Lie_{X0} to a sampled tensor field.
+    """Apply L = Delta_L + 2 lam + Lie_{X0} to a sampled symmetric tensor field.
 
-    `h` has shape grid + (3, 3) (coordinate components, lowered indices)
-    and must vanish on and outside the boundary sphere of B_R.  The
+    `h` has shape grid + (3, 3) (coordinate components, lowered indices),
+    must be symmetric (`InvalidInput` otherwise; its upper triangle is
+    used) and must vanish on and outside the boundary sphere of B_R.  The
     covariant structure is pointwise-exact (numeric jets of the closed
     form); the h-derivatives are second-order centered differences, so
     plateau discrepancies against the algebraic operator shrink at
-    O(dx^2).  Output is forced to zero outside the open ball (Dirichlet).
+    O(dx^2).  The result is exactly symmetric, and zero outside the open
+    ball (Dirichlet).
     """
     hs, line = _operator_input(cm, h, grid, _fields)
-    return _unslab(_apply_L(cm, lam, d, hs, grid, line)[0], cm.axis)
+    Lh = _apply_L(cm, lam, d, hs, grid, line)[0]
+    return np.moveaxis(Lh[:, _FULL], (0, 1, 2), (cm.axis, 3, 4))
 
 
 def _apply_L(cm: ChartMetric, lam: float, d, hs: np.ndarray, grid: GridSpec,
              line: dict) -> tuple:
-    """(L h, g^-1 h g^-1) in slab layout, for h in slab layout.
+    """(L h, g^-1 h g^-1) in slab layout, for a symmetric h in slab layout.
 
-    The coefficients come from the fields on the chart axis (`line`).
-    Each pointwise term is a small matrix per line value, built once and
-    applied as a batched matmul over the N line values on (9 or 27) x N^2
-    slabs: the Gamma correction of nabla h (27 x 9), the g^ab Laplacian
-    weights (9 x 27 per a), the trace and M terms on T (9 x 27), and the
-    zeroth-order terms (9 x 9).  T and the 9-component buffer that every
-    other product goes through are one (N, 36, N, N) block; the buffer ends
-    up holding g^-1 h g^-1.
+    The coefficients are built per line value (`line`) on the 6 components:
+    the Gamma correction of T = nabla h (6 x 6 per axis), the trace and M
+    terms on T with the drift along the chart axis (6 x 18), and the
+    zeroth-order terms (6 x 6), each a batched matmul over the N line values.
+    The g^ab Laplacian weights are scalar sums S_a = g^ab T_b, differenced
+    along a.  T is held as 2 dx nabla h, the difference's denominator folded
+    into the coefficients; it and the buffer that every other product goes
+    through are one (N, 24, N, N) block, the buffer ending as g^-1 h g^-1.
     """
     N, dx, I = grid.npts, grid.dx, np.eye(3)
-    d = np.asarray(d, dtype=float)
     others = [a for a in range(3) if a != cm.axis]
     sax = {cm.axis: 0, others[0]: 2, others[1]: 3}               # slab axis of each grid axis
-    coord = {a: grid.axis().reshape([-1 if s == sax[a] else 1 for s in range(4)])
-             for a in range(3)}
+    ax, d = grid.axis(), np.asarray(d, dtype=float)
+    # the Dirichlet mask, taken before the large arrays exist
+    outside = sum(ax.reshape([-1 if s == sax[a] else 1 for s in range(4)]) ** 2
+                  for a in range(3)) >= grid.radius ** 2
     g, G, Rm, Rc = line["ginv"], line["Gamma"], line["Rm"], line["Rc"]
-    hs2 = hs.reshape(N, 9, N * N)
+    hs2 = hs.reshape(N, 6, N * N)
 
-    # 2 Rm(g^-1 h g^-1) - Rc.h - h.Rc + (2 lam + d_i + d_j) h_ij
-    H = np.einsum("nap,nqb->nabpq", g, g)                        # h -> g^-1 h g^-1
-    Z = (2.0 * np.einsum("niajb,nabpq->nijpq", Rm, H)
-         - np.einsum("npi,qj->nijpq", Rc, I) - np.einsum("npj,qi->nijpq", Rc, I))
-    Z = Z.reshape(N, 9, 9) + np.diag((2.0 * lam + d[:, None] + d[None, :]).ravel())
+    # nabla_a h_ij = d_a h_ij - G^p_ai h_pj - G^p_aj h_pi, stored as
+    # T[x, (a, ij)] = 2 dx nabla_a h_ij; K[:, a] is h -> Gamma_a^T h + h Gamma_a
+    K = _sym_map(G.transpose(0, 2, 1, 3), I)
+
+    # 2 Rm(g^-1 h g^-1) - Rc^T h - h Rc + (2 lam + d_i + d_j) h_ij, with the K
+    # part of the drift d_a x^a d_a h along the chart axis (d_a h = nabla_a h + K_a h)
+    H = 0.5 * _sym_map(g, g)                                      # h -> g^-1 h g^-1
+    Rm9 = Rm.transpose(0, 1, 3, 2, 4)[:, _I6, _J6].reshape(N, 6, 9)   # Rm[i, a, j, b]
+    Z = (2.0 * (Rm9 @ H[:, _FULL.ravel()]) - _sym_map(Rc, I)
+         + (d[cm.axis] * ax)[:, None, None] * K[:, cm.axis])
+    Z[:, range(6), range(6)] += 2.0 * lam + d[_I6] + d[_J6]
     out = Z @ hs2
-    out4 = out.reshape(N, 9, N, N)
 
-    # nabla_a h_ij = d_a h_ij - G^p_ai h_pj - G^p_aj h_pi, stored as T[x, (a, i, j)]
-    K = (np.einsum("npai,qj->naijpq", G, I)
-         + np.einsum("npaj,qi->naijpq", G, I)).reshape(N, 3, 9, 9)
     # one allocation for T and the product buffer: with glibc malloc and a
-    # block under its 32 MiB cap on the dynamic mmap threshold (N <= 48, which
+    # block under its 32 MiB cap on the dynamic mmap threshold (N <= 55, which
     # covers the 17^3 and 33^3 probe grids), the block freed once lifts the
     # heap's trim threshold above what a call holds, so later calls reuse its
-    # pages instead of faulting them in again; larger blocks (65^3: 79 MB) are
+    # pages instead of faulting them in again; larger blocks (65^3: 53 MB) are
     # mmapped and unmapped on every call whatever the layout
-    work = np.empty((N, 36, N, N))
-    T, buf4 = work[:, :27], work[:, 27:]
-    T2, buf = T.reshape(N, 27, N * N), buf4.reshape(N, 9, N * N)
+    work = np.empty((N, 24, N, N))
+    T, buf = work[:, :18], work[:, 18:].reshape(N, 6, N * N)
+    T2 = T.reshape(N, 18, N * N)
     for a in range(3):
-        dh = _diff1(hs, sax[a], dx, out=T[:, 9 * a:9 * a + 9])
-        if d[a] != 0.0:                                          # Lie_{X0}: d_a x^a d_a h
-            out4 += np.multiply(d[a] * coord[a], dh, out=buf4)
-        T2[:, 9 * a:9 * a + 9] -= np.matmul(K[:, a], hs2, out=buf)
+        _diff(hs, sax[a], T[:, 6 * a:6 * a + 6])
+        if a != cm.axis and d[a] != 0.0:
+            # the drift d_a x^a d_a h, its coefficient laid out on the (N, N)
+            # plane of the two invariant axes
+            c = (d[a] / (2.0 * dx)) * ax
+            plane = np.broadcast_to(c[:, None] if sax[a] == 2 else c, (N, N)).reshape(1, 1, -1)
+            out += np.multiply(plane, T2[:, 6 * a:6 * a + 6], out=buf)
+        T2[:, 6 * a:6 * a + 6] -= np.matmul((2.0 * dx) * K[:, a], hs2, out=buf)
 
-    # Delta h_ij = g^ab [ d_a T_bij - G^p_ab T_pij - G^p_ai T_bpj - G^p_aj T_bip ]
+    # Delta h_ij = g^ab [ d_a T_bij - G^p_ab T_pij - G^p_ai T_bpj - G^p_aj T_bip ];
+    # the last three terms are Q_b T_b with Q_b = trG_b + g^ba K_a, and the
+    # rest of the drift along the chart axis joins trG there as -d_a x^a
     trG = np.einsum("nab,npab->np", g, G)
-    M = np.einsum("nab,npai->nibp", g, G)
-    Q = (np.einsum("nb,pi,qj->nijbpq", trG, I, I) + np.einsum("nibp,qj->nijbpq", M, I)
-         + np.einsum("njbp,qi->nijbpq", M, I))
-    out -= np.matmul(Q.reshape(N, 9, 27), T2, out=buf)
-    # g^ab / (2 dx): the centered difference's denominator is folded in
-    W = np.einsum("nab,ik,jl->naijbkl", g / (2.0 * dx), I, I).reshape(N, 3, 9, 27)
+    trG[:, cm.axis] -= d[cm.axis] * ax
+    Q = np.einsum("nba,naij->nbij", g, K)
+    Q[:, :, range(6), range(6)] += trG[:, :, None]
+    out -= np.matmul(Q.transpose(0, 2, 1, 3).reshape(N, 6, 18) / (2.0 * dx), T2, out=buf)
+    # S_a = g^ab T_b / (2 dx)^2, one scalar sum per component
+    T3, S, out2 = T.reshape(N, 3, -1), buf.reshape(N, 1, -1), out.reshape(N, -1)
+    wts = g / (2.0 * dx) ** 2
     for a in range(3):
         if a == cm.axis:
-            # the weights vary along their own axis: difference W[x] T[x +- 1]
-            out[:-1] += np.matmul(W[:-1, a], T2[1:], out=buf[:-1])
-            out[1:] -= np.matmul(W[1:, a], T2[:-1], out=buf[1:])
+            # the weights vary along their own axis: difference g^ab[x] T_b[x +- 1]
+            out[:-1] += np.matmul(wts[:-1, a, None], T3[1:], out=S[:-1]).reshape(N - 1, 6, -1)
+            out[1:] -= np.matmul(wts[1:, a, None], T3[:-1], out=S[1:]).reshape(N - 1, 6, -1)
         else:
-            # the weights are constant along a, so d_a commutes with them
-            _add_diff(out4, np.matmul(W[:, a], T2, out=buf).reshape(N, 9, N, N), sax[a])
+            # the weights are constant along a, so d_a commutes with them; the
+            # shifted adds reach across the ends of a, which the mask zeroes
+            s = N ** (3 - sax[a])
+            S2 = np.matmul(wts[:, a, None], T3, out=S).reshape(N, -1)
+            out2[:, :-s] += S2[:, s:]
+            out2[:, s:] -= S2[:, :-s]
 
-    hup = np.matmul(H.reshape(N, 9, 9), hs2, out=buf).reshape(N, 9, N, N)
-    r2 = coord[0] ** 2 + coord[1] ** 2 + coord[2] ** 2
-    np.copyto(out4, 0.0, where=r2 >= grid.radius ** 2)
-    return out4, hup
+    hup = np.matmul(H, hs2, out=buf).reshape(N, 6, N, N)
+    np.copyto(out, 0.0, where=outside.reshape(N, 1, -1))
+    return out.reshape(N, 6, N, N), hup
 
 
 def rayleigh_quotient(cm: ChartMetric, lam: float, d, h: np.ndarray,
                       grid: GridSpec, _fields: dict = None) -> float:
     """(L h, h) / (h, h) in the L2 pairing of the chart metric.
 
-    Pointwise inner products raise indices with g; the measure is
-    sqrt(det g) dx^3.  Scale-invariant by construction.
+    `h` is a symmetric field, as for `apply_L_fd`; the pairing runs over
+    its 6 components, each off-diagonal one counted twice.  Pointwise inner
+    products raise indices with g; the measure is sqrt(det g) dx^3.
+    Scale-invariant by construction.
     """
     hs, line = _operator_input(cm, h, grid, _fields)
     Lh, hup = _apply_L(cm, lam, d, hs, grid, line)
     N = grid.npts
     w = line["sqrt_det"] * grid.dx ** 3
-    hup = hup.reshape(N, -1)
-    den = float(np.einsum("xk,xk->x", hup, hs.reshape(N, -1)) @ w)
+    hup = hup.reshape(N, 6, -1)
+    den = float(w @ np.einsum("xck,xck->xc", hup, hs.reshape(N, 6, -1)) @ _MULT)
     if den <= 0.0 or not np.isfinite(den):
         raise InvalidInput("Rayleigh quotient of a zero (or degenerate) field")
-    return float(np.einsum("xk,xk->x", hup, Lh.reshape(N, -1)) @ w) / den
+    return float(w @ np.einsum("xck,xck->xc", hup, Lh.reshape(N, 6, -1)) @ _MULT) / den
 
 
 def radial_bump(grid: GridSpec, r_inner: float, r_outer: float) -> np.ndarray:

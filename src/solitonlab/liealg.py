@@ -237,14 +237,18 @@ def change_basis(L: LieAlgebra, A) -> LieAlgebra:
 
     The new bracket of coordinate vectors is ``A [A^{-1} x, A^{-1} y]``,
     i.e. ``c'[m, i, j] = A[m, k] c[k, a, b] Ainv[a, i] Ainv[b, j]``; Jacobi
-    is preserved exactly (up to roundoff).
+    is preserved exactly (up to roundoff).  Only a numerically singular A is
+    refused, so any rescaling of the basis is accepted.
     """
     Am = _as_matrix(A)
     if Am.shape != (L.n, L.n):
         raise InvalidInput(f"basis change must be {L.n}x{L.n}")
-    det = np.linalg.det(Am)
-    if abs(det) <= TOL_ALG:
-        raise InvalidInput(f"basis change is singular (det={det:.3e})")
+    if not np.all(np.isfinite(Am)):
+        raise InvalidInput("basis change has non-finite entries")
+    sv = np.linalg.svd(Am, compute_uv=False)
+    if sv[-1] <= L.n * np.finfo(float).eps * sv[0]:
+        raise InvalidInput(f"basis change is numerically singular (singular values "
+                           f"{sv[-1]:.3e} to {sv[0]:.3e})")
     Ainv = np.linalg.inv(Am)
     cnew = np.einsum("mk,kab,ai,bj->mij", Am, L.c, Ainv, Ainv).transpose(1, 2, 0)
     upper = np.triu(np.ones((L.n, L.n), dtype=bool), 1)[..., None]

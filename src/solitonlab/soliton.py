@@ -50,19 +50,6 @@ class SolitonCertificate:
 
 
 @dataclass(frozen=True)
-class SolitonVectorField:
-    """Eigen-data of the soliton derivation: X0 = sum_i d_i x^i d/dx^i.
-
-    ``d`` holds the eigenvalues of D sorted ascending and ``frame`` the
-    matching eigenbasis (orthonormal when D is symmetric).  In these
-    coordinates |X0(x)| <= max|d_i| * |x|: the field grows linearly.
-    """
-
-    d: np.ndarray
-    frame: np.ndarray
-
-
-@dataclass(frozen=True)
 class VerificationReport:
     soliton_residual: float
     derivation_residual: float
@@ -126,35 +113,6 @@ def _verify(L: LieAlgebra, pkg: CurvaturePackage, lam, D, tol) -> VerificationRe
     der_res = is_derivation(L, Dm)
     return VerificationReport(soliton_residual=sol_res, derivation_residual=der_res,
                               tol=float(tol), passed=(sol_res <= tol and der_res <= tol))
-
-
-def soliton_vector_field(cert: SolitonCertificate) -> SolitonVectorField:
-    """Eigenvalues and eigenbasis of the certificate derivation.
-
-    Raises ``UnsupportedDerivation`` when the spectrum is not real or D is
-    defective (the coordinate form of X0 presumes real diagonalizability).
-    """
-    if cert.classification not in ("nilsoliton", "solvsoliton", "Einstein", "flat"):
-        raise UnsupportedDerivation(
-            f"certificate class {cert.classification!r} carries no soliton field")
-    D = np.asarray(cert.D, dtype=float)
-    n = D.shape[0]
-    if np.abs(D - D.T).max() <= 1e-12 * max(1.0, np.abs(D).max()):
-        w, V = np.linalg.eigh(0.5 * (D + D.T))
-        return SolitonVectorField(d=w, frame=V)
-    w, V = np.linalg.eig(D)
-    if np.abs(w.imag).max() > 1e-10:
-        raise UnsupportedDerivation(
-            f"derivation has non-real eigenvalues {np.round(w, 6)}")
-    if np.linalg.matrix_rank(V, tol=1e-10) < n:
-        # report the Jordan structure: geometric multiplicities per eigenvalue
-        mult = {}
-        for val in np.unique(np.round(w.real, 9)):
-            mult[float(val)] = n - np.linalg.matrix_rank(D - val * np.eye(n), tol=1e-9)
-        raise UnsupportedDerivation(
-            f"derivation is defective; geometric multiplicities {mult}")
-    order = np.argsort(w.real)
-    return SolitonVectorField(d=w.real[order], frame=V.real[:, order])
 
 
 def exact_unnormalized_solution(g0, cert: SolitonCertificate, t) -> np.ndarray:

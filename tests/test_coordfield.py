@@ -370,6 +370,49 @@ def test_operator_rejects_mismatched_fields(nil3_fields):
             rayleigh_quotient(cm, cm.lam, cm.d, h, GRID, _fields=bad)
 
 
+def test_operator_refuses_an_asymmetric_field(nil3_fields):
+    """The operator acts on symmetric tensors only: an asymmetry above
+    SYM_TOL relative to max|h| is refused, one near rounding level is not."""
+    cm, fields = nil3_fields
+    h = probe_tensor_suite(cm, GRID, count=8, seed=2)[7]
+    scale = np.max(np.abs(h))
+    for tilt, refused in ((1e-12, True), (1e-15, False)):
+        bad = h.copy()
+        bad[..., 0, 2] += tilt * scale * radial_bump(GRID, 0.5, 1.0)
+        for op in (apply_L_fd, rayleigh_quotient):
+            if refused:
+                with pytest.raises(InvalidInput, match="not symmetric"):
+                    op(cm, cm.lam, cm.d, bad, GRID, _fields=fields)
+            else:
+                op(cm, cm.lam, cm.d, bad, GRID, _fields=fields)
+
+
+@pytest.mark.parametrize("name", ["nil3", "sol3", "hyp3"])
+def test_apply_L_fd_output_is_exactly_symmetric(name):
+    cm = chart_metric(name)
+    h = probe_tensor_suite(cm, GRID, count=8, seed=6)[7]
+    out = apply_L_fd(cm, cm.lam, cm.d, h, GRID)
+    assert np.array_equal(out, out.swapaxes(-1, -2))
+
+
+def test_apply_L_fd_peak_within_its_memory_figure():
+    """One application on a 33^3 grid, next to the coordinates and the input
+    field that its caller holds, stays within `_POINT_BYTES` per point."""
+    grid = GridSpec(radius=2.0, dx=0.125)
+    assert grid.npts == 33
+    cm = chart_metric("hyp3")
+    fields = curvature_fields(cm, grid.points())
+    h = np.array(probe_tensor_suite(cm, grid, count=1)[0])
+    held = 8 * (3 + 9)                    # the coordinates and h
+    tracemalloc.start()
+    try:
+        apply_L_fd(cm, cm.lam, cm.d, h, grid, _fields=fields)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= grid.npts ** 3 * (coordfield._POINT_BYTES - held)
+
+
 def test_apply_L_fd_rejects_coarse_grid():
     cm = chart_metric("nil3")
     grid = GridSpec(radius=2.0, dx=0.5)   # dx > R/8

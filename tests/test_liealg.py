@@ -182,3 +182,19 @@ def test_change_basis_transforms_bracket():
 def test_change_basis_rejects_singular():
     with pytest.raises(InvalidInput):
         change_basis(HEIS3, np.zeros((3, 3)))
+
+
+def test_change_basis_accepts_any_scaling():
+    """s I scales the structure constants by 1/s, however small its
+    determinant (1e-15 for s = 1e-3 on heis5)."""
+    L = catalog.get("heis5").algebra
+    for s in (1e-3, 1e3):
+        L2 = change_basis(L, s * np.eye(L.n))
+        np.testing.assert_allclose(L2.c, L.c / s, rtol=1e-15, atol=0.0)
+
+
+def test_change_basis_rejects_rank_deficient():
+    A = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]])
+    for bad in (A, 1e-3 * A, np.array([[1.0, 0, 0], [0, np.nan, 0], [0, 0, 1.0]])):
+        with pytest.raises(InvalidInput):
+            change_basis(HEIS3, bad)

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from solitonlab import catalog
-from solitonlab.errors import DomainError, InvalidInput, UnsupportedDerivation
+from solitonlab.errors import DomainError, InvalidInput
 from solitonlab.leftinv import curvature
 from solitonlab.liealg import LieAlgebra, change_basis, is_derivation, validate
 from solitonlab.soliton import (
     exact_unnormalized_solution,
     solve_soliton,
-    soliton_vector_field,
     verify_soliton,
 )
 
@@ -121,38 +120,6 @@ def test_non_einstein_solitons_expand(soliton_entries):
     for e in soliton_entries:
         cert = solve_soliton(e.algebra, e.metric)
         assert cert.lam < 0
-
-
-def test_vector_field_eigendata():
-    cert = solve_soliton(HEIS3, np.eye(3))
-    X = soliton_vector_field(cert)
-    assert np.allclose(X.d, [1.0, 1.0, 2.0])
-    e4 = catalog.get("nil4")
-    X4 = soliton_vector_field(solve_soliton(e4.algebra, e4.metric))
-    assert np.allclose(X4.d, [0.5, 1.0, 1.5, 2.0])
-    h3 = catalog.get("hyp_3")
-    X0 = soliton_vector_field(solve_soliton(h3.algebra, h3.metric))
-    assert np.max(np.abs(X0.d)) == 0.0
-
-
-def test_vector_field_linear_growth():
-    # |X0(x)|^2 = sum_i (d_i x_i)^2 <= max|d|^2 |x|^2
-    cert = solve_soliton(HEIS3, np.eye(3))
-    d = soliton_vector_field(cert).d
-    rng = np.random.default_rng(0)
-    xs = rng.standard_normal((1000, 3))
-    lhs = np.linalg.norm(d * xs, axis=1)
-    rhs = np.max(np.abs(d)) * np.linalg.norm(xs, axis=1)
-    assert np.all(lhs <= rhs + 1e-15)
-
-
-def test_vector_field_rejects_defective_derivation():
-    cert = solve_soliton(HEIS3, np.eye(3))
-    nilp = type(cert)(lam=cert.lam, D=np.array([[0.0, 1.0, 0], [0, 0, 0],
-                                                [0, 0, 1.0]]),
-                      residual=0.0, classification="nilsoliton")
-    with pytest.raises(UnsupportedDerivation):
-        soliton_vector_field(nilp)
 
 
 def test_exact_solution_nil3_closed_form():
