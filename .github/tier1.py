@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Run the tier-1 command of ROADMAP.md, exit with pytest's exit code, and
-append its wall time, peak RSS and five slowest tests to
+append pytest's count line, its wall time, peak RSS and five slowest tests to
 $GITHUB_STEP_SUMMARY (stderr if unset).
 
     python .github/tier1.py
@@ -29,7 +29,10 @@ wall = time.perf_counter() - t0
 peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
 # pytest's durations section: "1.23s call     tests/test_x.py::test_y"
 slowest = [m.groups() for m in map(re.compile(r"(\d+\.\d+)s (\w+) +(\S+)").match, output) if m]
-lines = [f"tier-1: exit code {code}, {wall:.1f} s wall, peak RSS {peak_mb:.0f} MB\n"]
+# pytest's final count line: "400 passed, 1 skipped in 18.73s" (maybe "="-framed)
+counts = [m.group(1) for m in map(re.compile(r"[= ]*(\d+ \w+.*) in [\d.]+s").match, output) if m]
+lines = [f"tier-1: exit code {code}, {counts[-1] if counts else 'no count line'}, "
+         f"{wall:.1f} s wall, peak RSS {peak_mb:.0f} MB\n"]
 lines += [f"- {sec} s ({phase}): `{test}`\n" for sec, phase, test in slowest[:5]]
 summary = os.environ.get("GITHUB_STEP_SUMMARY")
 if summary:

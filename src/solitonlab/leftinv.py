@@ -34,7 +34,7 @@ from scipy.linalg.lapack import dpotrf, dtrtri
 from .errors import InvalidMetric
 from .liealg import LieAlgebra, _as_matrix
 
-#: symmetry tolerance for metrics and symmetric 2-tensors
+#: symmetry tolerance for metrics and symmetric 2-tensors, relative to max|entry|
 SYM_TOL = 1e-14
 
 
@@ -56,7 +56,7 @@ def _factor(g, n=None) -> tuple[np.ndarray, np.ndarray]:
         amax = float(np.abs(g).max())      # non-finite iff some entry is
         if not math.isfinite(amax):
             raise InvalidMetric("metric has non-finite entries")
-        if asym > SYM_TOL * max(1.0, amax):
+        if asym > SYM_TOL * amax:
             raise InvalidMetric("metric is not symmetric")
         g = 0.5 * (g + g.T)
     C, info = dpotrf(g, lower=1)
@@ -84,7 +84,7 @@ def sym2(h, n=None) -> np.ndarray:
     if h.shape[-1] == 0:
         raise InvalidMetric("tensor is empty")
     ht = h.swapaxes(-1, -2)
-    scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
+    scale = np.abs(h).max(axis=(-2, -1))
     if np.any(np.abs(h - ht).max(axis=(-2, -1)) > SYM_TOL * scale):
         raise InvalidMetric("tensor is not symmetric")
     return 0.5 * (h + ht)

@@ -781,8 +781,9 @@ def test_partials_are_composed_diff1():
                                       _diff1(d_a, b, GRID.dx))
 
 
-def test_annulus_cover_invariants():
-    cm = chart_metric("nil3")
+@pytest.mark.parametrize("name", ["nil3", "sol3", "hyp3"])
+def test_annulus_cover_invariants(name):
+    cm = chart_metric(name)
     cover = build_annulus_cover(cm, GRID)
     dist = cover.dist
     covered = np.zeros_like(dist, dtype=bool)
@@ -794,6 +795,25 @@ def test_annulus_cover_invariants():
             assert np.all(dist[ann.mask] > lo - 1e-12)
             assert np.all(dist[ann.mask] < hi + 1e-12)
     assert np.all(covered[dist < GRID.radius])
+
+
+@pytest.mark.parametrize("name", ["nil3", "sol3", "hyp3"])
+def test_annulus_nodes_have_finite_distance(name):
+    cover = build_annulus_cover(chart_metric(name), GRID)
+    for ann in cover.annuli:
+        assert np.all(np.isfinite(cover.dist[ann.mask])), ann.N
+
+
+@pytest.mark.parametrize("name", ["nil3", "sol3", "hyp3"])
+def test_origin_distances_bound_pair_distances(name):
+    """|d0(x) - d0(y)| <= d(x, y) for every node y: the lower bound the
+    weighted norm uses to skip searches."""
+    cover = build_annulus_cover(chart_metric(name), GRID)
+    d0 = cover.dist.ravel()
+    sources = np.random.default_rng(5).choice(d0.size, size=4, replace=False)
+    for s, d in zip(sources, cover.pair_distances(sources)):
+        d = d.ravel()
+        assert np.all(np.abs(d0 - d0[s]) <= d * (1.0 + 1e-12))
 
 
 def test_weighted_holder_norm_properties():
@@ -812,6 +832,121 @@ def test_weighted_holder_norm_properties():
     # homogeneity of degree 1
     n3 = weighted_holder_norm(cover, 3.0 * h, 0, 0.5, w1)
     assert abs(n3 - 3.0 * n0) < 1e-10 * max(1.0, n3)
+
+
+def _reference_norm(cover, h, k, alpha, w, seed, searches):
+    """The exhaustive weighted norm: every sampled source is searched.
+    `searches(sources)` is `cover.pair_distances`, cached by the caller."""
+    h = np.asarray(h, dtype=float)
+    grid = cover.grid
+    orders = _partials_up_to(h, grid, k)
+    abs_max = [np.max(np.abs(part), axis=-1) for part in orders]
+    top = orders[k].reshape(-1, orders[k].shape[-1])
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for ann in cover.annuli:
+        if not np.any(ann.mask):
+            continue
+        sup_term = float(np.max(sum((ann.d_boundary[ann.mask] ** q) * abs_max[q][ann.mask]
+                                    for q in range(k + 1))))
+        sem = 0.0
+        flat = np.flatnonzero(ann.mask.ravel())
+        if len(flat) >= 2:
+            n_src = min(4, len(flat))
+            sources = rng.choice(flat, size=n_src, replace=False)
+            dists = searches(sources)
+            db = ann.d_boundary.ravel()
+            per_src = max(1, coordfield._PAIRS // n_src)
+            for s_i, s in enumerate(sources):
+                targets = rng.choice(flat, size=min(per_src, len(flat)), replace=False)
+                dxy = dists[s_i].ravel()[targets]
+                ok = (dxy >= grid.dx) & np.isfinite(dxy)
+                if not np.any(ok):
+                    continue
+                tgt = targets[ok]
+                dxy = dxy[ok]
+                diff = np.max(np.abs(top[tgt] - top[s]), axis=1)
+                mind = np.minimum(db[tgt], db[s])
+                sem = max(sem, float(np.max(mind ** (k + alpha) * diff / dxy ** alpha)))
+        best = max(best, math.sqrt(float(w.f(ann.N))) * (sup_term + sem))
+    return best
+
+
+@pytest.fixture(scope="module")
+def norm_case():
+    """(cover, field suite) of a chart at R = 4, as in the benchmark, by
+    (chart, steps across the diameter), built once per module."""
+    cases = {}
+
+    def get(name, steps):
+        if (name, steps) not in cases:
+            cm, grid = chart_metric(name), GridSpec(4.0, 8.0 / steps)
+            cases[name, steps] = (build_annulus_cover(cm, grid),
+                                  probe_tensor_suite(cm, grid, count=8, seed=3))
+        return cases[name, steps]
+    return get
+
+
+@pytest.mark.parametrize("name, steps", [("nil3", 16), ("sol3", 16), ("hyp3", 16),
+                                         ("hyp3", 24)])
+def test_weighted_holder_norm_equals_exhaustive_search(norm_case, name, steps):
+    """Skipping the sources whose bound cannot raise the max gives the same
+    float as searching every sampled source."""
+    cover, suite = norm_case(name, steps)
+    cache = {}
+
+    def searches(sources):
+        key = tuple(sources)
+        if key not in cache:
+            cache[key] = cover.pair_distances(sources)
+        return cache[key]
+
+    weights = [WeightSpec(a=0.0, n=3, tau=2.0), WeightSpec(a=-1.0, n=3, tau=1.0)]
+    cases = [(0, 0.5, suite[0]), (11, 0.3, suite[7]), (12, 0.8, suite[5])]
+    for seed, alpha, h in cases[:1] if steps == 24 else cases:  # 25^3 searches are slow
+        for k in (0, 1, 2):
+            for w in weights:
+                assert (weighted_holder_norm(cover, h, k, alpha, w, seed)
+                        == _reference_norm(cover, h, k, alpha, w, seed, searches)), (seed, k, w)
+
+
+def test_weighted_holder_norm_skips_most_searches(norm_case):
+    """On benchmark-like 17^3 grids at R = 4 (k = 2) at most a third of the
+    sampled sources need a search."""
+    w = WeightSpec(a=0.0, n=3, tau=2.0)
+    sampled = searched = 0
+    for name in ("nil3", "sol3", "hyp3"):
+        cover, suite = norm_case(name, 16)
+        calls = []
+        cover = SimpleNamespace(**vars(cover), pair_distances=lambda sources, full=(
+            cover.pair_distances): calls.append(len(sources)) or full(sources))
+        sizes = [int(ann.mask.sum()) for ann in cover.annuli]
+        for seed in range(3):
+            weighted_holder_norm(cover, suite[0], 2, 0.5, w, seed)
+            sampled += sum(min(4, n) for n in sizes if n >= 2)
+        searched += sum(calls)
+    assert searched <= sampled / 3, (searched, sampled)
+
+
+@pytest.mark.parametrize("bad, match", [
+    ("nan", "non-finite"),
+    ("inf", "non-finite"),
+    ("vector", "does not match grid"),
+    ("other grid", "does not match grid"),
+])
+def test_weighted_holder_norm_rejects_bad_fields(nil3_fields, bad, match):
+    cm, _ = nil3_fields
+    cover = build_annulus_cover(cm, GRID)
+    h = probe_tensor_suite(cm, GRID, count=1, seed=0)[0]
+    if bad in ("nan", "inf"):
+        h[8, 8, 8, 0, 1] = h[8, 8, 8, 1, 0] = float(bad)
+    elif bad == "vector":
+        h = h[..., 0]
+    else:
+        h = probe_tensor_suite(cm, GridSpec(radius=2.0, dx=0.2), count=1, seed=0)[0]
+    for k in (0, 2):
+        with pytest.raises(InvalidInput, match=match):
+            weighted_holder_norm(cover, h, k, 0.5, WeightSpec(a=0.0, n=3, tau=2.0))
 
 
 # functions NumPy 1.x lacks; pyproject.toml declares numpy>=1.23

@@ -209,6 +209,25 @@ def test_sym2_checks_each_tensor_of_a_stack():
         sym2(np.ones(3))
 
 
+@pytest.mark.parametrize("s", [1e-8, 1.0, 1e8])
+def test_symmetry_check_is_scale_free(s):
+    """A relative asymmetry of 1e-10 is refused and one at rounding level is
+    accepted, whatever the scale of the matrix."""
+    with pytest.raises(InvalidMetric, match="not symmetric"):
+        check_metric(s * np.array([[2.0, 1e-10], [0.0, 1.0]]))
+    with pytest.raises(InvalidMetric, match="not symmetric"):
+        sym2(s * np.array([[2.0, 1e-10], [0.0, 1.0]]))
+    g = np.array([[2.0, 0.3], [np.nextafter(0.3, 1.0), 1.0]])
+    assert g[0, 1] != g[1, 0]
+    for out in (check_metric(s * g), sym2(s * g)):
+        assert np.array_equal(out, out.T)
+        assert np.allclose(out, s * g, rtol=1e-15, atol=0)
+
+
+def test_sym2_accepts_zero_tensor():
+    assert np.array_equal(sym2(np.zeros((2, 3, 3))), np.zeros((2, 3, 3)))
+
+
 def test_lie_derivative_term():
     D = np.diag([1.0, 2.0, 3.0])
     h = np.array([[2.0, 1.0, 0.0], [1.0, 4.0, -1.0], [0.0, -1.0, 6.0]])
