@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Run the tier-1 command of ROADMAP.md, exit with pytest's exit code, and
-append pytest's count line, its wall time, peak RSS and five slowest tests to
-$GITHUB_STEP_SUMMARY (stderr if unset).
+append pytest's count line, its wall time, peak RSS, five slowest tests and
+the line counts of src/solitonlab/*.py (tracked in ROADMAP.md like a
+benchmark) to $GITHUB_STEP_SUMMARY (stderr if unset).
 
     python .github/tier1.py
 """
@@ -12,6 +13,7 @@ import resource
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 env = dict(os.environ)
 env["PYTHONPATH"] = os.pathsep.join(p for p in ("src", env.get("PYTHONPATH")) if p)
@@ -34,6 +36,11 @@ counts = [m.group(1) for m in map(re.compile(r"[= ]*(\d+ \w+.*) in [\d.]+s").mat
 lines = [f"tier-1: exit code {code}, {counts[-1] if counts else 'no count line'}, "
          f"{wall:.1f} s wall, peak RSS {peak_mb:.0f} MB\n"]
 lines += [f"- {sec} s ({phase}): `{test}`\n" for sec, phase, test in slowest[:5]]
+# source size as `wc -l src/solitonlab/*.py` prints it, in a code block so the
+# lines stay apart
+sizes = {str(p): p.read_bytes().count(b"\n") for p in sorted(Path("src/solitonlab").glob("*.py"))}
+lines += ["```\n"] + [f"{n:6d} {path}\n" for path, n in sizes.items()]
+lines += [f"{sum(sizes.values()):6d} total\n", "```\n"]
 summary = os.environ.get("GITHUB_STEP_SUMMARY")
 if summary:
     with open(summary, "a") as fh:

@@ -10,11 +10,11 @@ by finite differences on a cube grid, and provides the weight function
 f_tau together with the annulus-based weighted Hölder norm used to
 measure decay of compactly supported perturbations.
 
-Conventions match `leftinv` exactly: Rm[i,j,k,l] = <R(ei,ej)el, ek>,
-ric_{jl} = g^{ik} Rm[i,j,k,l], and Delta_L h = Delta h + 2*Rm(h)
-- Rc.h - h.Rc.  Chart metrics are not checked when loaded: acceptance
-criterion 8 compares each chart's Ricci tensor at the origin with the
-left-invariant one of the catalog algebra of the same name.
+A chart's coframe is C(t) = exp(t A) in its one coordinate t, so g = C^T C
+has exact jets, and curvature comes from them independently of `leftinv`
+(acceptance criterion 8 compares the two at the origin).  Conventions match
+`leftinv` exactly: Rm[i,j,k,l] = <R(ei,ej)el, ek>, ric_{jl} = g^{ik}
+Rm[i,j,k,l], and Delta_L h = Delta h + 2*Rm(h) - Rc.h - h.Rc.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy import integrate as _integrate
@@ -34,8 +33,7 @@ from .errors import (GridTooCoarse, GridTooLarge, InvalidInput, InvalidWeight,
                      NotInCatalog)
 from .leftinv import SYM_TOL
 
-_JET_STEP = 1e-2  # step in the chart coordinate for differencing g = C(t)^T C(t)
-_BLOCK = 1024     # points per block of the pointwise curvature algebra
+_BLOCK = 1024  # points per block of the pointwise curvature algebra
 
 
 # ---------------------------------------------------------------------------
@@ -81,11 +79,6 @@ def _ball_volume_const(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
-def _sphere_area_const(n: int) -> float:
-    # area of the unit (n-1)-sphere
-    return n * _ball_volume_const(n)
-
-
 def _log_volume_neg(a: float, n: int, R: float) -> float:
     """log of the comparison volume V_a(R) for a < 0.
 
@@ -106,7 +99,7 @@ def _log_volume_neg(a: float, n: int, R: float) -> float:
     val, _err = _integrate.quad(integrand, 0.0, upper, limit=200)
     if val <= 0.0:
         return -math.inf
-    return (math.log(_sphere_area_const(n)) - (n - 1) * math.log(kappa)
+    return (math.log(n * _ball_volume_const(n)) - (n - 1) * math.log(kappa)
             + rate * R + math.log(val))
 
 
@@ -163,7 +156,7 @@ def summability_check(w: WeightSpec, N_max: int = 250_000) -> dict:
         # V_a(R) <= A_{n-1} e^(kappa(n-1)R) / (2^(n-1) kappa^(n-1) kappa(n-1))
         rate = 2.0 * (kappa * (w.n - 1) - nt)
         if rate < 0:
-            log_C = (math.log(_sphere_area_const(w.n))
+            log_C = (math.log(w.n * _ball_volume_const(w.n))
                      - (w.n - 1) * math.log(2.0 * kappa) - math.log(kappa * (w.n - 1)))
             log_first = log_C + 2.0 * (N_max + 1) * (kappa * (w.n - 1) - nt) + 2.0 * nt
             tail = math.exp(log_first - math.log1p(-math.exp(rate))) if log_first > -700 else 0.0
@@ -252,16 +245,19 @@ class GridSpec:
         return (m, m, m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChartMetric:
     """Left-invariant coframe of a 3D model geometry in one global chart.
 
-    Left translation by the normal subgroup acts on the chart as a
-    coordinate translation, so the geometry reads one coordinate only,
-    t = x[axis]: `coframe(t)` maps t of shape (...) to the coframe rows C
-    of shape (..., 3, 3), used to push frame tensors into coordinates, and
-    `metric(t)` is g = C^T C.  Every curvature field is constant along the
-    other two axes, which is what lets the chart layer work on one line.
+    In the coordinates n * exp(t X), t = x[axis], the coframe is C(t) =
+    exp(t A) for one 3 x 3 generator A (Milnor 1976), held read-only.  Its
+    off-diagonal part N commutes with diag A and N^3 = 0, so `coframe(t)`
+    is the closed form exp(t diag A) (I + t N + t^2 N^2 / 2): it maps t of
+    shape (...) to the coframe rows C of shape (..., 3, 3), used to push
+    frame tensors into coordinates, and `metric(t)` is g = C^T C.  Left
+    translation by the normal subgroup is a coordinate translation, so every
+    curvature field is constant along the other two axes, which is what
+    lets the chart layer work on one line.
 
     The soliton data are those of the catalog entry `name`: `lam` is its
     soliton constant and `d` the diagonal of its derivation D (diagonal on
@@ -269,12 +265,26 @@ class ChartMetric:
     """
 
     name: str
-    coframe: Callable
+    A: np.ndarray
     axis: int  # the one coordinate the coframe depends on
 
     def __post_init__(self):
         if self.axis not in (0, 1, 2):
             raise InvalidInput(f"chart axis must be 0, 1 or 2, got {self.axis!r}")
+        A = np.array(self.A, dtype=float)
+        if A.shape != (3, 3) or not np.all(np.isfinite(A)):
+            raise InvalidInput(f"chart generator must be a finite 3x3 matrix, got {self.A!r}")
+        d, N = np.diag(A), A - np.diag(np.diag(A))
+        # N commutes with diag(d) iff N_ij = 0 wherever d_i != d_j
+        if np.any(N[d[:, None] != d]) or np.abs(N @ N @ N).max() > 1e-14 * np.abs(N).max() ** 3:
+            raise InvalidInput("chart generator: off-diagonal part not nilpotent or not commuting")
+        A.flags.writeable = False
+        object.__setattr__(self, "A", A)
+
+    def coframe(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)[..., None, None]
+        d, N = np.diag(self.A), self.A - np.diag(np.diag(self.A))
+        return np.exp(t * d[:, None]) * (np.eye(3) + t * N + (0.5 * t * t) * (N @ N))
 
     def metric(self, t) -> np.ndarray:
         C = self.coframe(t)
@@ -291,45 +301,32 @@ class ChartMetric:
         return np.diag(catalog.get(self.name).expected.D)
 
 
-def _coframe(t, c00, c11, c21=0.0) -> np.ndarray:
-    """Coframe rows [[c00, 0, 0], [0, c11, 0], [0, c21, 1]] at each t."""
-    C = np.zeros(np.shape(t) + (3, 3))
-    C[..., 0, 0], C[..., 1, 1], C[..., 2, 1], C[..., 2, 2] = c00, c11, c21, 1.0
-    return C
-
-
 _CHARTS = {
-    "nil3": ChartMetric("nil3", lambda x: _coframe(x, 1.0, 1.0, -x), axis=0),
-    "sol3": ChartMetric("sol3", lambda z: _coframe(z, np.exp(-z), np.exp(z)), axis=2),
-    "hyp3": ChartMetric("hyp3", lambda z: _coframe(z, np.exp(z), np.exp(z)), axis=2),
+    # A = -ad_e1 (nil3), -ad_e3 (sol3), +ad_e3 (hyp3: the z -> -z mirror of the others)
+    "nil3": ChartMetric("nil3", [[0, 0, 0], [0, 0, 0], [0, -1, 0]], axis=0),
+    "sol3": ChartMetric("sol3", np.diag([-1.0, 1.0, 0.0]), axis=2),
+    "hyp3": ChartMetric("hyp3", np.diag([1.0, 1.0, 0.0]), axis=2),
 }
 
 
 def metric_jets(cm: ChartMetric, pts: np.ndarray):
-    """g, dg, d2g at the given points by 4th-order centered differences.
+    """g, dg, d2g at the given points, in closed form.
 
-    dg[..., a, i, j] = d_a g_ij and d2g[..., a, b, i, j] = d_a d_b g_ij.
-    The metric reads only t = pts[..., cm.axis], so only dg[..., axis] and
-    d2g[..., axis, axis] are differenced, in t; every other entry is
-    exactly 0.  The step is independent of any grid spacing: the coframe
-    is a closed form, so the jets are effectively exact (1e-8 relative or
-    better).
+    dg[..., a, i, j] = d_a g_ij and d2g[..., a, b, i, j] = d_a d_b g_ij.  The
+    metric reads only t = pts[..., cm.axis], and C' = C A, so g' = A^T g + g A
+    and g'' = A^T g' + g' A; every other entry is exactly 0.
     """
     pts = np.asarray(pts, dtype=float)
-    h, a, t = _JET_STEP, cm.axis, pts[..., cm.axis]
-    g0 = cm.metric(t)
-    plus1, minus1, plus2, minus2 = (cm.metric(t + s * h) for s in (1.0, -1.0, 2.0, -2.0))
+    A, a = cm.A, cm.axis
+    g0 = cm.metric(pts[..., a])
     dg = np.zeros(pts.shape[:-1] + (3, 3, 3))
-    dg[..., a, :, :] = (-plus2 + 8.0 * plus1 - 8.0 * minus1 + minus2) / (12.0 * h)
     d2g = np.zeros(pts.shape[:-1] + (3, 3, 3, 3))
-    d2g[..., a, a, :, :] = (-plus2 + 16.0 * plus1 - 30.0 * g0
-                            + 16.0 * minus1 - minus2) / (12.0 * h * h)
+    # g A = (A^T g)^T for symmetric g, so each jet is exactly symmetric
+    Ag = A.T @ g0
+    dg[..., a, :, :] = Ag + np.swapaxes(Ag, -1, -2)
+    Ag = A.T @ dg[..., a, :, :]
+    d2g[..., a, a, :, :] = Ag + np.swapaxes(Ag, -1, -2)
     return g0, dg, d2g
-
-
-def _blocks(n: int):
-    """Slices covering range(n) in steps of `_BLOCK`."""
-    return [slice(start, start + _BLOCK) for start in range(0, n, _BLOCK)]
 
 
 _FIELD_SHAPES = {"g": (3, 3), "ginv": (3, 3), "Gamma": (3, 3, 3), "Rm": (3, 3, 3, 3),
@@ -387,7 +384,7 @@ def curvature_fields(cm: ChartMetric, pts: np.ndarray) -> dict:
     red = _line_reduced(cm, pts)
     flat = red.reshape(-1, 3)
     out = {key: np.empty((len(flat),) + tail) for key, tail in _FIELD_SHAPES.items()}
-    for blk in _blocks(len(flat)):
+    for blk in (slice(s, s + _BLOCK) for s in range(0, len(flat), _BLOCK)):
         _curvature_block(cm, flat[blk], {key: a[blk] for key, a in out.items()})
     return {key: np.broadcast_to(a.reshape(red.shape[:-1] + a.shape[1:]),
                                  pts.shape[:-1] + a.shape[1:]) for key, a in out.items()}
@@ -538,8 +535,8 @@ def apply_L_fd(cm: ChartMetric, lam: float, d, h: np.ndarray,
     `h` has shape grid + (3, 3) (coordinate components, lowered indices),
     must be symmetric (`InvalidInput` otherwise; its upper triangle is
     used) and must vanish on and outside the boundary sphere of B_R.  The
-    covariant structure is pointwise-exact (numeric jets of the closed
-    form); the h-derivatives are second-order centered differences, so
+    covariant structure is pointwise-exact (the exact jets of g = C^T C,
+    C = exp(t A)); the h-derivatives are second-order centered differences, so
     plateau discrepancies against the algebraic operator shrink at
     O(dx^2).  The result is exactly symmetric, and zero outside the open
     ball (Dirichlet).
@@ -691,14 +688,12 @@ def probe_tensor_suite(cm: ChartMetric, grid: GridSpec, count: int = 20,
     grid.require_memory(_POINT_BYTES + 72 * count,
                         f"its coordinates, operator and {count} probe tensors")
     chi = radial_bump(grid, 0.45 * grid.radius, 0.9 * grid.radius)
-    basis = []
-    for i in range(3):
-        for j in range(i, 3):
-            E = np.zeros((3, 3))
-            E[i, j] = E[j, i] = 1.0
-            basis.append(E)
+    mats = []
+    for i, j in zip(*np.triu_indices(3)):
+        E = np.zeros((3, 3))
+        E[i, j] = E[j, i] = 1.0
+        mats.append(E)
     rng = np.random.default_rng(seed)
-    mats = list(basis)
     while len(mats) < count:
         A = rng.uniform(-1.0, 1.0, size=(3, 3))
         S = 0.5 * (A + A.T)
@@ -719,12 +714,13 @@ def _grid_graph(cm: ChartMetric, grid: GridSpec):
 
     Edge (x, x + o*dx) gets weight dx * sqrt(o^T g(mid) o), the length
     of the straight segment in the metric at its midpoint.  The metric
-    reads only the chart coordinate, so each offset's lengths are computed
-    once per value of it (the axis when o keeps it, else the axis
-    midpoints) and broadcast over the other two axes.
+    reads only the chart coordinate: it is evaluated once on the axis, for
+    the offsets that keep it, and once on the axis midpoints, for the rest,
+    and each offset's lengths are broadcast over the other two axes.
     """
     grid.require_memory(_GRAPH_BYTES, "its metric graph")
     npts, ax = grid.npts, grid.axis()
+    g_axis, g_mid = cm.metric(ax), cm.metric(0.5 * (ax[:-1] + ax[1:]))
     idx = np.arange(npts ** 3).reshape((npts,) * 3)
     offsets = [(a, b, c) for a in (-1, 0, 1) for b in (-1, 0, 1)
                for c in (-1, 0, 1) if (a, b, c) > (0, 0, 0)]
@@ -736,9 +732,9 @@ def _grid_graph(cm: ChartMetric, grid: GridSpec):
                        else slice(None, -1) if o == -1 else slice(None)
                        for o in off)
         src = idx[sl_src]
-        mid = ax if off[cm.axis] == 0 else 0.5 * (ax[:-1] + ax[1:])
         o = np.asarray(off, dtype=float)
-        length = grid.dx * np.sqrt(np.einsum("i,...ij,j->...", o, cm.metric(mid), o))
+        g = g_axis if off[cm.axis] == 0 else g_mid
+        length = grid.dx * np.sqrt(np.einsum("i,...ij,j->...", o, g, o))
         rows.append(src.ravel())
         cols.append(idx[sl_dst].ravel())
         weights.append(np.broadcast_to(_on_axis(cm, length), src.shape).ravel())

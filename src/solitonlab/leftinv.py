@@ -74,7 +74,7 @@ def sym2(h, n=None) -> np.ndarray:
     """Validate symmetric 2-tensors (matrices) and return symmetrized copies.
 
     ``h`` has shape ``(..., n, n)``; each matrix of the stack is checked
-    against its own scale.
+    against its own scale, and one non-finite entry refuses the stack.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
@@ -85,6 +85,8 @@ def sym2(h, n=None) -> np.ndarray:
         raise InvalidMetric("tensor is empty")
     ht = h.swapaxes(-1, -2)
     scale = np.abs(h).max(axis=(-2, -1))
+    if not np.isfinite(scale).all():   # a NaN or inf entry gives a non-finite scale
+        raise InvalidMetric("tensor has non-finite entries")
     if np.any(np.abs(h - ht).max(axis=(-2, -1)) > SYM_TOL * scale):
         raise InvalidMetric("tensor is not symmetric")
     return 0.5 * (h + ht)

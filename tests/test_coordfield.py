@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from solitonlab import catalog, coordfield
+from solitonlab import catalog, coordfield, leftinv
 from solitonlab.coordfield import (
     _BLOCK,
     _FIELD_SHAPES,
+    ChartMetric,
     GridSpec,
     _curvature_block,
     _diff1,
@@ -319,6 +320,81 @@ def test_metric_jets_hyp3_exponential():
     e = np.exp(1.0)   # e^{2z} at z = 1/2
     assert abs(dg[0, 2, 0, 0] - 2 * e) < 1e-6
     assert abs(d2g[0, 2, 2, 0, 0] - 4 * e) < 1e-5
+
+
+def _ref_metric_jets(name, p):
+    """Analytic d_t g and d_t^2 g of `_ref_metric` in the chart coordinate."""
+    x, z = p[..., 0], p[..., 2]
+    dg, d2g = np.zeros(p.shape[:-1] + (3, 3)), np.zeros(p.shape[:-1] + (3, 3))
+    if name == "nil3":
+        dg[..., 1, 1] = 2.0 * x
+        dg[..., 1, 2] = dg[..., 2, 1] = -1.0
+        d2g[..., 1, 1] = 2.0
+    else:
+        s = -1.0 if name == "sol3" else 1.0
+        dg[..., 0, 0], d2g[..., 0, 0] = 2.0 * s * np.exp(2.0 * s * z), 4.0 * np.exp(2.0 * s * z)
+        dg[..., 1, 1], d2g[..., 1, 1] = 2.0 * np.exp(2.0 * z), 4.0 * np.exp(2.0 * z)
+    return dg, d2g
+
+
+@pytest.mark.parametrize("name", ["nil3", "sol3", "hyp3"])
+def test_metric_jets_match_analytic_derivatives(name):
+    """dg and d2g equal the derivatives of the closed-form metric to 1e-15
+    relative, entry by entry (a zero entry exactly)."""
+    cm = chart_metric(name)
+    pts = np.random.default_rng(11).uniform(-4.0, 4.0, size=(500, 3))
+    pts[:33, cm.axis] = GridSpec(radius=4.0, dx=0.25).axis()
+    _, dg, d2g = metric_jets(cm, pts)
+    ref_dg, ref_d2g = _ref_metric_jets(name, pts)
+    np.testing.assert_allclose(dg[:, cm.axis], ref_dg, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(d2g[:, cm.axis, cm.axis], ref_d2g, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("name, entry, sign", [("nil3", "nil3", -1.0),
+                                               ("sol3", "sol3", -1.0),
+                                               ("hyp3", "hyp_3", 1.0)])
+def test_chart_generator_is_signed_ad_of_the_catalog_algebra(name, entry, sign):
+    """A = sign * ad_{e_axis} of the catalog algebra (hyp3 is the z -> -z
+    mirror of the other two conventions), held read-only, and C(0) = I."""
+    cm = chart_metric(name)
+    assert np.array_equal(cm.A, sign * catalog.get(entry).algebra.ad_stack[cm.axis])
+    assert cm.A.dtype == np.float64 and not cm.A.flags.writeable
+    assert np.array_equal(cm.coframe(0.0), np.eye(3))
+
+
+@pytest.mark.parametrize("A, match", [
+    # N = e_01 is nilpotent but does not commute with diag(1, 0, 0)
+    (np.diag([1.0, 0.0, 0.0]) + np.eye(3, k=1), "off-diagonal part"),
+    # N commutes with diag A = 0 but N^3 = N
+    ([[0, 1, 0], [1, 0, 0], [0, 0, 0]], "off-diagonal part"),
+    (np.diag([1.0, np.nan, 0.0]), "finite 3x3"),
+    (np.eye(2), "finite 3x3"),
+])
+def test_chart_refuses_a_bad_generator(A, match):
+    with pytest.raises(InvalidInput, match=match):
+        ChartMetric("sol3", A, axis=2)
+
+
+@pytest.mark.parametrize("dx", [0.5, 0.25])
+@pytest.mark.parametrize("name", ["nil3", "sol3", "hyp3"])
+def test_chart_curvature_pulls_back_to_the_left_invariant_one(name, dx):
+    """At every line point of an R = 8 grid, ric, Rm and scal pulled back to
+    the left-invariant frame with C^-1 = C(-t) equal `leftinv`'s for the
+    catalog algebra at the identity metric, to 1e-13 of the largest entry."""
+    cm = chart_metric(name)
+    grid = GridSpec(radius=8.0, dx=dx)
+    pts = np.zeros((grid.npts, 3))
+    pts[:, cm.axis] = grid.axis()
+    f = curvature_fields(cm, pts)
+    Ci = cm.coframe(-grid.axis())
+    L = catalog.get(name).algebra
+    pkg = leftinv.curvature(L, np.eye(3))
+    ric = np.einsum("...pq,...pi,...qj->...ij", f["ric"], Ci, Ci)
+    Rm = np.einsum("...pqrs,...pi,...qj,...rk,...sl->...ijkl", f["Rm"], Ci, Ci, Ci, Ci)
+    ref_ric = leftinv.ricci(L, np.eye(3))
+    assert np.max(np.abs(ric - ref_ric)) <= 1e-13 * np.max(np.abs(ref_ric))
+    assert np.max(np.abs(Rm - pkg.Rm)) <= 1e-13 * np.max(np.abs(pkg.Rm))
+    assert np.max(np.abs(f["scal"] - pkg.scal)) <= 1e-13 * abs(pkg.scal)
 
 
 @pytest.mark.parametrize("name", ["nil3", "sol3", "hyp3"])

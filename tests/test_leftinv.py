@@ -228,6 +228,25 @@ def test_sym2_accepts_zero_tensor():
     assert np.array_equal(sym2(np.zeros((2, 3, 3))), np.zeros((2, 3, 3)))
 
 
+def test_sym2_refuses_non_finite_tensors():
+    """A NaN or inf entry is refused, not passed on as symmetric: the
+    comparison against a non-finite scale is False."""
+    for h in ([[1.0, np.nan], [np.nan, 1.0]], [[1.0, np.inf], [0.0, 1.0]],
+              [[1.0, np.inf], [np.inf, 1.0]], [[-np.inf, 0.0], [0.0, 1.0]]):
+        with pytest.raises(InvalidMetric, match="non-finite"):
+            sym2(h)
+    hs = np.stack([np.eye(3)] * 4)
+    hs[2, 1, 1] = np.nan
+    with pytest.raises(InvalidMetric, match="non-finite"):
+        sym2(hs)
+    L = catalog.get("sol3").algebra
+    pkg = curvature(L, np.eye(3))
+    for op in (lambda h: curvature_action(pkg, h),
+               lambda h: lichnerowicz(L, np.eye(3), h, pkg=pkg)):
+        with pytest.raises(InvalidMetric, match="non-finite"):
+            op(hs)
+
+
 def test_lie_derivative_term():
     D = np.diag([1.0, 2.0, 3.0])
     h = np.array([[2.0, 1.0, 0.0], [1.0, 4.0, -1.0], [0.0, -1.0, 6.0]])
