@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run the tier-1 command of ROADMAP.md, exit with pytest's exit code, and
-append pytest's count line, its wall time, peak RSS, five slowest tests and
-the line counts of src/solitonlab/*.py (tracked in ROADMAP.md like a
-benchmark) to $GITHUB_STEP_SUMMARY (stderr if unset).
+append the Python, numpy and scipy versions it ran on, pytest's count line,
+its wall time, peak RSS, five slowest tests and the line counts of
+src/solitonlab/*.py (tracked in ROADMAP.md like a benchmark) to
+$GITHUB_STEP_SUMMARY (stderr if unset).
 
     python .github/tier1.py
 """
@@ -13,6 +14,7 @@ import resource
 import subprocess
 import sys
 import time
+from importlib.metadata import version
 from pathlib import Path
 
 env = dict(os.environ)
@@ -33,7 +35,12 @@ peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
 slowest = [m.groups() for m in map(re.compile(r"(\d+\.\d+)s (\w+) +(\S+)").match, output) if m]
 # pytest's final count line: "400 passed, 1 skipped in 18.73s" (maybe "="-framed)
 counts = [m.group(1) for m in map(re.compile(r"[= ]*(\d+ \w+.*) in [\d.]+s").match, output) if m]
-lines = [f"tier-1: exit code {code}, {counts[-1] if counts else 'no count line'}, "
+# the stack pytest ran on (the same interpreter), read from package metadata
+# so that numpy and scipy are not imported here
+stack = (f"Python {sys.version.split()[0]}, numpy {version('numpy')}, "
+         f"scipy {version('scipy')}")
+lines = [f"tier-1 on {stack}: exit code {code}, "
+         f"{counts[-1] if counts else 'no count line'}, "
          f"{wall:.1f} s wall, peak RSS {peak_mb:.0f} MB\n"]
 lines += [f"- {sec} s ({phase}): `{test}`\n" for sec, phase, test in slowest[:5]]
 # source size as `wc -l src/solitonlab/*.py` prints it, in a code block so the

@@ -22,8 +22,9 @@ from .soliton import (SolitonCertificate, VerificationReport,
 from .stability import (StabilityReport, classify, decay_abscissa, ode_jacobian,
                         stability_operator)
 from .flow import (ConvergenceExperiment, FitResult, FlowTrajectory,
-                   convergence_experiment, fit_decay_rate, integrate, perturb,
-                   predicted_rate, relax_fit, rhs_normalized, rhs_unnormalized)
+                   convergence_experiment, fit_decay_rate, flow_field, integrate,
+                   perturb, predicted_rate, relax_fit, rhs_normalized,
+                   rhs_unnormalized)
 from .coordfield import (AnnulusCover, ChartMetric, GridSpec, WeightSpec,
                          apply_L_fd, build_annulus_cover, chart_metric,
                          distance_field, probe_tensor_suite, radial_bump,

@@ -29,7 +29,7 @@ from . import catalog
 from .errors import (InvalidInput, InvalidPerturbation, NotInCatalog,
                      SingularityReached, StiffnessError, UnsupportedDerivation)
 from .leftinv import check_metric
-from .liealg import LieAlgebra, check_tol, validate
+from .liealg import LieAlgebra, check_seed, check_tol, validate
 from .soliton import exact_unnormalized_solution, solve_soliton
 
 # InvalidInput covers its subclasses (InvalidMetric, InvalidWeight, DomainError,
@@ -228,8 +228,8 @@ def _csv_text(traj, devs, exact_devs=None) -> str:
 
 
 def cmd_flow(args) -> int:
-    from .flow import (integrate, perturb, predicted_rate, relax_fit,
-                       rhs_normalized, rhs_unnormalized)
+    from .flow import flow_field, integrate, perturb, predicted_rate, relax_fit
+    check_seed(args.seed)              # echoed in the report even when unused
     L, g0, name = resolve_target(args.target)
     g0 = check_metric(g0)
     cert = solve_soliton(L, g0)
@@ -240,10 +240,7 @@ def cmd_flow(args) -> int:
         return 1
 
     g_init = perturb(g0, args.perturb, args.seed) if args.perturb else g0.copy()
-    if args.mode == "normalized":
-        rhs = lambda g: rhs_normalized(L, g, cert)
-    else:
-        rhs = lambda g: rhs_unnormalized(L, g)
+    rhs = flow_field(L, cert if args.mode == "normalized" else None)
     traj = integrate(rhs, g_init, args.t_max, dt=args.dt, method=args.method,
                      tol=args.tol)
     devs = np.linalg.norm(traj.metrics - g0, axis=(1, 2))

@@ -32,6 +32,7 @@ from . import catalog
 from .errors import (GridTooCoarse, GridTooLarge, InvalidInput, InvalidWeight,
                      NotInCatalog)
 from .leftinv import SYM_TOL
+from .liealg import check_seed
 
 _BLOCK = 1024  # points per block of the pointwise curvature algebra
 
@@ -684,6 +685,7 @@ def probe_tensor_suite(cm: ChartMetric, grid: GridSpec, count: int = 20,
     """
     if count < 1:
         raise InvalidInput("count must be positive")
+    check_seed(seed)
     # the suite's 9 doubles per point and tensor, held next to the operator
     grid.require_memory(_POINT_BYTES + 72 * count,
                         f"its coordinates, operator and {count} probe tensors")
@@ -831,6 +833,7 @@ def weighted_holder_norm(cover: AnnulusCover, h: np.ndarray, k: int,
         raise InvalidInput(f"k must be 0, 1 or 2, got {k}")
     if not 0.0 < alpha < 1.0:
         raise InvalidInput(f"alpha must lie in (0, 1), got {alpha}")
+    check_seed(seed)
     h = np.asarray(h, dtype=float)
     grid = cover.grid
     shape = (grid.npts,) * 3 + (3, 3)

@@ -6,6 +6,9 @@ certificate:
 
     dg/dt = -2 ric(g) + 2 lambda g + D^T g + g D.
 
+``flow_field`` builds either vector field once per integration; each call
+is one ``leftinv.ricci_kernel`` evaluation and one symmetrization.
+
 Integrators: classic fixed-step RK4 (used for convergence-order tests) and
 adaptive Dormand-Prince 8(5,3) (Hairer-Norsett-Wanner, *Solving ODEs I*,
 II.5 and II.10), stepped one accepted step at a time through
@@ -22,8 +25,8 @@ from scipy.linalg.lapack import dpotrf
 
 from .errors import (InvalidInput, InvalidMetric, InvalidPerturbation,
                      SingularityReached, StiffnessError)
-from .liealg import LieAlgebra, check_tol
-from .leftinv import check_metric, ricci
+from .liealg import LieAlgebra, check_seed, check_tol
+from .leftinv import check_metric, ricci_kernel
 from .soliton import SolitonCertificate
 from .stability import decay_abscissa, ode_jacobian
 
@@ -53,16 +56,39 @@ class FlowTrajectory:
 
 
 def rhs_unnormalized(L: LieAlgebra, g) -> np.ndarray:
-    """-2 ric(g) as a bilinear form in the defining basis."""
-    return -2.0 * ricci(L, g)
+    """-2 ric(g) = -(r + r^T) as a bilinear form in the defining basis."""
+    r = ricci_kernel(L, g)[1]
+    return -(r + r.T)
+
+
+def flow_field(L: LieAlgebra, cert: SolitonCertificate | None = None):
+    """The flow's vector field g -> dg/dt, built once per integration.
+
+    Without a certificate it is ``rhs_unnormalized``.  With one, (lambda, D)
+    are checked here, once, and M = lambda I + D is formed once; each call
+    is then S + S^T with S = g M - r (``ricci_kernel``'s g and r), which is
+    -2 ric(g) + 2 lambda g + D^T g + g D in one exactly symmetric sum.
+    """
+    if cert is None:
+        return lambda g: rhs_unnormalized(L, g)
+    D = cert.D
+    if D.shape != (L.n, L.n) or not np.isfinite(D).all():
+        raise InvalidInput(f"certificate derivation must be a finite {L.n}x{L.n} matrix")
+    if not np.isfinite(cert.lam):
+        raise InvalidInput(f"certificate lambda must be finite, got {cert.lam}")
+    M = cert.lam * np.eye(L.n) + D
+
+    def field(g):
+        g, r = ricci_kernel(L, g)      # validates g before any arithmetic
+        S = g.dot(M)
+        S -= r
+        return S + S.T
+    return field
 
 
 def rhs_normalized(L: LieAlgebra, g, cert: SolitonCertificate) -> np.ndarray:
-    """-2 ric(g) + 2 lambda g + D^T g + g D with (lambda, D) from the certificate."""
-    ric = ricci(L, g)                  # validates g before any arithmetic
-    g = np.asarray(g, dtype=float)
-    gM = g.dot(cert.D) + cert.lam * g  # g M with M = lambda I + D
-    return (gM + gM.T) - 2.0 * ric     # exactly symmetric
+    """-2 ric(g) + 2 lambda g + D^T g + g D: ``flow_field(L, cert)(g)``."""
+    return flow_field(L, cert)(g)
 
 
 def _is_spd(g) -> bool:
@@ -171,12 +197,13 @@ def perturb(g0, eps, seed) -> np.ndarray:
     """
     g0 = check_metric(g0)
     eps = float(eps)
-    if eps < 0 or eps >= 0.5:
+    if not 0 <= eps < 0.5:
         raise InvalidInput(f"eps must lie in [0, 0.5), got {eps}")
+    check_seed(seed)
     if eps == 0.0:
         return g0.copy()
     n = g0.shape[0]
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(seed)
     iu = np.triu_indices(n)
     scale = eps * float(np.linalg.norm(g0))
     for _ in range(100):
@@ -234,8 +261,11 @@ def relax_fit(traj: FlowTrajectory, omega, floor) -> FitResult:
     decay read too steep.  ``ok`` is the c06 verdict: R^2 >= 0.98 and the
     fitted rate within 20 % of ``omega``.  With ``omega`` None (no decaying
     mode) or fewer than 3 samples at or above ``floor`` no window is placed
-    (``window`` None, ``ok`` False).
+    (``window`` None, ``ok`` False).  Any other ``omega`` must be finite
+    and positive.
     """
+    if omega is not None and not (np.isfinite(omega) and omega > 0):
+        raise InvalidInput(f"omega must be finite and positive, got {omega}")
     devs = np.linalg.norm(traj.metrics - traj.metrics[-1], axis=(1, 2))
     above = np.flatnonzero(devs >= floor)
     if omega is None or above.size < 3:
@@ -274,7 +304,7 @@ def convergence_experiment(L: LieAlgebra, g0, cert: SolitonCertificate,
         raise InvalidInput("no decaying modes: cannot set an experiment window")
     g0 = check_metric(g0)
     g_start = perturb(g0, eps, seed)
-    traj = integrate(lambda g: rhs_normalized(L, g, cert), g_start, 24.0 / omega,
+    traj = integrate(flow_field(L, cert), g_start, 24.0 / omega,
                      dt=min(1e-3, 0.01 / omega), method="dop853",
                      tol=RELAX_TOL, max_step=1.0 / omega)
     fit = relax_fit(traj, omega, 10.0 * RELAX_TOL * float(np.linalg.norm(g0)))

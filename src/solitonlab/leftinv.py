@@ -12,9 +12,11 @@ convention
 pinned by requiring the 2D hyperbolic model ([e2,e1] = e1) to have
 sectional curvature K = R_1212 = -1.
 
-The flow right-hand side needs only the Ricci form; ``ricci`` computes it
-in the defining basis from a closed formula, without the frame or ``Rm``.
-Each public function validates and factors its metric once.
+The flow right-hand side needs only the Ricci form.  ``ricci_kernel``
+computes it in the defining basis from a closed formula, without the frame
+or ``Rm``: one stacked Gram product on constants built once per algebra,
+plus the mean-curvature term only on non-unimodular algebras.  Each public
+function validates and factors its metric once.
 
 The operators on symmetric 2-tensors (``sym2``, ``curvature_action``,
 ``lichnerowicz``, ``lie_derivative_term``) accept leading batch axes, so a
@@ -172,8 +174,8 @@ def curvature(L: LieAlgebra, g) -> CurvaturePackage:
                             ric_frame=ric_frame, ric=ric, Rc=Rc, scal=scal)
 
 
-def ricci(L: LieAlgebra, g) -> np.ndarray:
-    """Ricci form of (L, g) in the defining basis, without forming ``Rm``.
+def ricci_kernel(L: LieAlgebra, g) -> tuple[np.ndarray, np.ndarray]:
+    """``(g, r)``: g validated and factored once, and r with ric = (r + r^T)/2.
 
     For a left-invariant metric with orthonormal basis (f_i), Killing form
     B and mean curvature vector Z (``<Z, X> = tr ad_X``), Besse, *Einstein
@@ -185,19 +187,38 @@ def ricci(L: LieAlgebra, g) -> np.ndarray:
 
     With g = C C^T, F = C^{-T} and P = c F, the frame sums are the Gram
     matrices Y Y^T and W W^T of the balanced products Y[a] = C^T ad_a F and
-    W[a] = (g F^T P)[a] = (<[f_i, f_j], e_a>)_ij, and ad_Z = -P F^T tau
-    (tau the trace form).  Y, W and g P F^T tau do not change under g -> t g,
-    so ric(t g) = ric(g) to rounding for t in [1e-200, 1e200].  g is validated
-    and factored once; ``curvature().ric`` is the full-``Rm`` reference.
+    W[a] = (g F^T P)[a] = (<[f_i, f_j], e_a>)_ij.  Both are written side by
+    side into one (n, 2 n^2) block S, so -1/2 Y Y^T + 1/4 W W^T is the one
+    product (S * coef) S^T with the algebra's Gram coefficient row.  The
+    mean-curvature term g P F^T tau (ad_Z = -P F^T tau) is added only when
+    the trace form tau is nonzero: on a unimodular algebra it is identically
+    zero, so skipping it is exact.  Y, W and g P F^T tau do not change under
+    g -> t g, so ric(t g) = ric(g) to rounding for t in [1e-200, 1e200].
     """
     g, C = _factor(g, L.n)
+    n = L.n
     F = dtrtri(C, lower=1)[0].T
-    P = L.c.reshape(-1, L.n).dot(F).reshape(L.c.shape)
-    Y = (C.T @ P.transpose(1, 0, 2)).reshape(L.n, -1)
-    W = g.dot((F.T @ P).reshape(L.n, -1))
-    ric = (0.25 * W.dot(W.T) - 0.5 * (Y.dot(Y.T) + L.killing)
-           + g.dot(P.dot(L.trace_form.dot(F))))
-    return 0.5 * (ric + ric.T)
+    P = L._c_rows.dot(F).reshape(n, n, n)
+    Y = C.T @ P.transpose(1, 0, 2)
+    W = g.dot((F.T @ P).reshape(n, -1))
+    S = np.concatenate((Y.reshape(n, -1), W), axis=1)
+    r = (S * L._gram_coef).dot(S.T)
+    r += L._neg_half_killing
+    if L._tau is not None:
+        r += g.dot(P.dot(L._tau.dot(F)))
+    return g, r
+
+
+def ricci(L: LieAlgebra, g) -> np.ndarray:
+    """Ricci form of (L, g) in the defining basis, without forming ``Rm``.
+
+    ``ricci_kernel``'s r, symmetrized; ``curvature().ric`` is the full-``Rm``
+    reference.
+    """
+    r = ricci_kernel(L, g)[1]
+    ric = r + r.T                      # r += r.T would copy r.T first
+    ric *= 0.5
+    return ric
 
 
 def curvature_action(pkg: CurvaturePackage, h) -> np.ndarray:

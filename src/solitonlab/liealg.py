@@ -3,7 +3,8 @@
 A Lie algebra is stored as its dimension together with the sparse list of
 bracket entries ``[e_i, e_j] = sum_k c^k_ij e_k`` for ``i < j``; the dense
 ``c[k, i, j]`` tensor (antisymmetric in ``i, j``) and the per-algebra
-constants of the curvature formulas (ad stack, Killing form, trace form)
+constants of the curvature formulas (ad stack, Killing form, trace form,
+and the Ricci kernel's row view of c, -B/2, Gram coefficients and tau)
 are built once, when the algebra is constructed.
 All algebraic identities are checked in double precision against absolute
 tolerances: the inputs of interest are O(1) rationals.
@@ -11,6 +12,7 @@ tolerances: the inputs of interest are O(1) rationals.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +46,13 @@ class LieAlgebra:
     _ad: np.ndarray = field(init=False, repr=False, compare=False)
     _killing: np.ndarray = field(init=False, repr=False, compare=False)
     _trace_form: np.ndarray = field(init=False, repr=False, compare=False)
+    # constants of ``leftinv.ricci_kernel``: c as (n^2, n) rows, -B/2, the
+    # Gram coefficient row (-1/2 on the Y half, 1/4 on the W half) and the
+    # trace form, or None when it is exactly zero
+    _c_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    _neg_half_killing: np.ndarray = field(init=False, repr=False, compare=False)
+    _gram_coef: np.ndarray = field(init=False, repr=False, compare=False)
+    _tau: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n <= 0:
@@ -68,10 +77,14 @@ class LieAlgebra:
         ad = np.ascontiguousarray(np.transpose(c, (1, 0, 2)))
         killing = np.einsum("aij,bji->ab", ad, ad)
         trace_form = np.einsum("kik->i", c)
+        nn = self.n * self.n
         for name, arr in (("_dense", c), ("_ad", ad), ("_killing", killing),
-                          ("_trace_form", trace_form)):
+                          ("_trace_form", trace_form), ("_c_rows", c.reshape(nn, self.n)),
+                          ("_neg_half_killing", -0.5 * killing),
+                          ("_gram_coef", np.repeat((-0.5, 0.25), nn))):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_tau", trace_form if trace_form.any() else None)
 
     @property
     def c(self) -> np.ndarray:
@@ -125,6 +138,12 @@ def check_tol(tol) -> None:
     """Raise ``InvalidInput`` unless ``tol`` is finite and positive."""
     if not (np.isfinite(tol) and tol > 0):
         raise InvalidInput(f"tolerance must be positive, got {tol}")
+
+
+def check_seed(seed) -> None:
+    """Raise ``InvalidInput`` unless ``seed`` is a non-negative integer."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InvalidInput(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def validate(L: LieAlgebra, tol: float = TOL_ALG) -> ValidationReport:

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -116,6 +117,22 @@ def test_empty_probe_suite_is_usage_error(capsys):
     assert out == ""
     assert err.startswith("error: ") and "count must be positive" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, msg", [
+    (("flow", "nil3", "--perturb", "0.01", "--seed", "-1"), "seed must be a non-negative integer"),
+    (("flow", "nil3", "--seed", "-1"), "seed must be a non-negative integer"),
+    (("rayleigh", "nil3", "--seed", "-1", "--radius", "2", "--dx", "0.25"),
+     "seed must be a non-negative integer"),
+    (("flow", "nil3", "--perturb", "nan"), r"eps must lie in \[0, 0.5\), got nan"),
+])
+def test_bad_seed_or_perturbation_is_usage_error(tmp_path, capsys, argv, msg):
+    code, out, err = run_main(capsys, *argv, "--out", str(tmp_path / "run.csv"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and re.search(msg, err), err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
 
 
 # -------------------------------------------------------------- validate

@@ -910,6 +910,18 @@ def test_weighted_holder_norm_properties():
     assert abs(n3 - 3.0 * n0) < 1e-10 * max(1.0, n3)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
+def test_seeded_coordfield_functions_refuse_bad_seed(seed):
+    # a negative seed reached numpy's ValueError, a float one its TypeError
+    cm = chart_metric("nil3")
+    with pytest.raises(InvalidInput, match="seed must be a non-negative integer"):
+        probe_tensor_suite(cm, GRID, count=8, seed=seed)
+    h = probe_tensor_suite(cm, GRID, count=1, seed=0)[0]
+    with pytest.raises(InvalidInput, match="seed must be a non-negative integer"):
+        weighted_holder_norm(build_annulus_cover(cm, GRID), h, 0, 0.5,
+                             WeightSpec(a=0.0, n=3, tau=2.0), seed)
+
+
 def _reference_norm(cover, h, k, alpha, w, seed, searches):
     """The exhaustive weighted norm: every sampled source is searched.
     `searches(sources)` is `cover.pair_distances`, cached by the caller."""

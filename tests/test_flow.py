@@ -20,13 +20,14 @@ from solitonlab.flow import (
     FlowTrajectory,
     convergence_experiment,
     fit_decay_rate,
+    flow_field,
     integrate,
     perturb,
     relax_fit,
     rhs_normalized,
     rhs_unnormalized,
 )
-from solitonlab.leftinv import curvature
+from solitonlab.leftinv import curvature, ricci
 from solitonlab.liealg import change_basis
 from solitonlab.soliton import (SolitonCertificate, exact_unnormalized_solution,
                                 solve_soliton)
@@ -85,6 +86,39 @@ def test_rhs_normalized_validates_before_arithmetic(g, msg):
     cert = solve_soliton(NIL3.algebra, NIL3.metric)
     with pytest.raises(InvalidMetric, match=msg):
         rhs_normalized(NIL3.algebra, g, cert)
+
+
+@pytest.mark.parametrize("name", ["nil3", "sol3", "heis5", "hyp_4", "heis3_ext"])
+def test_flow_field_is_the_rhs_bit_for_bit(name):
+    """The field built once per integration gives the one-call forms' bits."""
+    e = catalog.get(name)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    Q, _ = np.linalg.qr(rng.standard_normal((e.algebra.n, e.algebra.n)))
+    g0 = np.asarray(e.metric, dtype=float)
+    for L, gb in ((e.algebra, g0), (change_basis(e.algebra, Q), Q @ g0 @ Q.T)):
+        cert = solve_soliton(L, gb)
+        normalized, unnormalized = flow_field(L, cert), flow_field(L)
+        for g in (gb, perturb(gb, 0.05, seed=2), 1e150 * gb):
+            assert np.array_equal(normalized(g), rhs_normalized(L, g, cert))
+            assert np.array_equal(unnormalized(g), rhs_unnormalized(L, g))
+            assert np.array_equal(unnormalized(g), -2.0 * ricci(L, g))
+
+
+@pytest.mark.parametrize("lam, D, msg", [
+    (-1.0, np.eye(4), "finite 3x3 matrix"),
+    (-1.0, np.diag([1.0, np.nan, 1.0]), "finite 3x3 matrix"),
+    (-1.0, np.diag([1.0, np.inf, 1.0]), "finite 3x3 matrix"),
+    (np.nan, np.eye(3), "lambda must be finite"),
+    (-np.inf, np.eye(3), "lambda must be finite"),
+])
+def test_flow_field_refuses_bad_certificate(lam, D, msg):
+    # unchecked, a 4x4 D reached g M as numpy's ValueError and a NaN lambda
+    # gave a NaN field
+    cert = SolitonCertificate(lam, D, 0.0, "none")
+    with pytest.raises(InvalidInput, match=msg):
+        flow_field(NIL3.algebra, cert)
+    with pytest.raises(InvalidInput, match=msg):
+        rhs_normalized(NIL3.algebra, np.eye(3), cert)
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (2, 0, 0)])
@@ -242,6 +276,22 @@ def test_perturb_properties():
         perturb(rng_metric, 0.7, seed=0)
 
 
+@pytest.mark.parametrize("eps", [np.nan, -np.inf, np.inf, -0.01, 0.5])
+def test_perturb_refuses_eps_outside_range(eps):
+    # a NaN eps used to draw 100 times and then give up
+    with pytest.raises(InvalidInput, match=r"eps must lie in \[0, 0.5\)"):
+        perturb(np.eye(3), eps, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, True, "3", None])
+def test_perturb_refuses_bad_seed(seed):
+    # a float seed used to be truncated, a negative one reached numpy's ValueError
+    with pytest.raises(InvalidInput, match="seed must be a non-negative integer"):
+        perturb(np.eye(3), 0.01, seed=seed)
+    assert np.array_equal(perturb(np.eye(3), 0.01, seed=np.int64(3)),
+                          perturb(np.eye(3), 0.01, seed=3))
+
+
 def test_fit_decay_rate_on_synthetic_data():
     times = np.linspace(0.0, 12.0, 241)
     g_inf = np.diag([2.0, 1.0, 1.0])
@@ -284,6 +334,10 @@ def test_relax_fit_places_window_by_predicted_rate():
     for omega, floor in ((None, 1e-12), (0.75, 1.0)):
         fit = relax_fit(traj, omega, floor)
         assert fit.window is None and fit.n_points == 0 and not fit.ok
+    # a zero rate used to divide by zero, and a NaN one still placed a window
+    for omega in (0.0, -0.75, np.nan, np.inf):
+        with pytest.raises(InvalidInput, match="omega must be finite and positive"):
+            relax_fit(traj, omega, 1e-12)
 
 
 def test_unnormalized_flow_matches_exact_solution_sol3():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from solitonlab import catalog
 from solitonlab.errors import InvalidInput, InvalidMetric
+from solitonlab.flow import flow_field, rhs_normalized, rhs_unnormalized
 from solitonlab.leftinv import (
     check_metric,
     curvature,
@@ -23,6 +24,7 @@ from solitonlab.leftinv import (
     sym2,
 )
 from solitonlab.liealg import LieAlgebra, change_basis
+from solitonlab.soliton import solve_soliton
 
 from conftest import random_spd
 
@@ -360,5 +362,12 @@ def test_ricci_covariant_under_orthogonal_change(name, seed):
     (np.ones(3), "must be square"),
 ])
 def test_ricci_rejects_invalid_metric(g, msg):
-    with pytest.raises(InvalidMetric, match=msg):
-        ricci(catalog.get("nil3").algebra, g)
+    # the Ricci form and both flow fields validate g by the same rules
+    e = catalog.get("nil3")
+    cert = solve_soliton(e.algebra, e.metric)
+    for entry in (lambda g: ricci(e.algebra, g),
+                  lambda g: rhs_unnormalized(e.algebra, g),
+                  lambda g: rhs_normalized(e.algebra, g, cert),
+                  flow_field(e.algebra), flow_field(e.algebra, cert)):
+        with pytest.raises(InvalidMetric, match=msg):
+            entry(g)

@@ -87,7 +87,16 @@ def test_curvature_constants_match_definitions():
         assert np.allclose(L.killing, [[np.trace(x @ y) for y in ads] for x in ads],
                            atol=1e-14), name
         assert np.array_equal(L.trace_form, [np.trace(x) for x in ads]), name
-        for arr in (L.c, L.ad_stack, L.killing, L.trace_form):
+        # the Ricci kernel's constants; tau is the trace form, or None
+        # exactly when the trace form is zero
+        nn = L.n * L.n
+        assert np.array_equal(L._c_rows, L.c.reshape(nn, L.n)), name
+        assert np.shares_memory(L._c_rows, L.c), name
+        assert np.array_equal(L._neg_half_killing, -0.5 * L.killing), name
+        assert np.array_equal(L._gram_coef, [-0.5] * nn + [0.25] * nn), name
+        assert L._tau is (L.trace_form if L.trace_form.any() else None), name
+        for arr in (L.c, L.ad_stack, L.killing, L.trace_form, L._c_rows,
+                    L._neg_half_killing, L._gram_coef):
             assert not arr.flags.writeable
 
 
