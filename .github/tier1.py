@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Run the tier-1 command of ROADMAP.md, exit with pytest's exit code, and
 append the Python, numpy and scipy versions it ran on, pytest's count line,
-its wall time, peak RSS, five slowest tests and the line counts of
-src/solitonlab/*.py (tracked in ROADMAP.md like a benchmark) to
-$GITHUB_STEP_SUMMARY (stderr if unset).
+its wall time, peak RSS, five slowest tests, the line counts of
+src/solitonlab/*.py (tracked in ROADMAP.md like a benchmark) and the
+fresh-process start-up time of `import solitonlab` and `solitonlab catalog`
+to $GITHUB_STEP_SUMMARY (stderr if unset).
 
     python .github/tier1.py
 """
@@ -48,6 +49,28 @@ lines += [f"- {sec} s ({phase}): `{test}`\n" for sec, phase, test in slowest[:5]
 sizes = {str(p): p.read_bytes().count(b"\n") for p in sorted(Path("src/solitonlab").glob("*.py"))}
 lines += ["```\n"] + [f"{n:6d} {path}\n" for path, n in sizes.items()]
 lines += [f"{sum(sizes.values()):6d} total\n", "```\n"]
+
+
+def startup(*args):
+    """Median wall time of 3 fresh `python <args>` processes, as text; a run
+    that fails is reported here and leaves the exit code alone."""
+    times = []
+    for _ in range(3):
+        t = time.perf_counter()
+        try:
+            run = subprocess.run([sys.executable, *args], env=env, timeout=120,
+                                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        except (OSError, subprocess.SubprocessError) as e:
+            return f"not run ({type(e).__name__})"
+        if run.returncode:
+            return f"failed (exit code {run.returncode})"
+        times.append(time.perf_counter() - t)
+    return f"{sorted(times)[1]:.3f} s"
+
+
+lines.append(f"start-up, median of 3 fresh processes: `import solitonlab` "
+             f"{startup('-c', 'import solitonlab')}, `solitonlab catalog` "
+             f"{startup('-m', 'solitonlab', 'catalog')}\n")
 summary = os.environ.get("GITHUB_STEP_SUMMARY")
 if summary:
     with open(summary, "a") as fh:

@@ -25,12 +25,12 @@ import tempfile
 
 import numpy as np
 
-from . import catalog
 from .errors import (InvalidInput, InvalidPerturbation, NotInCatalog,
                      SingularityReached, StiffnessError, UnsupportedDerivation)
-from .leftinv import check_metric
 from .liealg import LieAlgebra, check_seed, check_tol, validate
-from .soliton import exact_unnormalized_solution, solve_soliton
+
+# each subcommand imports the layers it runs, so that a fresh process loads
+# scipy only for the subcommands that need it
 
 # InvalidInput covers its subclasses (InvalidMetric, InvalidWeight, DomainError,
 # GridTooCoarse, GridTooLarge); any other exception is a bug, not a usage error
@@ -136,6 +136,7 @@ def parse_algebra_file(path: str):
             raise InvalidInput(f"{path}: metric must be a matrix of numbers") from None
         if g.shape != (n, n):
             raise InvalidInput(f"{path}: metric must be {n}x{n}")
+        from .leftinv import check_metric
         check_metric(g)
     name = os.path.splitext(os.path.basename(path))[0]
     return L, g, name
@@ -145,11 +146,13 @@ def resolve_target(target: str):
     """A positional argument is a file path if it exists, else a catalog name."""
     if os.path.exists(target):
         return parse_algebra_file(target)
+    from . import catalog
     entry = catalog.get(target)
     return entry.algebra, np.asarray(entry.metric), entry.name
 
 
-def export_algebra(entry: catalog.CatalogEntry) -> dict:
+def export_algebra(entry) -> dict:
+    """A catalog entry as an AlgebraFile object."""
     brackets = [{"i": int(i) + 1, "j": int(j) + 1, "k": int(k) + 1, "c": float(c)}
                 for i, j, k, c in entry.algebra.entries]
     return {"dim": entry.algebra.n, "brackets": brackets,
@@ -171,7 +174,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_soliton(args) -> int:
-    from .soliton import verify_soliton
+    from .soliton import solve_soliton, verify_soliton
     check_tol(args.tol)
     L, g, name = resolve_target(args.target)
     cert = solve_soliton(L, g)
@@ -186,6 +189,7 @@ def cmd_soliton(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from .soliton import solve_soliton
     from .stability import stability_operator
     L, g, name = resolve_target(args.target)
     cert = solve_soliton(L, g)
@@ -229,6 +233,8 @@ def _csv_text(traj, devs, exact_devs=None) -> str:
 
 def cmd_flow(args) -> int:
     from .flow import flow_field, integrate, perturb, predicted_rate, relax_fit
+    from .leftinv import check_metric
+    from .soliton import exact_unnormalized_solution, solve_soliton
     check_seed(args.seed)              # echoed in the report even when unused
     L, g0, name = resolve_target(args.target)
     g0 = check_metric(g0)
@@ -305,6 +311,7 @@ def cmd_weights(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from . import catalog
     if args.target:
         _emit(export_algebra(catalog.get(args.target)), args.out)
         return 0

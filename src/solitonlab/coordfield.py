@@ -24,15 +24,10 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate as _integrate
-from scipy import sparse as _sparse
-from scipy.sparse import csgraph as _csgraph
 
-from . import catalog
 from .errors import (GridTooCoarse, GridTooLarge, InvalidInput, InvalidWeight,
                      NotInCatalog)
-from .leftinv import SYM_TOL
-from .liealg import check_seed
+from .liealg import SYM_TOL, check_seed
 
 _BLOCK = 1024  # points per block of the pointwise curvature algebra
 
@@ -80,7 +75,7 @@ def _ball_volume_const(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
-def _log_volume_neg(a: float, n: int, R: float) -> float:
+def _log_volume_neg(a: float, n: int, R: float, quad) -> float:
     """log of the comparison volume V_a(R) for a < 0.
 
     V_a(R) = A_{n-1} * int_0^R (sinh(kappa*s)/kappa)^(n-1) ds with
@@ -88,7 +83,8 @@ def _log_volume_neg(a: float, n: int, R: float) -> float:
     the growth:
     int_0^R sinh(kappa s)^(n-1) ds
         = e^(kappa(n-1)R) * int_0^R e^(-kappa(n-1)u) ((1-e^(-2kappa(R-u)))/2)^(n-1) du
-    and integrate the bounded factor by quadrature.
+    and integrate the bounded factor by quadrature: `quad` is
+    `scipy.integrate.quad`, which the caller imports once.
     """
     kappa = math.sqrt(-a)
     rate = kappa * (n - 1)
@@ -97,7 +93,7 @@ def _log_volume_neg(a: float, n: int, R: float) -> float:
         return math.exp(-rate * u) * ((1.0 - math.exp(-2.0 * kappa * (R - u))) / 2.0) ** (n - 1)
 
     upper = min(R, 60.0 / rate) if rate > 0 else R
-    val, _err = _integrate.quad(integrand, 0.0, upper, limit=200)
+    val, _err = quad(integrand, 0.0, upper, limit=200)
     if val <= 0.0:
         return -math.inf
     return (math.log(n * _ball_volume_const(n)) - (n - 1) * math.log(kappa)
@@ -130,12 +126,13 @@ def summability_check(w: WeightSpec, N_max: int = 250_000) -> dict:
                 * ((M - 1.0) ** (-w.tau) + (M - 1.0) ** (1.0 - w.tau) / (w.tau - 1.0)))
         tail_finite = True
     else:
+        from scipy.integrate import quad
         kappa = math.sqrt(-w.a)
         log_terms = np.empty(len(Ns))
         partial = 0.0
         stop = len(Ns)
         for idx, N in enumerate(Ns):
-            lt = _log_volume_neg(w.a, w.n, 2.0 * N) - nt * (2.0 * N - 2.0)
+            lt = _log_volume_neg(w.a, w.n, 2.0 * N, quad) - nt * (2.0 * N - 2.0)
             log_terms[idx] = lt
             partial += math.exp(lt) if -700 < lt < 700 else 0.0
             # once terms are far below the running sum they cannot move it,
@@ -295,10 +292,12 @@ class ChartMetric:
 
     @property
     def lam(self) -> float:
+        from . import catalog
         return catalog.get(self.name).expected.lam
 
     @property
     def d(self) -> np.ndarray:
+        from . import catalog
         return np.diag(catalog.get(self.name).expected.D)
 
 
@@ -720,6 +719,7 @@ def _grid_graph(cm: ChartMetric, grid: GridSpec):
     the offsets that keep it, and once on the axis midpoints, for the rest,
     and each offset's lengths are broadcast over the other two axes.
     """
+    from scipy import sparse
     grid.require_memory(_GRAPH_BYTES, "its metric graph")
     npts, ax = grid.npts, grid.axis()
     g_axis, g_mid = cm.metric(ax), cm.metric(0.5 * (ax[:-1] + ax[1:]))
@@ -741,7 +741,7 @@ def _grid_graph(cm: ChartMetric, grid: GridSpec):
         cols.append(idx[sl_dst].ravel())
         weights.append(np.broadcast_to(_on_axis(cm, length), src.shape).ravel())
     n = npts ** 3
-    upper = _sparse.csr_matrix(
+    upper = sparse.csr_matrix(
         (np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n))
     return upper + upper.T  # symmetric: a directed search needs no conversion
@@ -750,7 +750,8 @@ def _grid_graph(cm: ChartMetric, grid: GridSpec):
 def _dijkstra(graph, grid: GridSpec, sources) -> np.ndarray:
     """Graph distances from flat node indices to every grid node, shaped
     `np.shape(sources)` + the grid."""
-    out = _csgraph.dijkstra(graph, directed=True, indices=sources)
+    from scipy.sparse import csgraph
+    out = csgraph.dijkstra(graph, directed=True, indices=sources)
     return out.reshape(np.shape(sources) + (grid.npts,) * 3)
 
 
@@ -776,7 +777,7 @@ class AnnulusCover:
 
     cm: ChartMetric
     grid: GridSpec
-    graph: _sparse.csr_matrix
+    graph: object  # scipy.sparse.csr_matrix
     dist: np.ndarray
     annuli: list = field(default_factory=list)
 

@@ -41,6 +41,9 @@ class InvalidWeight(InvalidInput):
 class NotInCatalog(KeyError):
     """Unknown catalog entry or chart model name."""
 
+    # the message as given: KeyError's own __str__ would print its repr, in quotes
+    __str__ = Exception.__str__
+
 
 class GridTooCoarse(InvalidInput):
     """Grid spacing too large for the finite-difference operator."""

@@ -27,7 +27,7 @@ from .errors import (InvalidInput, InvalidMetric, InvalidPerturbation,
                      SingularityReached, StiffnessError)
 from .liealg import LieAlgebra, check_seed, check_tol
 from .leftinv import check_metric, ricci_kernel
-from .soliton import SolitonCertificate
+from .soliton import SolitonCertificate, _check_cert
 from .stability import decay_abscissa, ode_jacobian
 
 
@@ -64,19 +64,15 @@ def rhs_unnormalized(L: LieAlgebra, g) -> np.ndarray:
 def flow_field(L: LieAlgebra, cert: SolitonCertificate | None = None):
     """The flow's vector field g -> dg/dt, built once per integration.
 
-    Without a certificate it is ``rhs_unnormalized``.  With one, (lambda, D)
-    are checked here, once, and M = lambda I + D is formed once; each call
+    Without a certificate it is ``rhs_unnormalized``.  With one, D is checked
+    against L here, once, and M = lambda I + D is formed once; each call
     is then S + S^T with S = g M - r (``ricci_kernel``'s g and r), which is
     -2 ric(g) + 2 lambda g + D^T g + g D in one exactly symmetric sum.
     """
     if cert is None:
         return lambda g: rhs_unnormalized(L, g)
-    D = cert.D
-    if D.shape != (L.n, L.n) or not np.isfinite(D).all():
-        raise InvalidInput(f"certificate derivation must be a finite {L.n}x{L.n} matrix")
-    if not np.isfinite(cert.lam):
-        raise InvalidInput(f"certificate lambda must be finite, got {cert.lam}")
-    M = cert.lam * np.eye(L.n) + D
+    _check_cert(cert, L.n)
+    M = cert.lam * np.eye(L.n) + cert.D
 
     def field(g):
         g, r = ricci_kernel(L, g)      # validates g before any arithmetic

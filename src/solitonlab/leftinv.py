@@ -34,10 +34,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .errors import InvalidMetric
-from .liealg import LieAlgebra, _as_matrix
-
-#: symmetry tolerance for metrics and symmetric 2-tensors, relative to max|entry|
-SYM_TOL = 1e-14
+from .liealg import SYM_TOL, LieAlgebra, _as_matrix
 
 
 def _factor(g, n=None) -> tuple[np.ndarray, np.ndarray]:

@@ -23,6 +23,8 @@ from .errors import InvalidInput
 TOL_ALG = 1e-12
 #: singular-value threshold for numerical rank / null-space computations
 TOL_RANK = 1e-10
+#: symmetry tolerance for metrics and symmetric 2-tensors, relative to max|entry|
+SYM_TOL = 1e-14
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
-from .errors import DomainError, UnsupportedDerivation
+from .errors import DomainError, InvalidInput, UnsupportedDerivation
 from .liealg import (LieAlgebra, _as_matrix, check_tol, derivation_defect, is_derivation,
                      series_flags)
-from .leftinv import CurvaturePackage, check_metric, curvature
+
+# `leftinv` (LAPACK) and `expm` are imported by the functions that use them,
+# so that `catalog`, which holds certificates, loads without scipy
 
 #: residual threshold for accepting a soliton certificate
 TOL_SOL = 1e-10
@@ -36,6 +37,8 @@ class SolitonCertificate:
     ``classification`` is one of 'Einstein', 'nilsoliton', 'solvsoliton',
     'flat', 'none'.  Non-flat, non-Einstein solitons must be expanding
     (lambda < 0); candidates violating this are classified 'none'.
+    ``InvalidInput`` refuses a non-finite lambda and a D that is not a
+    finite square matrix; ``_check_cert`` matches D to an algebra.
     """
 
     lam: float
@@ -44,9 +47,20 @@ class SolitonCertificate:
     classification: str
 
     def __post_init__(self):
-        D = np.asarray(self.D, dtype=float).copy()
+        if not np.isfinite(self.lam):
+            raise InvalidInput(f"certificate lambda must be finite, got {self.lam}")
+        D = _as_matrix(self.D).copy()
+        if not np.isfinite(D).all():
+            raise InvalidInput(f"certificate derivation must be a finite "
+                               f"{D.shape[0]}x{D.shape[0]} matrix")
         D.flags.writeable = False
         object.__setattr__(self, "D", D)
+
+
+def _check_cert(cert: SolitonCertificate, n: int) -> None:
+    """Raise ``InvalidInput`` unless the certificate's D is n x n."""
+    if cert.D.shape != (n, n):
+        raise InvalidInput(f"certificate derivation must be a finite {n}x{n} matrix")
 
 
 @dataclass(frozen=True)
@@ -65,6 +79,7 @@ def solve_soliton(L: LieAlgebra, g) -> SolitonCertificate:
     structural flags of L.  If the derivation residual exceeds ``TOL_SOL``
     the classification is 'none' with the best-effort lambda and D reported.
     """
+    from .leftinv import curvature
     pkg = curvature(L, g)
     c = L.c
     c2 = float(np.sum(c * c))
@@ -102,11 +117,12 @@ def verify_soliton(L: LieAlgebra, g, lam, D, tol=TOL_SOL) -> VerificationReport:
 
     Raises ``InvalidInput`` unless ``tol`` is finite and positive.
     """
+    from .leftinv import curvature
     check_tol(tol)
     return _verify(L, curvature(L, g), lam, D, tol)
 
 
-def _verify(L: LieAlgebra, pkg: CurvaturePackage, lam, D, tol) -> VerificationReport:
+def _verify(L: LieAlgebra, pkg, lam, D, tol) -> VerificationReport:
     """``verify_soliton`` from the curvature package of a validated metric."""
     Dm = _as_matrix(D)
     sol_res = float(np.abs(pkg.Rc - lam * np.eye(L.n) - Dm).max())
@@ -126,9 +142,12 @@ def exact_unnormalized_solution(g0, cert: SolitonCertificate, t) -> np.ndarray:
     i.e. ``g(t) = <P(t) . , . >_0 = g0 @ P(t)`` (symmetric because D is
     g0-self-adjoint).  For lambda = 0 this degenerates to exp(-2 t D).
     """
+    from scipy.linalg import expm
+
+    from .leftinv import check_metric
     g0 = check_metric(g0)
-    D = np.asarray(cert.D, dtype=float)
-    lam = float(cert.lam)
+    _check_cert(cert, g0.shape[0])
+    D, lam = cert.D, float(cert.lam)
     if np.abs(g0 @ D - D.T @ g0).max() > 1e-10 * max(1.0, np.abs(g0).max(), np.abs(D).max()):
         raise UnsupportedDerivation("D is not self-adjoint with respect to g0")
     s = 1.0 - 2.0 * lam * t

@@ -28,7 +28,7 @@ from .errors import InvalidInput
 from .liealg import LieAlgebra, TOL_RANK, derivation_space
 from .leftinv import (CurvaturePackage, curvature, lichnerowicz, lie_derivative_term,
                       orthonormal_frame)
-from .soliton import SolitonCertificate, _verify
+from .soliton import SolitonCertificate, _check_cert, _verify
 
 #: classification threshold for the quadratic-form bound
 TOL_SPEC = 1e-9
@@ -137,6 +137,7 @@ def assemble_operator(L: LieAlgebra, g0, cert: SolitonCertificate) -> np.ndarray
     Columns are images of the orthonormal symmetric-tensor basis, all
     components in the g0-orthonormal frame (D is conjugated into the frame).
     """
+    _check_cert(cert, L.n)
     g0 = np.asarray(g0, dtype=float)
     return _assemble(L, g0, curvature(L, g0), cert)
 
@@ -145,7 +146,7 @@ def _assemble(L: LieAlgebra, g0, pkg: CurvaturePackage,
               cert: SolitonCertificate) -> np.ndarray:
     """``assemble_operator`` at a validated g0 with its curvature package."""
     F = pkg.frame
-    Dhat = F.T @ g0 @ np.asarray(cert.D, dtype=float) @ F   # F^{-1} = F^T g0
+    Dhat = F.T @ g0 @ cert.D @ F   # F^{-1} = F^T g0
     E = sym_tensor_basis(L.n)
     img = (lichnerowicz(L, g0, E, pkg=pkg) + 2.0 * cert.lam * E
            + lie_derivative_term(E, Dhat))
@@ -160,6 +161,7 @@ def ode_jacobian(L: LieAlgebra, g0, cert: SolitonCertificate) -> np.ndarray:
     On left-invariant h the trace is constant and 2 delta^* xi = Lie_{xi#} g0,
     so J h = L h + Lie_{(delta h)#} g0, in the tensor basis of the operator.
     """
+    _check_cert(cert, L.n)
     g0 = np.asarray(g0, dtype=float)
     pkg = curvature(L, g0)
     return _jacobian(pkg, _assemble(L, g0, pkg, cert))
@@ -186,6 +188,7 @@ def stability_operator(L: LieAlgebra, g0, cert: SolitonCertificate) -> Stability
     at a soliton).  See the module docstring for how neutral gauge modes
     are handled in the verdict.
     """
+    _check_cert(cert, L.n)
     g0 = np.asarray(g0, dtype=float)
     pkg = curvature(L, g0)   # the report's one validation and factorization of g0
     ver = _verify(L, pkg, cert.lam, cert.D, tol=1e-8)

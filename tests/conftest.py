@@ -1,8 +1,11 @@
+import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import solitonlab
 from solitonlab import catalog
 
 _acceptance = {}
@@ -42,3 +45,17 @@ def soliton_entries(all_entries):
 def random_spd(n, rng, scale=0.4):
     A = rng.standard_normal((n, n))
     return np.eye(n) + scale * (A @ A.T) / n
+
+
+def checkout_env():
+    """Environment that makes subprocesses import this same solitonlab.
+
+    The directory holding the imported package goes first on PYTHONPATH,
+    however it reached ``sys.path`` here (PYTHONPATH, pytest's
+    ``pythonpath`` option or an install).
+    """
+    env = dict(os.environ)
+    root = str(Path(solitonlab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (root, env.get("PYTHONPATH")) if p)
+    return env

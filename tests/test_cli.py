@@ -1,6 +1,5 @@
 import csv
 import json
-import os
 import re
 import shutil
 import subprocess
@@ -10,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import solitonlab
 from solitonlab import catalog
 from solitonlab.cli import export_algebra, main, parse_algebra_file
 from solitonlab.errors import InvalidInput
+
+from conftest import checkout_env
 
 HEIS3 = {
     "dim": 3,
@@ -383,6 +383,18 @@ def test_unknown_catalog_name_is_usage_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv, what", [
+    (("catalog", "nosuch"), "catalog entry 'nosuch'"),
+    (("soliton", "nosuch"), "catalog entry 'nosuch'"),
+    (("rayleigh", "foo", "--radius", "4", "--dx", "0.5"), "chart model 'foo'"),
+])
+def test_unknown_name_prints_the_message_unquoted(capsys, argv, what):
+    # NotInCatalog is a KeyError, whose str() would wrap the message in quotes
+    code, out, err = run_main(capsys, *argv)
+    assert code == 2 and out == ""
+    assert re.fullmatch(f"error: unknown {what}; known: [^'\"]+\n", err), err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 
@@ -399,20 +411,6 @@ def test_rayleigh_deterministic(capsys):
     assert doc["max"] < 0
 
 
-def _checkout_env():
-    """Environment that makes subprocesses import this same solitonlab.
-
-    The directory holding the imported package goes first on PYTHONPATH,
-    however it reached ``sys.path`` here (PYTHONPATH, pytest's
-    ``pythonpath`` option or an install).
-    """
-    env = dict(os.environ)
-    root = str(Path(solitonlab.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (root, env.get("PYTHONPATH")) if p)
-    return env
-
-
 def _declared_script_target():
     """The ``module:function`` that ``[project.scripts]`` declares."""
     tomllib = pytest.importorskip("tomllib")
@@ -426,7 +424,7 @@ def _run_script_target(target, *argv):
     module, _, func = target.partition(":")
     wrapper = f"import sys; from {module} import {func}; sys.exit({func}())"
     return subprocess.run([sys.executable, "-c", wrapper, *argv],
-                          capture_output=True, text=True, env=_checkout_env())
+                          capture_output=True, text=True, env=checkout_env())
 
 
 def test_flow_zero_tolerance_exits_promptly():
@@ -435,7 +433,7 @@ def test_flow_zero_tolerance_exits_promptly():
     try:
         r = subprocess.run([sys.executable, "-m", "solitonlab", "flow", "nil3",
                             "--perturb", "0.05", "--t-max", "1", "--tol", "0"],
-                           capture_output=True, text=True, env=_checkout_env(),
+                           capture_output=True, text=True, env=checkout_env(),
                            timeout=30)
     except subprocess.TimeoutExpired:
         pytest.fail("solitonlab flow --tol 0 did not return within 30 s")
@@ -447,7 +445,7 @@ def test_flow_tolerance_below_rtol_floor_exits_2(tmp_path):
     r = subprocess.run([sys.executable, "-m", "solitonlab", "flow", "nil3",
                         "--t-max", "0.1", "--tol", "1e-15",
                         "--out", str(tmp_path / "run.csv")],
-                       capture_output=True, text=True, env=_checkout_env(),
+                       capture_output=True, text=True, env=checkout_env(),
                        timeout=60)
     assert r.returncode == 2, r.stderr
     assert "tolerance must be at least 100 machine epsilons" in r.stderr
@@ -457,7 +455,7 @@ def test_flow_tolerance_below_rtol_floor_exits_2(tmp_path):
 
 def test_console_entry_points():
     r = subprocess.run([sys.executable, "-m", "solitonlab", "validate", "nil3"],
-                       capture_output=True, text=True, env=_checkout_env())
+                       capture_output=True, text=True, env=checkout_env())
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout)["passed"] is True
 
@@ -475,6 +473,6 @@ def test_console_entry_points():
 def test_installed_console_script():
     exe = shutil.which("solitonlab")
     r = subprocess.run([exe, "catalog"], capture_output=True, text=True,
-                       env=_checkout_env())
+                       env=checkout_env())
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout)["entries"]

@@ -113,12 +113,12 @@ def test_flow_field_is_the_rhs_bit_for_bit(name):
 ])
 def test_flow_field_refuses_bad_certificate(lam, D, msg):
     # unchecked, a 4x4 D reached g M as numpy's ValueError and a NaN lambda
-    # gave a NaN field
-    cert = SolitonCertificate(lam, D, 0.0, "none")
+    # gave a NaN field; a non-finite lambda or D is refused where the
+    # certificate is made, a 4x4 D where it meets nil3
     with pytest.raises(InvalidInput, match=msg):
-        flow_field(NIL3.algebra, cert)
+        flow_field(NIL3.algebra, SolitonCertificate(lam, D, 0.0, "none"))
     with pytest.raises(InvalidInput, match=msg):
-        rhs_normalized(NIL3.algebra, np.eye(3), cert)
+        rhs_normalized(NIL3.algebra, np.eye(3), SolitonCertificate(lam, D, 0.0, "none"))
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (2, 0, 0)])

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from solitonlab import catalog
+from solitonlab import catalog, flow, stability
 from solitonlab.errors import DomainError, InvalidInput
 from solitonlab.leftinv import curvature
 from solitonlab.liealg import LieAlgebra, change_basis, is_derivation, validate
 from solitonlab.soliton import (
+    SolitonCertificate,
     exact_unnormalized_solution,
     solve_soliton,
     verify_soliton,
@@ -160,3 +161,42 @@ def test_exact_solution_satisfies_flow(soliton_entries):
             gt = exact_unnormalized_solution(g0, cert, t if t > 0 else dt / 2)
             ric = curvature(e.algebra, gt).ric
             assert np.max(np.abs(gdot + 2.0 * ric)) < 1e-6, (e.name, t)
+
+
+# --------------------------------------------------------- certificate checks
+
+@pytest.mark.parametrize("lam, D, msg", [
+    (np.nan, np.eye(3), "lambda must be finite"),
+    (np.inf, np.eye(3), "lambda must be finite"),
+    (-1.0, np.diag([1.0, np.nan, 1.0]), "finite 3x3 matrix"),
+    (-1.0, np.diag([1.0, -np.inf]), "finite 2x2 matrix"),
+    (-1.0, np.ones((3, 4)), "square matrix, got shape"),
+    (-1.0, np.ones(3), "square matrix, got shape"),
+    (-1.0, np.ones((2, 3, 3)), "square matrix, got shape"),
+])
+def test_certificate_refuses_non_finite_or_non_square_data(lam, D, msg):
+    # before, each was accepted and failed later inside numpy, or gave NaNs
+    with pytest.raises(InvalidInput, match=msg):
+        SolitonCertificate(lam, D, 0.0, "none")
+
+
+#: every function that takes a certificate, called as f(L, g0, cert)
+CONSUMERS = {
+    "ode_jacobian": stability.ode_jacobian,
+    "assemble_operator": stability.assemble_operator,
+    "stability_operator": stability.stability_operator,
+    "predicted_rate": flow.predicted_rate,
+    "convergence_experiment": flow.convergence_experiment,
+    "flow_field": lambda L, g0, cert: flow.flow_field(L, cert),
+    "exact_unnormalized_solution":
+        lambda L, g0, cert: exact_unnormalized_solution(g0, cert, 0.1),
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(CONSUMERS))
+def test_consumers_refuse_a_certificate_of_another_dimension(consumer):
+    # a 4x4 D on nil3 raised numpy's ValueError (a matmul or broadcast
+    # mismatch) in every consumer but flow_field
+    cert = SolitonCertificate(-1.0, np.eye(4), 0.0, "none")
+    with pytest.raises(InvalidInput, match="certificate derivation must be a finite 3x3"):
+        CONSUMERS[consumer](HEIS3, np.eye(3), cert)
