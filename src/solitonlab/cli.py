@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import os
 import sys
@@ -36,10 +37,6 @@ from .liealg import LieAlgebra, check_seed, check_tol, validate
 # GridTooCoarse, GridTooLarge); any other exception is a bug, not a usage error
 _USAGE_ERRORS = (InvalidInput, NotInCatalog, InvalidPerturbation,
                  UnsupportedDerivation, json.JSONDecodeError, OSError)
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
 
 
 def _jsonable(obj):
@@ -62,10 +59,6 @@ def _jsonable(obj):
     return obj
 
 
-def _dump_json(report: dict) -> str:
-    return json.dumps(_jsonable(report), sort_keys=True, indent=2, allow_nan=False)
-
-
 def _write_atomic(path: str, text: str):
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".solitonlab-")
@@ -82,7 +75,7 @@ def _write_atomic(path: str, text: str):
 
 
 def _emit(report: dict, out: str = None):
-    text = _dump_json(report)
+    text = json.dumps(_jsonable(report), sort_keys=True, indent=2, allow_nan=False)
     if out:
         _write_atomic(out, text + "\n")
     print(text)
@@ -97,7 +90,7 @@ def _is_int(v) -> bool:
 
 
 def parse_algebra_file(path: str):
-    """Load an AlgebraFile; returns (LieAlgebra, metric, name)."""
+    """Load an AlgebraFile; returns (LieAlgebra, checked metric, name)."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -137,7 +130,7 @@ def parse_algebra_file(path: str):
         if g.shape != (n, n):
             raise InvalidInput(f"{path}: metric must be {n}x{n}")
         from .leftinv import check_metric
-        check_metric(g)
+        g = check_metric(g)
     name = os.path.splitext(os.path.basename(path))[0]
     return L, g, name
 
@@ -215,29 +208,11 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _csv_text(traj, devs, exact_devs=None) -> str:
-    n = traj.metrics.shape[-1]
-    cols = ["t"] + [f"g{i + 1}{j + 1}" for i in range(n) for j in range(n)] + ["dev"]
-    if exact_devs is not None:
-        cols.append("exact_dev")
-    lines = [",".join(cols)]
-    for idx, t in enumerate(traj.times):
-        row = [_fmt(t)]
-        row += [_fmt(v) for v in traj.metrics[idx].ravel()]
-        row.append(_fmt(devs[idx]))
-        if exact_devs is not None:
-            row.append(_fmt(exact_devs[idx]))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
 def cmd_flow(args) -> int:
     from .flow import flow_field, integrate, perturb, predicted_rate, relax_fit
-    from .leftinv import check_metric
     from .soliton import exact_unnormalized_solution, solve_soliton
     check_seed(args.seed)              # echoed in the report even when unused
     L, g0, name = resolve_target(args.target)
-    g0 = check_metric(g0)
     cert = solve_soliton(L, g0)
     is_soliton = cert.classification != "none"
     if args.mode == "normalized" and not is_soliton:
@@ -250,24 +225,30 @@ def cmd_flow(args) -> int:
     traj = integrate(rhs, g_init, args.t_max, dt=args.dt, method=args.method,
                      tol=args.tol)
     devs = np.linalg.norm(traj.metrics - g0, axis=(1, 2))
-
-    exact_devs = None
+    # the CSV: one row per accepted step, every value to 17 significant digits
+    cols = ["t"] + [f"g{i + 1}{j + 1}" for i in range(L.n) for j in range(L.n)] + ["dev"]
+    table = [traj.times, traj.metrics.reshape(len(devs), -1), devs]
     if args.mode == "unnormalized" and is_soliton and args.perturb == 0:
-        exact_devs = []
-        for t, gt in zip(traj.times, traj.metrics):
-            ge = exact_unnormalized_solution(g0, cert, t)
-            exact_devs.append(float(np.linalg.norm(gt - ge)))
+        exact = exact_unnormalized_solution(g0, cert, traj.times)
+        d = (traj.metrics - exact).reshape(len(devs), 1, -1)
+        cols.append("exact_dev")    # row dot products: np.linalg.norm's sum for one matrix
+        table.append(np.sqrt(d @ d.swapaxes(1, 2)).ravel())
 
     fit = None
     if args.mode == "normalized" and args.perturb:
         omega = predicted_rate(L, g0, cert)
+        # higher than convergence_experiment's floor: near the noise the window ends at
+        # t_end - 4/omega, where the uncapped steps up to --t-max leave too few points
         res = relax_fit(traj, omega, max(1e-6 * float(np.linalg.norm(g0)), 50.0 * args.tol))
         fit = {"C": res.C, "omega": res.omega, "r_squared": res.r_squared,
                "window": res.window, "n_points": res.n_points, "ok": res.ok,
                "predicted_rate": omega, "reference": "trajectory limit"}
 
     csv_path = args.out or f"{name}_{args.mode}.csv"
-    _write_atomic(csv_path, _csv_text(traj, devs, exact_devs))
+    buf = io.StringIO()
+    np.savetxt(buf, np.column_stack(table), fmt="%.17g", delimiter=",",
+               header=",".join(cols), comments="")
+    _write_atomic(csv_path, buf.getvalue())
     _emit({"name": name, "dim": L.n, "mode": args.mode,
            "method": args.method, "dt": args.dt, "t_max": args.t_max,
            "eps": args.perturb, "seed": args.seed,

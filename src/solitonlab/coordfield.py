@@ -493,9 +493,9 @@ def _operator_input(cm: ChartMetric, h: np.ndarray, grid: GridSpec,
     """Checked operator input: h in slab layout, and the curvature fields
     on the N grid points of the chart axis.
 
-    h must be symmetric: max|h_ij - h_ji| may not exceed `SYM_TOL` times
-    max|h|.  Grid fields are read at index 0 on the invariant axes; without
-    them the N line points are evaluated.
+    h must be finite and symmetric: max|h_ij - h_ji| may not exceed `SYM_TOL`
+    times max|h|.  Grid fields are read at index 0 on the invariant axes;
+    without them the N line points are evaluated.
     """
     if grid.dx > grid.radius / 8.0 + 1e-12:
         raise GridTooCoarse(
@@ -518,10 +518,14 @@ def _operator_input(cm: ChartMetric, h: np.ndarray, grid: GridSpec,
         on_line[cm.axis] = slice(None)
         line = {key: fields[key][tuple(on_line)] for key in _FIELD_SHAPES}
     full = np.ascontiguousarray(np.moveaxis(h.reshape((N,) * 3 + (9,)), (cm.axis, 3), (0, 1)))
-    asym = max(float(np.max(np.abs(full[:, 3 * i + j] - full[:, 3 * j + i])))
-               for i, j in zip(_I6[3:], _J6[3:]))
     hs = np.take(full, 3 * _I6 + _J6, axis=1)
-    scale = max(float(hs.max()), -float(hs.min()))
+    scale = max(float(hs.max()), -float(hs.min()))   # NaN or inf iff hs holds one
+    # subtracted only when finite (no inf - inf); a numpy max keeps a NaN below the diagonal
+    asym = scale if not math.isfinite(scale) else float(np.max(
+        [np.max(np.abs(full[:, 3 * i + j] - full[:, 3 * j + i]))
+         for i, j in zip(_I6[3:], _J6[3:])]))
+    if not math.isfinite(asym):
+        raise InvalidInput("field has non-finite entries")
     if asym > SYM_TOL * scale:
         raise InvalidInput(f"field is not symmetric: max|h_ij - h_ji| = {asym:.3e} "
                            f"against max|h| = {scale:.3e}")

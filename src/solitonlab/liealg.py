@@ -59,8 +59,8 @@ class LieAlgebra:
     def __post_init__(self):
         if not isinstance(self.n, (int, np.integer)) or self.n <= 0:
             raise InvalidInput(f"dimension must be a positive integer, got {self.n!r}")
-        norm = []
-        for ent in self.entries:
+        raw, norm = tuple(self.entries), []
+        for ent in raw:
             i, j, k, val = ent
             i, j, k = int(i), int(j), int(k)
             val = float(val)
@@ -68,14 +68,18 @@ class LieAlgebra:
                 raise InvalidInput(f"bracket entry {ent!r} out of range for n={self.n}")
             if i >= j:
                 raise InvalidInput(f"bracket entry {ent!r} must have i < j")
-            if not np.isfinite(val):
-                raise InvalidInput(f"non-finite structure constant in entry {ent!r}")
             norm.append((i, j, k, val))
         object.__setattr__(self, "entries", tuple(norm))
         c = np.zeros((self.n, self.n, self.n))
-        for i, j, k, val in norm:
-            c[k, i, j] += val
-            c[k, j, i] -= val
+        # checked once summed, since finite duplicates can overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, j, k, val in norm:
+                c[k, i, j] += val
+                c[k, j, i] -= val
+        if not np.isfinite(c).all():
+            ent = next(ent for ent, (i, j, k, _) in zip(raw, norm)
+                       if not np.isfinite(c[k, i, j]))
+            raise InvalidInput(f"non-finite structure constant in entry {ent!r}")
         ad = np.ascontiguousarray(np.transpose(c, (1, 0, 2)))
         killing = np.einsum("aij,bji->ab", ad, ad)
         trace_form = np.einsum("kik->i", c)
@@ -156,8 +160,6 @@ def validate(L: LieAlgebra, tol: float = TOL_ALG) -> ValidationReport:
     """
     check_tol(tol)
     c = L.c
-    if not np.all(np.isfinite(c)):
-        raise InvalidInput("non-finite structure constants")
     anti = float(np.abs(c + np.swapaxes(c, 1, 2)).max())
     jac = jacobi_residual(L)
     return ValidationReport(jac, anti, passed=(jac <= tol and anti <= tol), tol=tol)

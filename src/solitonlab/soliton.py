@@ -141,6 +141,11 @@ def exact_unnormalized_solution(g0, cert: SolitonCertificate, t) -> np.ndarray:
 
     i.e. ``g(t) = <P(t) . , . >_0 = g0 @ P(t)`` (symmetric because D is
     g0-self-adjoint).  For lambda = 0 this degenerates to exp(-2 t D).
+
+    ``t`` may be an array: the result, of shape ``t.shape + (n, n)``, takes one
+    check of g0 and the certificate and one ``expm`` of the stacked generators,
+    each computed as a scalar call computes it.  ``DomainError`` names the
+    first t out of the domain.
     """
     from scipy.linalg import expm
 
@@ -150,12 +155,12 @@ def exact_unnormalized_solution(g0, cert: SolitonCertificate, t) -> np.ndarray:
     D, lam = cert.D, float(cert.lam)
     if np.abs(g0 @ D - D.T @ g0).max() > 1e-10 * max(1.0, np.abs(g0).max(), np.abs(D).max()):
         raise UnsupportedDerivation("D is not self-adjoint with respect to g0")
-    s = 1.0 - 2.0 * lam * t
-    if s <= 0.0:
-        raise DomainError(f"t={t} outside domain: need -2*lambda*t + 1 > 0")
-    if lam == 0.0:
-        P = expm(-2.0 * t * D)
-    else:
-        P = s * expm((np.log(s) / lam) * D)
+    ts = np.asarray(t, dtype=float)[..., None, None]    # one (1, 1) block per time
+    s = 1.0 - 2.0 * lam * ts
+    bad = s <= 0.0
+    if bad.any():
+        raise DomainError(f"t={t if np.ndim(t) == 0 else ts[bad][0]} outside domain: "
+                          "need -2*lambda*t + 1 > 0")
+    P = expm(-2.0 * ts * D) if lam == 0.0 else s * expm((np.log(s) / lam) * D)
     gt = g0 @ P
-    return 0.5 * (gt + gt.T)
+    return 0.5 * (gt + gt.swapaxes(-1, -2))

@@ -20,6 +20,13 @@ HEIS3 = {
     "brackets": [{"i": 1, "j": 2, "k": 3, "c": 1.0}],
 }
 
+#: [e1, e2] = e3, [e2, e3] = e1, [e3, e1] = e2
+SU2 = {
+    "dim": 3,
+    "brackets": [{"i": 1, "j": 2, "k": 3, "c": 1.0}, {"i": 2, "j": 3, "k": 1, "c": 1.0},
+                 {"i": 1, "j": 3, "k": 2, "c": -1.0}],
+}
+
 
 def write_json(tmp_path, doc, name="algebra.json"):
     path = tmp_path / name
@@ -306,6 +313,28 @@ def test_flow_normalized_rejects_non_soliton(tmp_path, capsys):
                             "--t-max", "0.1")
     assert code == 1
     assert "no stationary point" in err
+
+
+def test_flow_leaving_the_metric_cone_is_a_singularity(tmp_path, capsys):
+    # su(2) at the identity flows as (1 - t) I; a stage point past t = 1
+    # used to end the run as a usage error (exit 2)
+    path = write_json(tmp_path, SU2, "su2.json")
+    for method in ("dop853", "rk4"):
+        code, _, err = run_main(capsys, "flow", path, "--mode", "unnormalized",
+                                "--t-max", "10", "--method", method,
+                                "--out", str(tmp_path / "su2.csv"))
+        assert code == 1, method
+        assert err.startswith("error: metric lost positive definiteness"), method
+
+
+@pytest.mark.parametrize("command", ["soliton", "spectrum", "validate"])
+def test_bracket_entries_summing_to_infinity_are_usage_errors(tmp_path, capsys, command):
+    # soliton and spectrum used to crash in the SVD (exit 1), validate exit 2
+    entry = {"i": 1, "j": 2, "k": 3, "c": 1e308}
+    doc = {"dim": 3, "brackets": [entry, entry]}
+    code, _, err = run_main(capsys, command, write_json(tmp_path, doc))
+    assert code == 2
+    assert "non-finite structure constant in entry" in err
 
 
 # ---------------------------------------------------------------- weights

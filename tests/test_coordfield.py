@@ -464,6 +464,22 @@ def test_operator_refuses_an_asymmetric_field(nil3_fields):
                 op(cm, cm.lam, cm.d, bad, GRID, _fields=fields)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [((1, 1),), ((0, 2), (2, 0)), ((2, 0),)],
+                         ids=["diagonal", "pair", "lower"])
+def test_operator_refuses_a_non_finite_field(nil3_fields, value, where):
+    # before, apply_L_fd returned a non-finite field (an inf also warned),
+    # rayleigh_quotient called it degenerate, and a NaN below the diagonal
+    # only passed both unseen
+    cm, fields = nil3_fields
+    h = probe_tensor_suite(cm, GRID, count=1)[0].copy()
+    for ij in where:
+        h[(5, 8, 11) + ij] = value
+    for op in (apply_L_fd, rayleigh_quotient):
+        with pytest.raises(InvalidInput, match="field has non-finite entries"):
+            op(cm, cm.lam, cm.d, h, GRID, _fields=fields)
+
+
 @pytest.mark.parametrize("name", ["nil3", "sol3", "hyp3"])
 def test_apply_L_fd_output_is_exactly_symmetric(name):
     cm = chart_metric(name)

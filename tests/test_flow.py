@@ -28,7 +28,7 @@ from solitonlab.flow import (
     rhs_unnormalized,
 )
 from solitonlab.leftinv import curvature, ricci
-from solitonlab.liealg import change_basis
+from solitonlab.liealg import LieAlgebra, change_basis
 from solitonlab.soliton import (SolitonCertificate, exact_unnormalized_solution,
                                 solve_soliton)
 
@@ -220,6 +220,20 @@ def test_integration_stops_at_singularity():
         with pytest.raises(SingularityReached) as exc:
             integrate(rhs, np.eye(2), 5.0, dt=1e-3, method=method)
         assert 0.0 < exc.value.t < 5.0, method
+
+
+def test_stage_point_outside_the_cone_is_a_singularity():
+    # su(2) at the identity flows as g(t) = (1 - t) I; a stage point past
+    # t = 1 was refused by the Ricci kernel and escaped as InvalidMetric
+    su2 = LieAlgebra(3, ((0, 1, 2, 1.0), (1, 2, 0, 1.0), (0, 2, 1, -1.0)))
+    for method in ("dop853", "rk4"):
+        with pytest.raises(SingularityReached) as exc:
+            integrate(flow_field(su2), np.eye(3), 10.0, method=method)
+        assert 0.9 < exc.value.t < 1.0, method
+    with pytest.raises(InvalidMetric):       # the start is still checked as input
+        integrate(flow_field(su2), -np.eye(3), 10.0)
+    with pytest.raises(InvalidMetric, match="must be 3x3"):   # and so is its size
+        integrate(flow_field(su2), np.eye(4), 10.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -52,6 +52,17 @@ def test_entries_require_lower_triangle():
         LieAlgebra(3, ((0, 1, 3, 1.0),))
 
 
+@pytest.mark.parametrize("entries", [
+    ((0, 1, 2, 1e308),) * 2,                                   # sums to inf
+    ((0, 1, 2, np.inf), (0, 1, 2, -np.inf)),                 # sums to NaN
+    ((0, 1, 2, 1.0), (0, 2, 1, np.nan)),
+])
+def test_structure_constants_must_sum_to_finite_values(entries):
+    # duplicates of a finite entry used to sum to inf in c unseen
+    with pytest.raises(InvalidInput, match="non-finite structure constant in entry"):
+        LieAlgebra(3, entries)
+
+
 def test_bracket_heis3():
     e1, e2, e3 = np.eye(3)
     assert np.allclose(bracket(HEIS3, e1, e2), e3)

@@ -143,8 +143,33 @@ def test_exact_solution_einstein_scaling():
 def test_exact_solution_domain():
     e = catalog.get("hyp_3")
     cert = solve_soliton(e.algebra, e.metric)   # lam = -2, valid for t > -1/4
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^t=-0\.3 outside domain"):
         exact_unnormalized_solution(np.eye(3), cert, -0.3)
+    # an array of times: the message names the first one out of the domain
+    with pytest.raises(DomainError, match=r"^t=-0\.25 outside domain"):
+        exact_unnormalized_solution(np.eye(3), cert, [0.0, 0.5, -0.25, -0.4, 1.0])
+
+
+@pytest.mark.parametrize("name", ["nil3", "sol3", "abelian_3"])
+def test_exact_solution_on_an_array_of_times_is_the_stack_of_scalar_calls(name):
+    """One call on a trajectory's step times gives each scalar call's bits,
+    for lambda != 0 (nil3, sol3) and lambda = 0 (abelian_3), in the
+    defining basis and in a skewed one (dense g0 and D)."""
+    e = catalog.get(name)
+    Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))
+    Ainv = np.linalg.inv(Q * [1.0, 1.5, 0.7])
+    for L, g0 in ((e.algebra, np.asarray(e.metric)),
+                  (change_basis(e.algebra, Q * [1.0, 1.5, 0.7]), Ainv.T @ Ainv)):
+        cert = solve_soliton(L, g0)
+        times = flow.integrate(flow.flow_field(L), g0, 2.0).times
+        assert len(times) > 5
+        got = exact_unnormalized_solution(g0, cert, times)
+        want = np.stack([exact_unnormalized_solution(g0, cert, t) for t in times])
+        assert got.shape == (len(times), 3, 3)
+        assert np.array_equal(got, want), name
+        assert exact_unnormalized_solution(g0, cert, times[3]).shape == (3, 3)
+        assert exact_unnormalized_solution(g0, cert, times.reshape(-1, 1)).shape == (
+            len(times), 1, 3, 3)
 
 
 def test_exact_solution_satisfies_flow(soliton_entries):
