@@ -3,8 +3,8 @@
 append the Python, numpy and scipy versions it ran on, pytest's count line,
 its wall time, peak RSS, five slowest tests, the line counts of
 src/solitonlab/*.py (tracked in ROADMAP.md like a benchmark) and the
-fresh-process start-up time of `import solitonlab` and `solitonlab catalog`
-to $GITHUB_STEP_SUMMARY (stderr if unset).
+fresh-process start-up time of `import solitonlab`, `solitonlab catalog` and
+a short `solitonlab flow` to $GITHUB_STEP_SUMMARY (stderr if unset).
 
     python .github/tier1.py
 """
@@ -14,6 +14,7 @@ import re
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from importlib.metadata import version
 from pathlib import Path
@@ -68,9 +69,14 @@ def startup(*args):
     return f"{sorted(times)[1]:.3f} s"
 
 
+# the flow writes its CSV and JSON outside the checkout, which must stay clean
+with tempfile.TemporaryDirectory() as tmp:
+    flow = startup('-m', 'solitonlab', 'flow', 'nil4', '--mode', 'unnormalized',
+                   '--t-max', '1', '--out', os.path.join(tmp, 'x.csv'))
 lines.append(f"start-up, median of 3 fresh processes: `import solitonlab` "
              f"{startup('-c', 'import solitonlab')}, `solitonlab catalog` "
-             f"{startup('-m', 'solitonlab', 'catalog')}\n")
+             f"{startup('-m', 'solitonlab', 'catalog')}, `solitonlab flow nil4 "
+             f"--mode unnormalized --t-max 1` {flow}\n")
 summary = os.environ.get("GITHUB_STEP_SUMMARY")
 if summary:
     with open(summary, "a") as fh:

@@ -11,8 +11,8 @@ is one ``leftinv.ricci_kernel`` evaluation and one symmetrization.
 
 Integrators: classic fixed-step RK4 (used for convergence-order tests) and
 adaptive Dormand-Prince 8(5,3) (Hairer-Norsett-Wanner, *Solving ODEs I*,
-II.5 and II.10), stepped one accepted step at a time through
-``scipy.integrate.DOP853``.
+II.5 and II.10), stepped here one accepted step at a time with the steps of
+``scipy.integrate.DOP853``, bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import DOP853
 from scipy.linalg.lapack import dpotrf
 
 from .errors import (InvalidInput, InvalidMetric, InvalidPerturbation,
@@ -102,11 +101,13 @@ def integrate(rhs, g_init, t_max, dt=1e-3, method="dop853", tol=1e-9,
         Maps a metric matrix to a symmetric matrix.
     method : {'rk4', 'dop853'}
         Fixed-step classic RK4 with step ``dt``, or adaptive Dormand-Prince
-        8(5,3) (``scipy.integrate.DOP853``) with ``dt`` as the first step
-        (clipped to ``t_max``) and ``tol`` as both its absolute and its
-        relative tolerance, at least 100 machine epsilons (scipy would raise
-        a smaller one to that with only a warning).  scipy's error norm is
-        the RMS over the n^2 entries of the scaled error.
+        8(5,3) (``_dop853_steps``: the steps of ``scipy.integrate.DOP853``,
+        without importing it) with ``dt`` as the first step (clipped to
+        ``t_max``) and ``tol`` as both its absolute and its relative
+        tolerance, at least 100 machine epsilons (scipy would raise a smaller
+        one to that with only a warning).  Each entry's error is scaled by
+        tol (1 + max(|g|, |g_new|)), and a step is accepted when DOP853's
+        error measure over the n^2 scaled entries is below 1.
     tol : float
         Finite and positive; RK4 has no error control and ignores it.
     max_step : float, optional
@@ -114,11 +115,13 @@ def integrate(rhs, g_init, t_max, dt=1e-3, method="dop853", tol=1e-9,
         ignores it.
 
     The iterate is symmetrized after every accepted step and checked to be
-    finite and positive definite; failures raise ``SingularityReached``, and
-    so does ``rhs`` refusing a stage point (``InvalidMetric``), with ``t``
-    the last accepted time.
-    A failed adaptive step (step size underflow, e.g. at a blow-up or on a
-    non-finite ``rhs``) raises ``StiffnessError``.
+    finite and positive definite; failures raise ``SingularityReached``.
+    So does ``rhs`` refusing a point (``InvalidMetric``), with ``t`` the last
+    accepted time: RK4 stops at the first refused stage point, while the
+    adaptive method rejects the step and retries smaller ones until the step
+    size underflows, which places t at the exit from the cone.
+    Any other failed adaptive step (step size underflow, e.g. at a blow-up
+    or on a non-finite ``rhs``) raises ``StiffnessError``.
     """
     g = check_metric(g_init)
     if not (np.isfinite(dt) and dt > 0):
@@ -174,20 +177,116 @@ def _rk4_steps(rhs, g, t_max, dt):
         yield t_max, step(g, rem)
 
 
+# The Dormand-Prince 8(5,3) tableau of Hairer's dop853.f, as the doubles that
+# scipy.integrate.DOP853 holds: A's rows below the diagonal (12 stages), the
+# weights B of the eighth-order step, and the weights E5, E3 of the fifth- and
+# third-order error estimates over the 12 stages and f at the new point.  The
+# flows are autonomous, so the stage times (the nodes C) are not needed.
+_A = np.zeros((12, 12))
+_A[np.tril_indices(12, -1)] = (
+    0.05260015195876773,
+    0.0197250569845379, 0.0591751709536137,
+    0.02958758547680685, 0.0, 0.08876275643042054,
+    0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792,
+    0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242,
+    0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+    -0.017578125,
+    0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+    -0.015319437748624402, 0.008273789163814023,
+    0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+    27.59209969944671, 20.154067550477894, -43.48988418106996,
+    0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+    21.230051448181193, 15.279233632882423, -33.28821096898486,
+    -0.020331201708508627,
+    -0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+    -8.149787010746927, -18.52006565999696, 22.739487099350505,
+    2.4936055526796523, -3.0467644718982196,
+    2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+    -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+    -8.87285693353063, 12.360567175794303, 0.6433927460157636)
+_B = np.array([
+    0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+    1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+    -0.1521609496625161, 0.20136540080403034, 0.04471061572777259])
+_E5 = np.array([
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+    -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+    0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0])
+_E3 = np.array([
+    -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+    1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+    -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0])
+
+
+def _error_norm(K, h, scale):
+    """DOP853's error measure of a step h with stages K (Hairer's ERR):
+    |h| |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) N), e5 and e3 the two error
+    estimates over ``scale`` and N their length."""
+    err5 = np.dot(K.T, _E5) / scale
+    err3 = np.dot(K.T, _E3) / scale
+    err5_norm_2 = np.linalg.norm(err5) ** 2
+    err3_norm_2 = np.linalg.norm(err3) ** 2
+    if err5_norm_2 == 0 and err3_norm_2 == 0:
+        return 0.0
+    return np.abs(h) * err5_norm_2 / np.sqrt((err5_norm_2 + 0.01 * err3_norm_2)
+                                             * len(scale))
+
+
 def _dop853_steps(rhs, g, t_max, dt, tol, max_step):
-    """(t, g) after each accepted DOP853 step, g a view of the solver's own
-    state (so changing it in place changes the next step's start)."""
+    """(t, g) after each accepted Dormand-Prince 8(5,3) step, g a view of the
+    stepper's own state (so changing it in place changes the next step's start).
+
+    The steps are ``scipy.integrate.DOP853``'s (``first_step=min(dt, t_max)``,
+    ``rtol=atol=tol``), bit for bit: the same BLAS products on a (13, n^2)
+    stage array, and its controller, which tries h clipped to [10 ulp(t),
+    ``max_step``] and to ``t_max``, accepts an error measure below 1, scales h
+    by 0.9 err^(-1/8) kept in [0.2, 10] (at most 1 after a rejection), and
+    carries f at the new point over to the next step.  An attempt that ``rhs``
+    refuses at a stage point or at the new point (``InvalidMetric``) is
+    rejected as if its error were infinite, so a flow that leaves the cone is
+    stepped up to its exit.  A step that shrinks below 10 ulp(t) raises
+    ``SingularityReached`` at t after such a refusal, ``StiffnessError``
+    otherwise.
+    """
     if t_max == 0:
         return
     n = g.shape[0]
-    solver = DOP853(lambda t, y: rhs(y.reshape(n, n)).ravel(), 0.0, g.ravel(),
-                    t_max, first_step=min(dt, t_max), max_step=max_step,
-                    rtol=tol, atol=tol)
-    while solver.status == "running":
-        message = solver.step()
-        if solver.status == "failed":
-            raise StiffnessError(f"{message} (at t={solver.t:.6g})")
-        yield solver.t, solver.y.reshape(n, n)
+    field = lambda y: rhs(y.reshape(n, n)).ravel()
+    y, K = g.ravel(), np.empty((13, n * n))
+    f = field(y)
+    t, h_abs = 0.0, min(dt, t_max)
+    while t < t_max:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
+        rejected = left_cone = False
+        while True:
+            if h_abs < min_step:
+                if left_cone:
+                    raise SingularityReached(t)
+                raise StiffnessError("Required step size is less than spacing "
+                                     f"between numbers. (at t={t:.6g})")
+            t_new = min(t + h_abs, t_max)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            try:
+                for s in range(1, 12):
+                    K[s] = field(y + np.dot(K[:s].T, _A[s, :s]) * h)
+                y_new = y + h * np.dot(K[:12].T, _B)
+                K[12] = f_new = field(y_new)
+            except InvalidMetric:
+                error_norm, left_cone = np.inf, True
+            else:
+                error_norm = _error_norm(
+                    K, h, tol + np.maximum(np.abs(y), np.abs(y_new)) * tol)
+            if error_norm < 1:
+                break
+            h_abs *= max(0.2, 0.9 * error_norm ** -0.125)
+            rejected = True
+        factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** -0.125)
+        h_abs *= min(1, factor) if rejected else factor
+        t, y, f = t_new, y_new, f_new
+        yield t, y.reshape(n, n)
 
 
 def perturb(g0, eps, seed) -> np.ndarray:

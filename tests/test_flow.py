@@ -17,12 +17,14 @@ from solitonlab.errors import (
     StiffnessError,
 )
 from solitonlab.flow import (
+    RELAX_TOL,
     FlowTrajectory,
     convergence_experiment,
     fit_decay_rate,
     flow_field,
     integrate,
     perturb,
+    predicted_rate,
     relax_fit,
     rhs_normalized,
     rhs_unnormalized,
@@ -33,6 +35,7 @@ from solitonlab.soliton import (SolitonCertificate, exact_unnormalized_solution,
                                 solve_soliton)
 
 NIL3 = catalog.get("nil3")
+SU2 = LieAlgebra(3, ((0, 1, 2, 1.0), (1, 2, 0, 1.0), (0, 2, 1, -1.0)))
 
 
 def nil3_exact(t):
@@ -225,15 +228,23 @@ def test_integration_stops_at_singularity():
 def test_stage_point_outside_the_cone_is_a_singularity():
     # su(2) at the identity flows as g(t) = (1 - t) I; a stage point past
     # t = 1 was refused by the Ricci kernel and escaped as InvalidMetric
-    su2 = LieAlgebra(3, ((0, 1, 2, 1.0), (1, 2, 0, 1.0), (0, 2, 1, -1.0)))
     for method in ("dop853", "rk4"):
         with pytest.raises(SingularityReached) as exc:
-            integrate(flow_field(su2), np.eye(3), 10.0, method=method)
+            integrate(flow_field(SU2), np.eye(3), 10.0, method=method)
         assert 0.9 < exc.value.t < 1.0, method
     with pytest.raises(InvalidMetric):       # the start is still checked as input
-        integrate(flow_field(su2), -np.eye(3), 10.0)
+        integrate(flow_field(SU2), -np.eye(3), 10.0)
     with pytest.raises(InvalidMetric, match="must be 3x3"):   # and so is its size
-        integrate(flow_field(su2), np.eye(4), 10.0)
+        integrate(flow_field(SU2), np.eye(4), 10.0)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-10, 1e-11])
+def test_adaptive_flow_is_stepped_up_to_its_exit_from_the_cone(tol):
+    # a step whose stage point crosses t = 1 is retried smaller, not given up:
+    # the last accepted step used to stop at 0.666 (tol 1e-10) or 0.11 (1e-6)
+    with pytest.raises(SingularityReached) as exc:
+        integrate(flow_field(SU2), np.eye(3), 10.0, tol=tol)
+    assert 1.0 - 1e-9 < exc.value.t < 1.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -273,6 +284,77 @@ def test_adaptive_nan_rhs_raises_promptly():
     assert r.returncode == 0, r.stderr
     assert r.stdout.startswith("StiffnessError"), r.stdout
     assert "at t=0)" in r.stdout, r.stdout
+
+
+def scipy_dop853(rhs, g0, t_max, dt=1e-3, tol=1e-9, max_step=np.inf):
+    """``integrate``'s adaptive loop on ``scipy.integrate.DOP853``: times,
+    metrics and scipy's count of rhs calls."""
+    from scipy.integrate import DOP853
+    n = g0.shape[0]
+    solver = DOP853(lambda t, y: rhs(y.reshape(n, n)).ravel(), 0.0,
+                    g0.ravel().copy(), t_max, first_step=min(dt, t_max),
+                    max_step=max_step, rtol=tol, atol=tol)
+    times, mets = [0.0], [g0.copy()]
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise StiffnessError(f"{message} (at t={solver.t:.6g})")
+        g = solver.y.reshape(n, n)
+        g[...] = 0.5 * (g + g.T)      # in the solver's state, as integrate does
+        times.append(solver.t)
+        mets.append(g.copy())
+    return np.array(times), np.array(mets), solver.nfev
+
+
+def assert_steps_like_scipy(rhs, g0, t_max, **kw):
+    """Same step times, metrics to the bit and rhs count as scipy's DOP853;
+    returns the count of rejected steps."""
+    calls = []
+    def counted(g):
+        calls.append(None)
+        return rhs(g)
+    traj = integrate(counted, g0, t_max, method="dop853", **kw)
+    times, mets, nfev = scipy_dop853(rhs, g0, t_max, **kw)
+    assert np.array_equal(traj.times, times)
+    assert np.array_equal(traj.metrics, mets)
+    assert len(calls) == nfev and (nfev - 1) % 12 == 0   # 12 per attempt, 1 at start
+    return (nfev - 1) // 12 - (len(times) - 1)
+
+
+@pytest.mark.parametrize("name", [n for n in catalog.names()
+                                  if catalog.get(n).expected.classification != "flat"])
+def test_dop853_steps_like_scipy_on_relax(name):
+    # the relax experiment's integration, in the entry's basis and a rotated one
+    e = catalog.get(name)
+    Q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((e.algebra.n,) * 2))
+    g0 = np.asarray(e.metric, dtype=float)
+    for L, g0 in ((e.algebra, g0), (change_basis(e.algebra, Q), Q @ g0 @ Q.T)):
+        cert = solve_soliton(L, g0)
+        omega = predicted_rate(L, g0, cert)
+        assert_steps_like_scipy(flow_field(L, cert), perturb(g0, 0.01, seed=3),
+                                24.0 / omega, dt=min(1e-3, 0.01 / omega),
+                                tol=RELAX_TOL, max_step=1.0 / omega)
+
+
+def test_dop853_steps_like_scipy_unnormalized_rejected_and_capped():
+    e = catalog.get("heis5")
+    rhs, g0 = flow_field(e.algebra), perturb(np.asarray(e.metric), 0.05, seed=4)
+    assert_steps_like_scipy(rhs, g0, 2.0, tol=1e-10)
+    # a first step of the whole horizon is rejected before any is accepted,
+    # and the retry that is accepted may not grow the step
+    assert assert_steps_like_scipy(lambda g: -g, np.diag([1.0, 2.0]), 3.0,
+                                   dt=3.0) > 0
+    # a step cap below the steps the controller would take
+    assert_steps_like_scipy(rhs, g0, 2.0, tol=1e-10, max_step=0.05)
+
+
+def test_dop853_step_underflow_reads_like_scipy():
+    # the g g blow-up at t = 1 fails with scipy's message and time
+    with pytest.raises(StiffnessError) as ours:
+        integrate(lambda g: g @ g, np.eye(2), 2.0, method="dop853")
+    with pytest.raises(StiffnessError) as theirs:
+        scipy_dop853(lambda g: g @ g, np.eye(2), 2.0)
+    assert str(ours.value) == str(theirs.value)
 
 
 def test_perturb_properties():

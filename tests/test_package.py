@@ -82,6 +82,30 @@ print(json.dumps([codes, {LOADED}]))
     assert not [m for m in modules if m.startswith("scipy")], modules
 
 
+def test_flow_loads_no_scipy_integrate(tmp_path):
+    # the flow steps DOP853 itself: a relax experiment and a CLI flow need
+    # scipy.linalg only, not scipy.integrate and what it pulls in
+    loaded = fresh(f"""
+import io, json, sys
+from contextlib import redirect_stdout
+from solitonlab import catalog
+from solitonlab.cli import main
+from solitonlab.flow import convergence_experiment
+from solitonlab.soliton import solve_soliton
+e = catalog.get("nil3")
+convergence_experiment(e.algebra, e.metric, solve_soliton(e.algebra, e.metric))
+with redirect_stdout(io.StringIO()):
+    code = main(["flow", "nil4", "--mode", "unnormalized", "--t-max", "1",
+                 "--out", {str(tmp_path / "x.csv")!r}])
+print(json.dumps([code, {LOADED}]))
+""")
+    code, modules = loaded
+    assert code == 0
+    heavy = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.special")
+    assert not [m for m in modules if m.startswith(heavy)], modules
+    assert "scipy.linalg" in modules
+
+
 def test_import_loads_no_layer():
     assert fresh(f"import json, sys; import solitonlab; print(json.dumps({LOADED}))") \
         == ["solitonlab"]
