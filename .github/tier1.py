@@ -3,8 +3,9 @@
 append the Python, numpy and scipy versions it ran on, pytest's count line,
 its wall time, peak RSS, five slowest tests, the line counts of
 src/solitonlab/*.py (tracked in ROADMAP.md like a benchmark) and the
-fresh-process start-up time of `import solitonlab`, `solitonlab catalog` and
-a short `solitonlab flow` to $GITHUB_STEP_SUMMARY (stderr if unset).
+fresh-process start-up time of `import solitonlab`, `solitonlab catalog`, a
+short `solitonlab flow` and a `solitonlab weights` with a < 0 to
+$GITHUB_STEP_SUMMARY (stderr if unset).
 
     python .github/tier1.py
 """
@@ -73,10 +74,12 @@ def startup(*args):
 with tempfile.TemporaryDirectory() as tmp:
     flow = startup('-m', 'solitonlab', 'flow', 'nil4', '--mode', 'unnormalized',
                    '--t-max', '1', '--out', os.path.join(tmp, 'x.csv'))
+weights = startup('-m', 'solitonlab', 'weights', '--a', '-1', '--tau', '2', '--dim', '4')
 lines.append(f"start-up, median of 3 fresh processes: `import solitonlab` "
              f"{startup('-c', 'import solitonlab')}, `solitonlab catalog` "
              f"{startup('-m', 'solitonlab', 'catalog')}, `solitonlab flow nil4 "
-             f"--mode unnormalized --t-max 1` {flow}\n")
+             f"--mode unnormalized --t-max 1` {flow}, `solitonlab weights --a -1 --tau 2 "
+             f"--dim 4` {weights}\n")
 summary = os.environ.get("GITHUB_STEP_SUMMARY")
 if summary:
     with open(summary, "a") as fh:

@@ -12,8 +12,8 @@ layer, and each name in ``__all__``, a layer or one of its exports,
 imports its module on first access.  So a caller loads only the layers it
 uses.  scipy loads with `leftinv` (LAPACK) and the layers that import it
 (`stability`, `flow`); in `soliton` and `coordfield` only the functions
-that exponentiate, integrate or search a graph import it, so `liealg`,
-`catalog` and the chart models need numpy alone.
+that exponentiate or search a graph import it, so `liealg`, `catalog`,
+the chart models and the weight sums need numpy alone.
 """
 
 import importlib

@@ -19,7 +19,9 @@ Rm[i,j,k,l], and Delta_L h = Delta h + 2*Rm(h) - Rc.h - h.Rc.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -70,12 +72,33 @@ class WeightSpec:
         return np.exp((self.n + self.tau) * R)
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory: the budget of every allocation guard here."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def _ball_volume_const(n: int) -> float:
     # Euclidean unit-ball volume omega_n
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
 
 
-def _log_volume_neg(a: float, n: int, R: float, quad) -> float:
+@functools.cache
+def _gauss_legendre() -> tuple:
+    """Nodes and weights of the 20-point Gauss-Legendre rule on [-1, 1],
+    read-only (Golub-Welsch 1969): the nodes are the eigenvalues of the
+    Jacobi matrix of the Legendre polynomials, the weights twice the squared
+    first components of its eigenvectors.  Built on first use, not at import.
+    """
+    k = np.arange(1.0, 20.0)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    w = 2.0 * v[0] ** 2
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def _log_volume_neg(a: float, n: int, R: float) -> float:
     """log of the comparison volume V_a(R) for a < 0.
 
     V_a(R) = A_{n-1} * int_0^R (sinh(kappa*s)/kappa)^(n-1) ds with
@@ -83,42 +106,61 @@ def _log_volume_neg(a: float, n: int, R: float, quad) -> float:
     the growth:
     int_0^R sinh(kappa s)^(n-1) ds
         = e^(kappa(n-1)R) * int_0^R e^(-kappa(n-1)u) ((1-e^(-2kappa(R-u)))/2)^(n-1) du
-    and integrate the bounded factor by quadrature: `quad` is
-    `scipy.integrate.quad`, which the caller imports once.
+    and integrate the bounded factor, cut at u = 60/(kappa(n-1)) where
+    e^(-kappa(n-1)u) drops below e^-60, by a composite 20-point
+    Gauss-Legendre rule: equal panels, each spanning at most 3 e-folds of
+    e^(-kappa(n-1)u) and of e^(-2kappa(R-u)), so about 40 at most.
     """
     kappa = math.sqrt(-a)
     rate = kappa * (n - 1)
-
-    def integrand(u):
-        return math.exp(-rate * u) * ((1.0 - math.exp(-2.0 * kappa * (R - u))) / 2.0) ** (n - 1)
-
     upper = min(R, 60.0 / rate) if rate > 0 else R
-    val, _err = quad(integrand, 0.0, upper, limit=200)
+    panels = max(1, math.ceil(upper * max(rate, 2.0 * kappa) / 3.0))
+    x, wts = _gauss_legendre()
+    half = upper / (2.0 * panels)
+    u = half * (2.0 * np.arange(panels)[:, None] + 1.0 + x)
+    f = np.exp(-rate * u) * (-np.expm1(-2.0 * kappa * (R - u)) / 2.0) ** (n - 1)
+    val = half * float(np.sum(f @ wts))
     if val <= 0.0:
         return -math.inf
     return (math.log(n * _ball_volume_const(n)) - (n - 1) * math.log(kappa)
             + rate * R + math.log(val))
 
 
+# bytes per term that a weight sum allocates at its peak: three float64
+# arrays of N_max terms (tracemalloc at N_max = 10^6: 24.0 B/term for a = 0,
+# 16.0 for a < 0, where the terms overwrite their logs)
+_TERM_BYTES = 8 * 3
+
+
 def summability_check(w: WeightSpec, N_max: int = 250_000) -> dict:
     """Partial sums of sum_{N>=2} V(2N) / f_tau(2N-2) plus a tail bound.
 
     V is the volume of the comparison space form with curvature a (a
-    Euclidean ball for a = 0).  Returns partial sums over N = 2..N_max,
-    a rigorous analytic bound on the discarded tail, and a convergence
-    verdict: eventually-decreasing terms with tail below 1e-6 of the
-    computed sum.
+    Euclidean ball for a = 0; for a < 0 by `_log_volume_neg`'s quadrature,
+    numpy alone).  Returns partial sums over N = 2..N_max, a rigorous
+    analytic bound on the discarded tail, and a convergence verdict:
+    eventually-decreasing terms with tail below 1e-6 of the computed sum.
+    An N_max that is not a finite integer >= 10, or whose term arrays
+    exceed physical memory, raises `InvalidInput` before anything is
+    allocated.
     """
-    if int(N_max) != N_max or N_max < 10:
+    if not (isinstance(N_max, numbers.Real) and math.isfinite(N_max)
+            and int(N_max) == N_max and N_max >= 10):
         raise InvalidInput(f"N_max must be an integer >= 10, got {N_max}")
     N_max = int(N_max)
-    Ns = np.arange(2, N_max + 1)
+    need, phys = N_max * _TERM_BYTES, _physical_memory()
+    if need > phys:
+        raise InvalidInput(
+            f"N_max={N_max} needs ~{need / 2 ** 30:.3g} GiB for its terms, "
+            f"above the {phys / 2 ** 30:.3g} GiB of physical memory")
     nt = w.n + w.tau
 
     if w.a == 0:
-        log_omega = math.log(_ball_volume_const(w.n))
-        log_terms = log_omega + w.n * np.log(2.0 * Ns) - nt * np.log(2.0 * Ns - 2.0)
-        terms = np.exp(log_terms)
+        # log(2N) for N = 1..N_max: log(2N) and log(2N - 2) over N = 2..N_max
+        # are its two overlapping slices
+        log_2N = np.log(np.arange(2.0, 2.0 * N_max + 1, 2.0))
+        log_terms = math.log(_ball_volume_const(w.n)) + w.n * log_2N[1:] - nt * log_2N[:-1]
+        terms = np.exp(log_terms, out=log_terms)
         # tail over N > N_max:  (2N)^n/(2N-2)^(n+tau) <= (M/(M-1))^n (2N-2)^(-tau)
         # with M = N_max+1, and sum (2N-2)^(-tau) bounded by an integral.
         M = N_max + 1
@@ -126,13 +168,13 @@ def summability_check(w: WeightSpec, N_max: int = 250_000) -> dict:
                 * ((M - 1.0) ** (-w.tau) + (M - 1.0) ** (1.0 - w.tau) / (w.tau - 1.0)))
         tail_finite = True
     else:
-        from scipy.integrate import quad
         kappa = math.sqrt(-w.a)
-        log_terms = np.empty(len(Ns))
+        log_terms = np.empty(N_max - 1)
         partial = 0.0
-        stop = len(Ns)
-        for idx, N in enumerate(Ns):
-            lt = _log_volume_neg(w.a, w.n, 2.0 * N, quad) - nt * (2.0 * N - 2.0)
+        stop = len(log_terms)
+        for idx in range(len(log_terms)):
+            R = 2.0 * (idx + 2)
+            lt = _log_volume_neg(w.a, w.n, R) - nt * (R - 2.0)
             log_terms[idx] = lt
             partial += math.exp(lt) if -700 < lt < 700 else 0.0
             # once terms are far below the running sum they cannot move it,
@@ -143,13 +185,16 @@ def summability_check(w: WeightSpec, N_max: int = 250_000) -> dict:
             if settled or growing or lt > 700:
                 stop = idx + 1
                 break
-        if stop < len(Ns):
+        if stop < len(log_terms):
             # extend the asymptotically log-linear terms analytically
             # instead of integrating each one
             slope = 2.0 * (kappa * (w.n - 1) - nt)
-            log_terms[stop:] = log_terms[stop - 1] + slope * np.arange(1, len(Ns) - stop + 1)
+            ext = log_terms[stop:]
+            np.multiply(np.arange(1.0, len(ext) + 1), slope, out=ext)
+            ext += log_terms[stop - 1]
+        log_terms[~(log_terms > -700)] = -np.inf
         with np.errstate(over="ignore"):
-            terms = np.exp(np.where(log_terms > -700, log_terms, -np.inf))
+            terms = np.exp(log_terms, out=log_terms)
         # geometric tail via
         # V_a(R) <= A_{n-1} e^(kappa(n-1)R) / (2^(n-1) kappa^(n-1) kappa(n-1))
         rate = 2.0 * (kappa * (w.n - 1) - nt)
@@ -165,12 +210,13 @@ def summability_check(w: WeightSpec, N_max: int = 250_000) -> dict:
 
     partial_sums = np.cumsum(terms)
     total = float(partial_sums[-1])
+    # eventually decreasing: the last 5 ratios are all < 1 (N_max >= 10
+    # leaves at least 9 terms)
+    last = terms[-6:]
     with np.errstate(invalid="ignore"):
         # inf/inf -> nan in the divergent regime; nan < 1 is False, as wanted
-        ratios = terms[1:] / np.where(terms[:-1] > 0, terms[:-1], np.inf)
-    # eventually decreasing: the last few computed ratios are all < 1
-    k = min(5, len(ratios))
-    eventually_decreasing = bool(np.all(ratios[-k:] < 1.0)) if k else False
+        ratios = last[1:] / np.where(last[:-1] > 0, last[:-1], np.inf)
+    eventually_decreasing = bool(np.all(ratios < 1.0))
     converged = bool(eventually_decreasing and tail_finite and tail < 1e-6 * total)
     return {
         "a": w.a, "n": w.n, "tau": w.tau, "N_max": N_max,
@@ -230,8 +276,7 @@ class GridSpec:
     def require_memory(self, point_bytes: int, what: str) -> None:
         """Raise `GridTooLarge` if `point_bytes` per grid point, spent on
         `what`, exceed physical memory."""
-        need = self.npts ** 3 * point_bytes
-        phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        need, phys = self.npts ** 3 * point_bytes, _physical_memory()
         if need > phys:
             raise GridTooLarge(
                 f"{self.npts}^3 grid needs ~{need / 2 ** 30:.3g} GiB for {what}, "

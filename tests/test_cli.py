@@ -118,6 +118,13 @@ def test_oversize_grid_is_usage_error(capsys):
     assert "physical memory" in err
 
 
+def test_oversize_weight_sum_is_usage_error(capsys):
+    code, out, err = run_main(capsys, "weights", "--a", "-1", "--nmax", str(10 ** 15))
+    assert code == 2
+    assert out == ""
+    assert "physical memory" in err
+
+
 def test_empty_probe_suite_is_usage_error(capsys):
     code, out, err = run_main(capsys, "rayleigh", "nil3", "--count", "0")
     assert code == 2

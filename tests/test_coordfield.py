@@ -93,17 +93,49 @@ def test_summability_legal_cases_converge():
             assert sums[-1] + res["tail_bound"] == pytest.approx(res["bound"])
 
 
-@pytest.mark.parametrize("a", [-4.0, -1.0, -0.25])
-@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("a", [-9.0, -4.0, -1.0, -0.25, -1e-4])
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_negative_curvature_volume_matches_quadrature(a, n):
     """V_a(R) is the ball volume of the space form of curvature a:
-    A_{n-1} int_0^R (sinh(kappa s)/kappa)^(n-1) ds, kappa = sqrt(-a)."""
+    A_{n-1} int_0^R (sinh(kappa s)/kappa)^(n-1) ds, kappa = sqrt(-a).
+    The reference is scipy's adaptive quadrature of the integrand as it
+    stands, where it does not overflow."""
     kappa = np.sqrt(-a)
     area = n * np.pi ** (n / 2) / math.gamma(n / 2 + 1)
-    for R in (0.5, 2.0, 6.0):
-        ref, _ = quad(lambda s: (np.sinh(kappa * s) / kappa) ** (n - 1), 0.0, R)
-        assert coordfield._log_volume_neg(a, n, R, quad) == pytest.approx(
-            math.log(area * ref), rel=1e-10, abs=1e-10)
+    for R in (0.5, 2.0, 6.0, 40.0, 100.0):
+        if kappa * (n - 1) * R < 600:
+            ref, _ = quad(lambda s: (np.sinh(kappa * s) / kappa) ** (n - 1), 0.0, R,
+                          limit=200)
+            log_ref = math.log(area * ref)
+        else:
+            # sinh(kappa s)^(n-1) overflows; factor e^(kappa (n-1) R) out of
+            # the integrand and integrate the rest of it
+            rate = kappa * (n - 1)
+            rest, _ = quad(lambda s: (-np.expm1(-2.0 * kappa * s) / 2.0) ** (n - 1)
+                           * np.exp(rate * (s - R)), 0.0, R, limit=200,
+                           points=[max(0.0, R - 60.0 / rate)])
+            log_ref = math.log(area) - (n - 1) * math.log(kappa) + rate * R + math.log(rest)
+        assert coordfield._log_volume_neg(a, n, R) == pytest.approx(
+            log_ref, rel=1e-10, abs=1e-10), R
+
+
+@pytest.mark.parametrize("N_max", [float("nan"), float("inf"), -math.inf, 9, 10.5, "100"])
+def test_summability_refuses_bad_n_max(N_max):
+    with pytest.raises(InvalidInput, match="N_max must be an integer >= 10"):
+        summability_check(WeightSpec(a=0.0, n=3, tau=2.0), N_max=N_max)
+
+
+@pytest.mark.parametrize("a", [0.0, -1.0])
+def test_summability_refuses_n_max_beyond_physical_memory(a):
+    # refused before anything is allocated: 10**15 terms would be petabytes
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInput, match="physical memory"):
+            summability_check(WeightSpec(a=a, n=3, tau=2.0), N_max=10 ** 15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_summability_reports_divergence():
