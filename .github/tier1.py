@@ -4,8 +4,9 @@ append the Python, numpy and scipy versions it ran on, pytest's count line,
 its wall time, peak RSS, five slowest tests, the line counts of
 src/solitonlab/*.py (tracked in ROADMAP.md like a benchmark) and the
 fresh-process start-up time of `import solitonlab`, `solitonlab catalog`, a
-short `solitonlab flow` and a `solitonlab weights` with a < 0 to
-$GITHUB_STEP_SUMMARY (stderr if unset).
+short `solitonlab flow` and a `solitonlab weights` with a < 0, and the median
+time of one `rayleigh_quotient` on the 17^3 and 33^3 hyp3 grids, to
+$GITHUB_STEP_SUMMARY (stderr if unset).  Nothing here is a gate.
 
     python .github/tier1.py
 """
@@ -80,6 +81,32 @@ lines.append(f"start-up, median of 3 fresh processes: `import solitonlab` "
              f"{startup('-m', 'solitonlab', 'catalog')}, `solitonlab flow nil4 "
              f"--mode unnormalized --t-max 1` {flow}, `solitonlab weights --a -1 --tau 2 "
              f"--dim 4` {weights}\n")
+# the chart operator's quotient: 9 calls per grid with the curvature fields
+# and the probe computed first, in a fresh process so numpy stays out of this one
+RAYLEIGH = """
+import time
+from solitonlab import coordfield
+cm = coordfield.chart_metric("hyp3")
+for dx in (0.25, 0.125):
+    grid = coordfield.GridSpec(2.0, dx)
+    fields = coordfield.curvature_fields(cm, grid.points())
+    h = coordfield.probe_tensor_suite(cm, grid, count=1)[0]
+    times = []
+    for _ in range(9):
+        t = time.perf_counter()
+        coordfield.rayleigh_quotient(cm, cm.lam, cm.d, h, grid, _fields=fields)
+        times.append(time.perf_counter() - t)
+    print(f"{grid.npts}^3 {sorted(times)[4] * 1e3:.2f} ms")
+"""
+try:
+    run = subprocess.run([sys.executable, "-c", RAYLEIGH], env=env, timeout=120,
+                         capture_output=True, text=True)
+    quotient = ", ".join(run.stdout.splitlines()) if run.returncode == 0 else (
+        f"failed (exit code {run.returncode})")
+except (OSError, subprocess.SubprocessError) as e:
+    quotient = f"not run ({type(e).__name__})"
+lines.append(f"`rayleigh_quotient` on hyp3, median of 9 calls in a fresh process: "
+             f"{quotient}\n")
 summary = os.environ.get("GITHUB_STEP_SUMMARY")
 if summary:
     with open(summary, "a") as fh:

@@ -208,7 +208,9 @@ def summability_check(w: WeightSpec, N_max: int = 250_000) -> dict:
             tail = math.inf
             tail_finite = False
 
-    partial_sums = np.cumsum(terms)
+    # a divergent a < 0 sum of finite terms may overflow to inf here
+    with np.errstate(over="ignore"):
+        partial_sums = np.cumsum(terms)
     total = float(partial_sums[-1])
     # eventually decreasing: the last 5 ratios are all < 1 (N_max >= 10
     # leaves at least 9 terms)
@@ -377,9 +379,9 @@ def metric_jets(cm: ChartMetric, pts: np.ndarray):
 _FIELD_SHAPES = {"g": (3, 3), "ginv": (3, 3), "Gamma": (3, 3, 3), "Rm": (3, 3, 3, 3),
                  "ric": (3, 3), "Rc": (3, 3), "scal": (), "sqrt_det": ()}
 # bytes per grid point that a grid still allocates: the coordinates and what
-# the operator holds at its peak: h, its 6-component slab, L h (6), T (18), the
-# product buffer (6) and 2 for the mask, coefficients and end planes (36.8 in
-# all at 33^3, tracemalloc); curvature fields are views of their line
+# the operator holds at its peak: h, L h (6), the product buffer (6), the stack
+# R = [D_0 h, D_1 h, D_2 h, h] (24) and 2 for the mask and line coefficients
+# (36.4 in all at 33^3, tracemalloc); curvature fields are views of their line
 _POINT_BYTES = 8 * (3 + 9 + 6 + 6 + 24 + 2)
 # bytes per grid point at the peak of building the metric graph: ~36.2 per
 # directed edge and 26 edges per interior point (tracemalloc: 883 B/pt at
@@ -490,9 +492,10 @@ def chart_metric(name: str) -> ChartMetric:
 def _diff(field: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
     """out = field[k+1] - field[k-1] along `axis`, with zero ghost cells.
 
-    The axes of `out` after the first must be contiguous together (a
-    C-contiguous array, or a slab's run of components): the interior is then
-    one shifted subtraction per index of axis 0, and the ends are set after.
+    The axes of `field` and of `out` after the first must be contiguous
+    together (a C-contiguous array, or a slab's run of components): the
+    interior is then one shifted subtraction per index of axis 0, and the
+    two end planes along `axis` are set after, by basic indexing.
     """
     n = field.shape[0]
     src, dst = field.reshape(n, -1), out.reshape(n, -1)
@@ -501,9 +504,9 @@ def _diff(field: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
     else:
         s = math.prod(field.shape[axis + 1:])
         np.subtract(src[:, 2 * s:], src[:, :-2 * s], out=dst[:, s:-s])
-    src, dst = np.moveaxis(field, axis, 0), np.moveaxis(out, axis, 0)
-    dst[0] = src[1]
-    np.negative(src[-2], out=dst[-1])
+    lead = (slice(None),) * axis
+    out[lead + (0,)] = field[lead + (1,)]
+    np.negative(field[lead + (-2,)], out=out[lead + (-1,)])
     return out
 
 
@@ -533,10 +536,33 @@ def _sym_map(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return A
 
 
+@functools.cache
+def _line_tables() -> tuple:
+    """Read-only constant tables, built on first use (not at import): T9 and
+    T81 with _sym_map(X, I) = vec X @ T9 and _sym_map(X, Y) = vec(X (x) Y) @
+    T81 (it is bilinear), and KRON with vec g @ KRON = g^ab delta_ij over
+    (a, i, b, j)."""
+    I3, E = np.eye(3), np.eye(9).reshape(9, 3, 3)
+    tables = (_sym_map(E, I3).reshape(9, 36), _sym_map(E[:, None], E).reshape(81, 36),
+              np.einsum("Aa,Bb,ij->ABaibj", I3, I3, np.eye(6)).reshape(9, 324))
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+def _max_abs(a: np.ndarray) -> float:
+    """max |a| of a slab view, NaN or inf iff `a` holds one; reduced along
+    each line value's run first, which numpy does faster than a whole
+    strided reduction."""
+    a = a.reshape(len(a), -1)
+    return max(float(a.max(axis=1).max()), -float(a.min(axis=1).min()))
+
+
 def _operator_input(cm: ChartMetric, h: np.ndarray, grid: GridSpec,
                     fields: dict = None) -> tuple:
-    """Checked operator input: h in slab layout, and the curvature fields
-    on the N grid points of the chart axis.
+    """Checked operator input: the (N, 24, N, N) stack R of `_apply_L` with
+    h's 6 components in its last block, and the curvature fields on the N
+    grid points of the chart axis.
 
     h must be finite and symmetric: max|h_ij - h_ji| may not exceed `SYM_TOL`
     times max|h|.  Grid fields are read at index 0 on the invariant axes;
@@ -562,19 +588,27 @@ def _operator_input(cm: ChartMetric, h: np.ndarray, grid: GridSpec,
         on_line = [0, 0, 0]
         on_line[cm.axis] = slice(None)
         line = {key: fields[key][tuple(on_line)] for key in _FIELD_SHAPES}
-    full = np.ascontiguousarray(np.moveaxis(h.reshape((N,) * 3 + (9,)), (cm.axis, 3), (0, 1)))
-    hs = np.take(full, 3 * _I6 + _J6, axis=1)
-    scale = max(float(hs.max()), -float(hs.min()))   # NaN or inf iff hs holds one
-    # subtracted only when finite (no inf - inf); a numpy max keeps a NaN below the diagonal
-    asym = scale if not math.isfinite(scale) else float(np.max(
-        [np.max(np.abs(full[:, 3 * i + j] - full[:, 3 * j + i]))
-         for i, j in zip(_I6[3:], _J6[3:])]))
+    # h's 9 entries in slab layout, by one copy into the difference blocks
+    R = np.empty((N, 24, N, N))
+    R[:, :9] = np.moveaxis(h.reshape((N,) * 3 + (9,)), (cm.axis, 3), (0, 1))
+    R[:, 18:21] = R[:, 0:9:4]                        # 00, 11, 22
+    R[:, 21:23] = R[:, 1:3]                          # 01, 02
+    R[:, 23] = R[:, 5]                               # 12
+    scale = _max_abs(R[:, 18:])
+    if math.isfinite(scale):
+        # h_ij - h_ji for 01, 02, 12, subtracted only when finite (no inf - inf);
+        # a NaN below the diagonal makes it NaN
+        np.subtract(R[:, 1:3], R[:, 3:7:3], out=R[:, 9:11])
+        np.subtract(R[:, 5], R[:, 7], out=R[:, 11])
+        asym = _max_abs(R[:, 9:12])
+    else:
+        asym = scale
     if not math.isfinite(asym):
         raise InvalidInput("field has non-finite entries")
     if asym > SYM_TOL * scale:
         raise InvalidInput(f"field is not symmetric: max|h_ij - h_ji| = {asym:.3e} "
                            f"against max|h| = {scale:.3e}")
-    return hs, line
+    return R, line
 
 
 def apply_L_fd(cm: ChartMetric, lam: float, d, h: np.ndarray,
@@ -590,93 +624,107 @@ def apply_L_fd(cm: ChartMetric, lam: float, d, h: np.ndarray,
     O(dx^2).  The result is exactly symmetric, and zero outside the open
     ball (Dirichlet).
     """
-    hs, line = _operator_input(cm, h, grid, _fields)
-    Lh = _apply_L(cm, lam, d, hs, grid, line)[0]
+    # R is only an argument, so it is freed before the 9 entries are gathered
+    Lh = _apply_L(cm, lam, d, grid, *_operator_input(cm, h, grid, _fields))[0]
     return np.moveaxis(Lh[:, _FULL], (0, 1, 2), (cm.axis, 3, 4))
 
 
-def _apply_L(cm: ChartMetric, lam: float, d, hs: np.ndarray, grid: GridSpec,
-             line: dict) -> tuple:
-    """(L h, g^-1 h g^-1) in slab layout, for a symmetric h in slab layout.
+def _line_coefficients(cm: ChartMetric, lam: float, d: np.ndarray, dx: float,
+                       ax: np.ndarray, line: dict) -> tuple:
+    """(C, W, H), the coefficients of `_apply_L` on R per line value x.
 
-    The coefficients are built per line value (`line`) on the 6 components:
-    the Gamma correction of T = nabla h (6 x 6 per axis), the trace and M
-    terms on T with the drift along the chart axis (6 x 18), and the
-    zeroth-order terms (6 x 6), each a batched matmul over the N line values.
-    The g^ab Laplacian weights are scalar sums S_a = g^ab T_b, differenced
-    along a.  T is held as 2 dx nabla h, the difference's denominator folded
-    into the coefficients; it and the buffer that every other product goes
-    through are one (N, 24, N, N) block, the buffer ending as g^-1 h g^-1.
+    On the interior x = 1 .. N - 2, C (N - 2, 6, 72) = [-W_c | M | W_c] acts
+    on the rows of R at x - 1, x and x + 1, the chart axis's W_c taking K_b
+    at x - 1 and x + 1 (and its drift joining -Q_c / 2 dx); W (N - 2, 2, 6,
+    24) are the invariant axes' W_a, in grid-axis order.  H (N, 6, 6) is
+    h -> g^-1 h g^-1.
     """
-    N, dx, I = grid.npts, grid.dx, np.eye(3)
-    others = [a for a in range(3) if a != cm.axis]
-    sax = {cm.axis: 0, others[0]: 2, others[1]: 3}               # slab axis of each grid axis
-    ax, d = grid.axis(), np.asarray(d, dtype=float)
-    # the Dirichlet mask, taken before the large arrays exist
-    outside = sum(ax.reshape([-1 if s == sax[a] else 1 for s in range(4)]) ** 2
-                  for a in range(3)) >= grid.radius ** 2
+    N, n, c, I6 = len(ax), len(ax) - 2, cm.axis, np.eye(6)
     g, G, Rm, Rc = line["ginv"], line["Gamma"], line["Rm"], line["Rc"]
-    hs2 = hs.reshape(N, 6, N * N)
+    T9, T81, KRON = _line_tables()
+    # K[:, b] = K_b and H as 36-vectors on the whole line, the rest on its interior
+    K = (G.transpose(0, 2, 1, 3).reshape(3 * N, 9) @ T9).reshape(N, 3, 36)
+    H = ((0.5 * g.reshape(N, 9, 1) * g.reshape(N, 1, 9)).reshape(N, 81) @ T81).reshape(N, 6, 6)
+    g, G, Ki = g[1:-1], G[1:-1], K[1:-1]
+    # Z = 2 Rm(g^-1 h g^-1) - Rc^T h - h Rc + (2 lam + d_i + d_j) h_ij
+    Rm9 = Rm[1:-1].transpose(0, 1, 3, 2, 4)[:, _I6, _J6].reshape(n, 6, 9)   # Rm[i, a, j, b]
+    Z = 2.0 * (Rm9 @ H[1:-1, _FULL.ravel()]) - (Rc[1:-1].reshape(n, 9) @ T9).reshape(n, 6, 6)
+    Z.reshape(n, 36)[:, ::7] += 2.0 * lam + d[_I6] + d[_J6]        # its diagonal
+    # Delta h_ij = g^ab [ d_a nabla_b h_ij - G^p_ab nabla_p h_ij - G^p_ai nabla_b h_pj
+    # - G^p_aj nabla_b h_ip ]: the last three terms are Q_b nabla_b h with
+    # Q_b = trG_b + sum_a g^ba K_a, laid out as [Q_0 | Q_1 | Q_2]
+    gK = g @ Ki
+    trG = (G.reshape(n, 3, 9) @ g.reshape(n, 9, 1)).reshape(n, 3)
+    Q = (gK.reshape(n, 3, 6, 6) + trG[:, :, None, None] * I6).transpose(0, 2, 1, 3).reshape(n, 6, 18)
+    # the flux weights of S_a = g^ab T_b / (2 dx)^2 on R, with K_b at x
+    W = np.empty((n, 3, 6, 24))
+    W[..., :18] = ((g / (2.0 * dx) ** 2).reshape(n, 9) @ KRON).reshape(n, 3, 6, 18)
+    W[..., 18:] = (gK / (-2.0 * dx)).reshape(n, 3, 6, 6)
+    C = np.empty((n, 6, 72))
+    C[:, :, :18] = -W[:, c, :, :18]
+    C[:, :, 18:24] = (g[:, c, None] @ K[:-2]).reshape(n, 6, 6) / (2.0 * dx)
+    C[:, :, 42:48] = Z + Q @ Ki.reshape(n, 18, 6)
+    Q.reshape(n, 108)[:, 6 * c::19] -= (d[c] * ax[1:-1])[:, None]   # the diagonal of Q_c
+    C[:, :, 24:42] = Q / (-2.0 * dx)
+    C[:, :, 48:66] = W[:, c, :, :18]
+    C[:, :, 66:] = (g[:, c, None] @ K[2:]).reshape(n, 6, 6) / (-2.0 * dx)
+    return C, W[:, [a for a in range(3) if a != c]], H
 
-    # nabla_a h_ij = d_a h_ij - G^p_ai h_pj - G^p_aj h_pi, stored as
-    # T[x, (a, ij)] = 2 dx nabla_a h_ij; K[:, a] is h -> Gamma_a^T h + h Gamma_a
-    K = _sym_map(G.transpose(0, 2, 1, 3), I)
 
-    # 2 Rm(g^-1 h g^-1) - Rc^T h - h Rc + (2 lam + d_i + d_j) h_ij, with the K
-    # part of the drift d_a x^a d_a h along the chart axis (d_a h = nabla_a h + K_a h)
-    H = 0.5 * _sym_map(g, g)                                      # h -> g^-1 h g^-1
-    Rm9 = Rm.transpose(0, 1, 3, 2, 4)[:, _I6, _J6].reshape(N, 6, 9)   # Rm[i, a, j, b]
-    Z = (2.0 * (Rm9 @ H[:, _FULL.ravel()]) - _sym_map(Rc, I)
-         + (d[cm.axis] * ax)[:, None, None] * K[:, cm.axis])
-    Z[:, range(6), range(6)] += 2.0 * lam + d[_I6] + d[_J6]
-    out = Z @ hs2
+def _apply_L(cm: ChartMetric, lam: float, d, grid: GridSpec, R: np.ndarray,
+             line: dict) -> tuple:
+    """(L h, H) in slab layout for the stack R of `_operator_input`, H the
+    line coefficients (N, 6, 6) of h -> g^-1 h g^-1.
 
-    # one allocation for T and the product buffer: with glibc malloc and a
-    # block under its 32 MiB cap on the dynamic mmap threshold (N <= 55, which
-    # covers the 17^3 and 33^3 probe grids), the block freed once lifts the
-    # heap's trim threshold above what a call holds, so later calls reuse its
-    # pages instead of faulting them in again; larger blocks (65^3: 53 MB) are
-    # mmapped and unmapped on every call whatever the layout
-    work = np.empty((N, 24, N, N))
-    T, buf = work[:, :18], work[:, 18:].reshape(N, 6, N * N)
-    T2 = T.reshape(N, 18, N * N)
+    R = [D_0 h, D_1 h, D_2 h, h] holds raw centred differences D_a h = 2 dx
+    d_a h (zero ghost cells).  With K_b: h -> Gamma_b^T h + h Gamma_b,
+    T_b = 2 dx nabla_b h = D_b h - 2 dx K_b h, so every term is a line
+    coefficient times R: the zeroth- and first-order part is M[x] R with
+    M = [-Q_b / 2 dx | Z + sum_b Q_b K_b], and each Laplacian flux S_a =
+    g^ab T_b / (2 dx)^2 = W_a[x] R is differenced along a.  The rows of R at
+    x - 1, x and x + 1 are consecutive, so M and the chart axis's flux are
+    one batched matmul over the interior x (the end planes lie outside the
+    ball); each invariant axis's flux, and its drift, whose coefficient
+    varies over the plane, are a product into one buffer.
+    """
+    N, n, dx, c = grid.npts, grid.npts - 2, grid.dx, cm.axis
+    others = [a for a in range(3) if a != c]
+    sax = {c: 0, others[0]: 2, others[1]: 3}                     # slab axis of each grid axis
+    ax, d = grid.axis(), np.asarray(d, dtype=float)
+    C, W, H = _line_coefficients(cm, lam, d, dx, ax, line)
+    # the Dirichlet mask on the interior, r^2 summed in grid-axis order, taken
+    # before L h and the buffer exist
+    sq = ax * ax
+    r2 = [(sq[1:-1] if a == c else sq).reshape([-1 if s == sax[a] else 1 for s in range(4)])
+          for a in range(3)]
+    outside = ((r2[0] + r2[1]) + r2[2] >= grid.radius ** 2).reshape(n, 1, -1)
+
     for a in range(3):
-        _diff(hs, sax[a], T[:, 6 * a:6 * a + 6])
-        if a != cm.axis and d[a] != 0.0:
+        _diff(R[:, 18:], sax[a], R[:, 6 * a:6 * a + 6])
+    R2 = R.reshape(N, 24, -1)
+    out = np.empty((N, 6, N * N))
+    out[::N - 1] = 0.0
+    # the (72, N^2) rows of R at x - 1, x and x + 1, one view per interior x
+    rows = np.ndarray((n, 72, N * N), buffer=R2, strides=R2.strides[:2] + (8,))
+    Li, Ri, buf = np.matmul(C, rows, out=out[1:-1]), R2[1:-1], np.empty((n, 6, N * N))
+    Lf = Li.reshape(-1)
+    for k, a in enumerate(others):
+        if d[a] != 0.0:
             # the drift d_a x^a d_a h, its coefficient laid out on the (N, N)
             # plane of the two invariant axes
-            c = (d[a] / (2.0 * dx)) * ax
-            plane = np.broadcast_to(c[:, None] if sax[a] == 2 else c, (N, N)).reshape(1, 1, -1)
-            out += np.multiply(plane, T2[:, 6 * a:6 * a + 6], out=buf)
-        T2[:, 6 * a:6 * a + 6] -= np.matmul((2.0 * dx) * K[:, a], hs2, out=buf)
-
-    # Delta h_ij = g^ab [ d_a T_bij - G^p_ab T_pij - G^p_ai T_bpj - G^p_aj T_bip ];
-    # the last three terms are Q_b T_b with Q_b = trG_b + g^ba K_a, and the
-    # rest of the drift along the chart axis joins trG there as -d_a x^a
-    trG = np.einsum("nab,npab->np", g, G)
-    trG[:, cm.axis] -= d[cm.axis] * ax
-    Q = np.einsum("nba,naij->nbij", g, K)
-    Q[:, :, range(6), range(6)] += trG[:, :, None]
-    out -= np.matmul(Q.transpose(0, 2, 1, 3).reshape(N, 6, 18) / (2.0 * dx), T2, out=buf)
-    # S_a = g^ab T_b / (2 dx)^2, one scalar sum per component
-    T3, S, out2 = T.reshape(N, 3, -1), buf.reshape(N, 1, -1), out.reshape(N, -1)
-    wts = g / (2.0 * dx) ** 2
-    for a in range(3):
-        if a == cm.axis:
-            # the weights vary along their own axis: difference g^ab[x] T_b[x +- 1]
-            out[:-1] += np.matmul(wts[:-1, a, None], T3[1:], out=S[:-1]).reshape(N - 1, 6, -1)
-            out[1:] -= np.matmul(wts[1:, a, None], T3[:-1], out=S[1:]).reshape(N - 1, 6, -1)
-        else:
-            # the weights are constant along a, so d_a commutes with them; the
-            # shifted adds reach across the ends of a, which the mask zeroes
-            s = N ** (3 - sax[a])
-            S2 = np.matmul(wts[:, a, None], T3, out=S).reshape(N, -1)
-            out2[:, :-s] += S2[:, s:]
-            out2[:, s:] -= S2[:, :-s]
-
-    hup = np.matmul(H, hs2, out=buf).reshape(N, 6, N, N)
-    np.copyto(out, 0.0, where=outside.reshape(N, 1, -1))
-    return out.reshape(N, 6, N, N), hup
+            coef = (d[a] / (2.0 * dx)) * ax
+            plane = np.broadcast_to(coef[:, None] if sax[a] == 2 else coef, (N, N)).reshape(1, 1, -1)
+            Li += np.multiply(plane, Ri[:, 6 * a:6 * a + 6], out=buf)
+        # the weights are constant along a, so d_a commutes with them; the
+        # shifted adds run over the flat interior (numpy adds 1-d runs several
+        # times faster than 2-d ones) and reach across the ends of a and of
+        # each line value, only onto the cube's faces, which the mask zeroes
+        s = N ** (3 - sax[a])
+        Sf = np.matmul(W[:, k], Ri, out=buf).reshape(-1)
+        Lf[:-s] += Sf[s:]
+        Lf[s:] -= Sf[:-s]
+    np.copyto(Li, 0.0, where=outside)
+    return out.reshape(N, 6, N, N), H
 
 
 def rayleigh_quotient(cm: ChartMetric, lam: float, d, h: np.ndarray,
@@ -688,15 +736,21 @@ def rayleigh_quotient(cm: ChartMetric, lam: float, d, h: np.ndarray,
     products raise indices with g; the measure is sqrt(det g) dx^3.
     Scale-invariant by construction.
     """
-    hs, line = _operator_input(cm, h, grid, _fields)
-    Lh, hup = _apply_L(cm, lam, d, hs, grid, line)
+    R, line = _operator_input(cm, h, grid, _fields)
+    Lh, H = _apply_L(cm, lam, d, grid, R, line)
     N = grid.npts
-    w = line["sqrt_det"] * grid.dx ** 3
-    hup = hup.reshape(N, 6, -1)
-    den = float(w @ np.einsum("xck,xck->xc", hup, hs.reshape(N, 6, -1)) @ _MULT)
+    # L h next to h in R, whose differences are spent: one product gives the
+    # plane sums of both pairings (numpy would send h h^T alone to syrk,
+    # slower here); (g^-1 h g^-1) . v over a plane is
+    # sum_cd MULT_c H[c, d] (v_c . h_d)
+    R2 = R.reshape(N, 24, -1)
+    R2[:, 12:18] = Lh.reshape(N, 6, -1)
+    P = R2[:, 12:] @ R2[:, 18:].transpose(0, 2, 1)
+    wH = (line["sqrt_det"] * grid.dx ** 3)[:, None] * (_MULT[:, None] * H).reshape(N, 36)
+    num, den = np.einsum("xkc,xc->k", P.reshape(N, 2, 36), wH)
     if den <= 0.0 or not np.isfinite(den):
         raise InvalidInput("Rayleigh quotient of a zero (or degenerate) field")
-    return float(w @ np.einsum("xck,xck->xc", hup, Lh.reshape(N, 6, -1)) @ _MULT) / den
+    return float(num) / float(den)
 
 
 def radial_bump(grid: GridSpec, r_inner: float, r_outer: float) -> np.ndarray:

@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -365,6 +366,19 @@ def _strict_json(text):
 def test_weights_divergent_report_writes_null(capsys):
     code, out, _ = run_main(capsys, "weights", "--a", "-9", "--dim", "4",
                             "--tau", "0.5", "--nmax", "400")
+    doc = _strict_json(out)
+    assert code == 1
+    assert doc["converged"] is False
+    assert doc["sum"] is None and doc["bound"] is None and doc["tail_bound"] is None
+    assert None in [value for _, value in doc["partial_sums"]]
+
+
+@pytest.mark.parametrize("dim, tau", [("3", "0.5"), ("5", "2")])
+def test_weights_overflowing_partial_sums_raise_no_warning(capsys, dim, tau):
+    # finite terms whose partial sums overflow: the report says so, numpy stays quiet
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run_main(capsys, "weights", "--a", "-4", "--dim", dim, "--tau", tau)
     doc = _strict_json(out)
     assert code == 1
     assert doc["converged"] is False

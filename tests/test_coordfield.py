@@ -740,6 +740,29 @@ def test_kernels_match_einsum_oracle(name):
     assert abs(q - ref_q) < 1e-12 * abs(ref_q)
 
 
+@pytest.mark.parametrize("npts", [17, 33])
+@pytest.mark.parametrize("name", ["nil3", "sol3", "hyp3"])
+def test_operator_matches_oracle_on_a_field_nonzero_at_the_boundary(name, npts):
+    """Every coefficient of the operator and its Dirichlet mask: a seeded
+    random symmetric field, nonzero on and outside the boundary sphere, so
+    that no term is hidden by a vanishing input."""
+    cm = chart_metric(name)
+    grid = GRID if npts == 17 else GridSpec(radius=2.0, dx=0.125)
+    assert grid.npts == npts
+    pts = grid.points()
+    fields = curvature_fields(cm, pts)
+    A = np.random.default_rng(17).standard_normal(pts.shape[:3] + (3, 3))
+    h = A + np.swapaxes(A, -1, -2)
+    outside = np.einsum("...k,...k->...", pts, pts) >= grid.radius ** 2
+    assert np.all(np.abs(h[outside]).max(axis=(-2, -1)) > 0)
+    ref_L, ref_q = _oracle_apply_L(cm, h, grid, _oracle_curvature_fields(cm, pts))
+    out = apply_L_fd(cm, cm.lam, cm.d, h, grid, _fields=fields)
+    assert np.all(out[outside] == 0.0)
+    assert _rel_err(out, ref_L) < 1e-12
+    q = rayleigh_quotient(cm, cm.lam, cm.d, h, grid, _fields=fields)
+    assert abs(q - ref_q) < 1e-12 * abs(ref_q)
+
+
 @pytest.mark.parametrize("where", ["grid", "transposed", "scattered", "constant"])
 @pytest.mark.parametrize("name", ["nil3", "sol3", "hyp3"])
 def test_line_fields_match_per_point_evaluation(name, where):

@@ -61,8 +61,9 @@ for name in ("nil3", "sol3", "hyp3"):
     coordfield.chart_metric(name)
 print(json.dumps({LOADED}))
 """)
-    assert not [m for m in loaded if m.startswith("scipy")], loaded
-    assert "solitonlab.leftinv" not in loaded
+    # exactly these: no scipy module, and no layer (not even `catalog`) beyond them
+    assert loaded == ["solitonlab", "solitonlab.coordfield", "solitonlab.errors",
+                      "solitonlab.liealg"], loaded
 
 
 def test_light_subcommands_load_no_scipy():
