@@ -260,18 +260,16 @@ def cmd_flow(args) -> int:
 
 
 def cmd_rayleigh(args) -> int:
-    from .coordfield import (GridSpec, chart_metric, curvature_fields,
-                             probe_tensor_suite, rayleigh_quotient)
+    from .coordfield import GridSpec, chart_metric, rayleigh_span
     cm = chart_metric(args.target)
     grid = GridSpec(args.radius, args.dx)
-    suite = probe_tensor_suite(cm, grid, count=args.count, seed=args.seed)
-    fields = curvature_fields(cm, grid.points())
-    quotients = [rayleigh_quotient(cm, cm.lam, cm.d, h, grid, _fields=fields)
-                 for h in suite]
+    quotients, span_max = rayleigh_span(cm, cm.lam, cm.d, grid, count=args.count,
+                                        seed=args.seed)
     _emit({"chart": cm.name, "lambda": cm.lam, "count": args.count,
            "seed": args.seed,
            "grid": {"radius": grid.radius, "dx": grid.dx, "npts": grid.npts},
-           "quotients": quotients, "max": max(quotients)}, args.out)
+           "quotients": quotients, "max": max(quotients), "span_max": span_max},
+          args.out)
     return 0 if max(quotients) < 0 else 1
 
 
@@ -287,7 +285,8 @@ def cmd_weights(args) -> int:
     _emit({"a": res["a"], "n": res["n"], "tau": res["tau"],
            "N_max": res["N_max"], "partial_sums": checkpoints,
            "sum": float(ps[-1]), "tail_bound": res["tail_bound"],
-           "bound": res["bound"], "converged": res["converged"]}, args.out)
+           "bound": res["bound"], "converged": res["converged"],
+           "tau_critical": res["tau_critical"], "margin": res["margin"]}, args.out)
     return 0 if res["converged"] else 1
 
 

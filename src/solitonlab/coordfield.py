@@ -19,9 +19,11 @@ Rm[i,j,k,l], and Delta_L h = Delta h + 2*Rm(h) - Rc.h - h.Rc.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import numbers
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -140,6 +142,10 @@ def summability_check(w: WeightSpec, N_max: int = 250_000) -> dict:
     numpy alone).  Returns partial sums over N = 2..N_max, a rigorous
     analytic bound on the discarded tail, and a convergence verdict:
     eventually-decreasing terms with tail below 1e-6 of the computed sum.
+    Next to the verdict stand its threshold and margin: the series
+    converges iff tau > tau_critical, which is kappa (n - 1) - n for a < 0
+    (the terms behave like e^(2 (kappa (n - 1) - n - tau) N), kappa =
+    sqrt(-a)) and 1 for a = 0, and `margin` is tau - tau_critical.
     An N_max that is not a finite integer >= 10, or whose term arrays
     exceed physical memory, raises `InvalidInput` before anything is
     allocated.
@@ -167,6 +173,7 @@ def summability_check(w: WeightSpec, N_max: int = 250_000) -> dict:
         tail = (_ball_volume_const(w.n) * (M / (M - 1.0)) ** w.n * 2.0 ** (-w.tau)
                 * ((M - 1.0) ** (-w.tau) + (M - 1.0) ** (1.0 - w.tau) / (w.tau - 1.0)))
         tail_finite = True
+        cut = len(terms)
     else:
         kappa = math.sqrt(-w.a)
         log_terms = np.empty(N_max - 1)
@@ -185,6 +192,7 @@ def summability_check(w: WeightSpec, N_max: int = 250_000) -> dict:
             if settled or growing or lt > 700:
                 stop = idx + 1
                 break
+        cut = len(log_terms)
         if stop < len(log_terms):
             # extend the asymptotically log-linear terms analytically
             # instead of integrating each one
@@ -192,9 +200,17 @@ def summability_check(w: WeightSpec, N_max: int = 250_000) -> dict:
             ext = log_terms[stop:]
             np.multiply(np.arange(1.0, len(ext) + 1), slope, out=ext)
             ext += log_terms[stop - 1]
-        log_terms[~(log_terms > -700)] = -np.inf
+            if slope < 0:
+                # falling, the extension is non-increasing even in rounding,
+                # and from its first log-term <= -700 on every term is an
+                # exact 0: exp and cumsum run only up to that cut
+                cut = stop + bisect.bisect_left(ext, 700.0, key=operator.neg)
+        head = log_terms[:cut]
+        head[~(head > -700)] = -np.inf
         with np.errstate(over="ignore"):
-            terms = np.exp(log_terms, out=log_terms)
+            np.exp(head, out=head)
+        log_terms[cut:] = 0.0
+        terms = log_terms
         # geometric tail via
         # V_a(R) <= A_{n-1} e^(kappa(n-1)R) / (2^(n-1) kappa^(n-1) kappa(n-1))
         rate = 2.0 * (kappa * (w.n - 1) - nt)
@@ -208,9 +224,12 @@ def summability_check(w: WeightSpec, N_max: int = 250_000) -> dict:
             tail = math.inf
             tail_finite = False
 
-    # a divergent a < 0 sum of finite terms may overflow to inf here
+    # a divergent a < 0 sum of finite terms may overflow to inf here; past
+    # `cut` the terms are exact zeros and the sum stays where it is
+    partial_sums = np.empty_like(terms)
     with np.errstate(over="ignore"):
-        partial_sums = np.cumsum(terms)
+        np.cumsum(terms[:cut], out=partial_sums[:cut])
+    partial_sums[cut:] = partial_sums[cut - 1]
     total = float(partial_sums[-1])
     # eventually decreasing: the last 5 ratios are all < 1 (N_max >= 10
     # leaves at least 9 terms)
@@ -220,11 +239,13 @@ def summability_check(w: WeightSpec, N_max: int = 250_000) -> dict:
         ratios = last[1:] / np.where(last[:-1] > 0, last[:-1], np.inf)
     eventually_decreasing = bool(np.all(ratios < 1.0))
     converged = bool(eventually_decreasing and tail_finite and tail < 1e-6 * total)
+    tau_critical = math.sqrt(-w.a) * (w.n - 1) - w.n if w.a < 0 else 1.0
     return {
         "a": w.a, "n": w.n, "tau": w.tau, "N_max": N_max,
         "terms": terms, "partial_sums": partial_sums,
         "tail_bound": float(tail), "bound": total + float(tail),
         "converged": converged,
+        "tau_critical": tau_critical, "margin": w.tau - tau_critical,
     }
 
 
@@ -565,29 +586,14 @@ def _operator_input(cm: ChartMetric, h: np.ndarray, grid: GridSpec,
     grid points of the chart axis.
 
     h must be finite and symmetric: max|h_ij - h_ji| may not exceed `SYM_TOL`
-    times max|h|.  Grid fields are read at index 0 on the invariant axes;
-    without them the N line points are evaluated.
+    times max|h|.  The line fields are those of `_line_fields`.
     """
-    if grid.dx > grid.radius / 8.0 + 1e-12:
-        raise GridTooCoarse(
-            f"dx = {grid.dx} exceeds radius/8 = {grid.radius / 8.0}")
+    line = _line_fields(cm, grid, fields)
     h = np.asarray(h, dtype=float)
     N = grid.npts
     shape = (N,) * 3 + (3, 3)
     if h.shape != shape:
         raise InvalidInput(f"field shape {h.shape} does not match grid {shape}")
-    if fields is None:
-        pts = np.zeros((N, 3))
-        pts[:, cm.axis] = grid.axis()
-        line = curvature_fields(cm, pts)
-    else:
-        bad = sorted(key for key, tail in _FIELD_SHAPES.items()
-                     if key not in fields or np.shape(fields[key]) != (N,) * 3 + tail)
-        if bad:
-            raise InvalidInput(f"fields {bad} do not match the {N}^3 grid")
-        on_line = [0, 0, 0]
-        on_line[cm.axis] = slice(None)
-        line = {key: fields[key][tuple(on_line)] for key in _FIELD_SHAPES}
     # h's 9 entries in slab layout, by one copy into the difference blocks
     R = np.empty((N, 24, N, N))
     R[:, :9] = np.moveaxis(h.reshape((N,) * 3 + (9,)), (cm.axis, 3), (0, 1))
@@ -609,6 +615,28 @@ def _operator_input(cm: ChartMetric, h: np.ndarray, grid: GridSpec,
         raise InvalidInput(f"field is not symmetric: max|h_ij - h_ji| = {asym:.3e} "
                            f"against max|h| = {scale:.3e}")
     return R, line
+
+
+def _line_fields(cm: ChartMetric, grid: GridSpec, fields: dict = None) -> dict:
+    """The curvature fields on the N grid points of the chart axis, for an
+    operator on `grid` (`GridTooCoarse` if dx > R/8): read at index 0 on the
+    invariant axes of the grid `fields`, checked against the grid, or
+    evaluated on the N line points when `fields` is None."""
+    if grid.dx > grid.radius / 8.0 + 1e-12:
+        raise GridTooCoarse(
+            f"dx = {grid.dx} exceeds radius/8 = {grid.radius / 8.0}")
+    N = grid.npts
+    if fields is None:
+        pts = np.zeros((N, 3))
+        pts[:, cm.axis] = grid.axis()
+        return curvature_fields(cm, pts)
+    bad = sorted(key for key, tail in _FIELD_SHAPES.items()
+                 if key not in fields or np.shape(fields[key]) != (N,) * 3 + tail)
+    if bad:
+        raise InvalidInput(f"fields {bad} do not match the {N}^3 grid")
+    on_line = [0, 0, 0]
+    on_line[cm.axis] = slice(None)
+    return {key: fields[key][tuple(on_line)] for key in _FIELD_SHAPES}
 
 
 def apply_L_fd(cm: ChartMetric, lam: float, d, h: np.ndarray,
@@ -746,11 +774,18 @@ def rayleigh_quotient(cm: ChartMetric, lam: float, d, h: np.ndarray,
     R2 = R.reshape(N, 24, -1)
     R2[:, 12:18] = Lh.reshape(N, 6, -1)
     P = R2[:, 12:] @ R2[:, 18:].transpose(0, 2, 1)
-    wH = (line["sqrt_det"] * grid.dx ** 3)[:, None] * (_MULT[:, None] * H).reshape(N, 36)
+    wH = _pairing_weights(line, H, grid.dx).reshape(N, 36)
     num, den = np.einsum("xkc,xc->k", P.reshape(N, 2, 36), wH)
     if den <= 0.0 or not np.isfinite(den):
         raise InvalidInput("Rayleigh quotient of a zero (or degenerate) field")
     return float(num) / float(den)
+
+
+def _pairing_weights(line: dict, H: np.ndarray, dx: float) -> np.ndarray:
+    """The L2 pairing of the chart metric on each plane of the chart axis,
+    shape (N, 6, 6): plane sums v_c . h_d of two fields' components pair as
+    sum_cd W[c, d] (v_c . h_d), W = sqrt(det g) dx^3 MULT_c H[c, d]."""
+    return (line["sqrt_det"] * dx ** 3)[:, None, None] * (_MULT[:, None] * H)
 
 
 def radial_bump(grid: GridSpec, r_inner: float, r_outer: float) -> np.ndarray:
@@ -774,7 +809,7 @@ def frame_tensor_field(cm: ChartMetric, grid: GridSpec, S) -> np.ndarray:
 def _frame_field(C: np.ndarray, S) -> np.ndarray:
     """C^T sym(S) C pointwise, for coframe rows C of shape (..., 3, 3)."""
     S = np.asarray(S, dtype=float)
-    return np.swapaxes(C, -1, -2) @ (0.5 * (S + S.T)) @ C
+    return np.swapaxes(C, -1, -2) @ (0.5 * (S + np.swapaxes(S, -1, -2))) @ C
 
 
 def probe_tensor_suite(cm: ChartMetric, grid: GridSpec, count: int = 20,
@@ -785,25 +820,106 @@ def probe_tensor_suite(cm: ChartMetric, grid: GridSpec, count: int = 20,
     seeded random symmetric combinations.  All are supported in the open
     ball (the bump ramps from 0.45 R to 0.9 R) and C^2 at the cutoff.
     """
-    if count < 1:
-        raise InvalidInput("count must be positive")
-    check_seed(seed)
+    _check_probes(count, seed)
     # the suite's 9 doubles per point and tensor, held next to the operator
     grid.require_memory(_POINT_BYTES + 72 * count,
                         f"its coordinates, operator and {count} probe tensors")
     chi = radial_bump(grid, 0.45 * grid.radius, 0.9 * grid.radius)
-    mats = []
-    for i, j in zip(*np.triu_indices(3)):
-        E = np.zeros((3, 3))
-        E[i, j] = E[j, i] = 1.0
-        mats.append(E)
-    rng = np.random.default_rng(seed)
-    while len(mats) < count:
-        A = rng.uniform(-1.0, 1.0, size=(3, 3))
-        S = 0.5 * (A + A.T)
-        mats.append(S / np.linalg.norm(S))
     C = cm.coframe(_on_axis(cm, grid.axis()))
-    return [chi[..., None, None] * _frame_field(C, S) for S in mats[:count]]
+    return [chi[..., None, None] * _frame_field(C, S) for S in _probe_matrices(count, seed)]
+
+
+def _check_probes(count: int, seed: int):
+    """Refuse a probe count below 1 or a seed that `check_seed` refuses."""
+    if count < 1:
+        raise InvalidInput("count must be positive")
+    check_seed(seed)
+
+
+def _probe_matrices(count: int, seed: int) -> np.ndarray:
+    """The frame matrices of the probe suite, shape (count, 3, 3): the
+    symmetric frame units E_ij, i <= j in `np.triu_indices` order, then
+    seeded random symmetric matrices of unit Frobenius norm."""
+    mats = np.zeros((max(count, 6), 3, 3))
+    I, J = np.triu_indices(3)
+    mats[np.arange(6), I, J] = mats[np.arange(6), J, I] = 1.0
+    rng = np.random.default_rng(seed)
+    for S in mats[6:]:
+        A = rng.uniform(-1.0, 1.0, size=(3, 3))
+        S[...] = 0.5 * (A + A.T)
+        S /= np.linalg.norm(S)
+    return mats[:count]
+
+
+# bytes per probe that `rayleigh_span` and its caller hold at their peak,
+# apart from the grid arrays: the frame matrix, its 6 span coordinates and
+# the quotient, then the quotient list and its JSON text (tracemalloc: 160
+# B/probe in `rayleigh_span`, 146 while `rayleigh` prints its report)
+_PROBE_BYTES = 8 * 24
+
+
+def rayleigh_span(cm: ChartMetric, lam: float, d, grid: GridSpec, count: int = 20,
+                  seed: int = 0) -> tuple:
+    """The Rayleigh quotients of `probe_tensor_suite(cm, grid, count, seed)`,
+    in suite order, and the exact maximum of the quotient over their span.
+
+    Every probe chi C^T S C lies in the span of the six frame units h_k =
+    chi C^T E_k C, and L and the pairing of `rayleigh_quotient` are linear,
+    so the probe with coordinates s = (S_ij), i <= j, has quotient
+    s^T A s / s^T B s with A_kl = (L h_k, h_l) and B_kl = (h_k, h_l).  L is
+    applied once to each h_k, so a count below 6 costs as much as 6.  Each
+    h_k is a line function times chi, so both pairings are line sums of
+    plane sums against chi.  span_max is the top eigenvalue of the pencil
+    (sym A, B), by Cholesky of B and `eigvalsh` in numpy alone: the supremum
+    of the quotient over the span, at least every sampled quotient up to
+    rounding.
+
+    Returns (quotients, span_max).  Refused before anything grid-sized is
+    allocated: a count or seed that `probe_tensor_suite` refuses, a count
+    whose probes (`_PROBE_BYTES` each) exceed physical memory
+    (`InvalidInput`), a grid whose
+    coordinates and operator do (`GridTooLarge`), and dx > R/8
+    (`GridTooCoarse`).
+    """
+    _check_probes(count, seed)
+    need, phys = count * _PROBE_BYTES, _physical_memory()
+    if need > phys:
+        raise InvalidInput(
+            f"count={count} needs ~{need / 2 ** 30:.3g} GiB for its probes, "
+            f"above the {phys / 2 ** 30:.3g} GiB of physical memory")
+    grid.require_memory(_POINT_BYTES, "its coordinates and operator")
+    line = _line_fields(cm, grid)
+    N = grid.npts
+    chi = np.moveaxis(radial_bump(grid, 0.45 * grid.radius, 0.9 * grid.radius), cm.axis, 0)
+    # the first six frame matrices are the units E_k; F[x, k, c] is component
+    # c of C^T E_k C at line value x
+    mats = _probe_matrices(max(count, 6), seed)
+    F = _frame_field(cm.coframe(grid.axis())[:, None], mats[:6])[..., _I6, _J6]
+    # one stack R for the six applications: L reads only its last block
+    R, V = np.empty((N, 24, N, N)), np.empty((N, 6, 6))
+    chi_col = np.ascontiguousarray(chi).reshape(N, N * N, 1)
+    for k in range(6):
+        np.multiply(F[:, k, :, None, None], chi[:, None], out=R[:, 18:])
+        Lh, H = _apply_L(cm, lam, d, grid, R, line)
+        V[:, k] = (Lh.reshape(N, 6, -1) @ chi_col)[..., 0]
+    # G[x, c, l] = sum_d W[x, c, d] F[x, l, d]: a plane sum v pairs with
+    # h_l as sum_c v_c G[x, c, l]
+    G = _pairing_weights(line, H, grid.dx) @ F.transpose(0, 2, 1)
+    A = np.einsum("xkc,xcl->kl", V, G)
+    B = np.einsum("xkc,xcl->kl", np.einsum("xab,xab->x", chi, chi)[:, None, None] * F, G)
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
+        raise InvalidInput("Rayleigh quotients of non-finite probe fields")
+    try:
+        Lc = np.linalg.cholesky(B)
+    except np.linalg.LinAlgError:
+        raise InvalidInput("Rayleigh quotients of a degenerate probe span: its Gram "
+                           "matrix is not positive definite") from None
+    I, J = np.triu_indices(3)
+    s = mats[:count, I, J]
+    quotients = np.einsum("pk,kl,pl->p", s, A, s) / np.einsum("pk,kl,pl->p", s, B, s)
+    # Lc^-1 sym(A) Lc^-T has the eigenvalues of the pencil (sym A, B)
+    M = np.linalg.solve(Lc, np.linalg.solve(Lc, 0.5 * (A + A.T)).T)
+    return quotients.tolist(), float(np.linalg.eigvalsh(0.5 * (M + M.T))[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,7 @@ def test_internal_error_is_not_a_usage_error(monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("internal bug")
 
-    monkeypatch.setattr(coordfield, "rayleigh_quotient", broken)
+    monkeypatch.setattr(coordfield, "rayleigh_span", broken)
     with pytest.raises(ValueError, match="internal bug"):
         main(["rayleigh", "nil3", "--radius", "2", "--dx", "0.25", "--count", "1"])
 
@@ -354,6 +354,16 @@ def test_weights_convergent(capsys):
     assert code == 0
     assert doc["converged"] is True
     assert doc["bound"] > doc["sum"] > 0
+    assert doc["tau_critical"] == 1.0 and doc["margin"] == 1.0
+
+
+def test_weights_reports_the_critical_tau(capsys):
+    # kappa = 3: tau* = 3 (4 - 1) - 4 = 5, so tau = 0.5 falls 4.5 short
+    code, out, _ = run_main(capsys, "weights", "--a", "-9", "--dim", "4",
+                            "--tau", "0.5", "--nmax", "400")
+    doc = _strict_json(out)
+    assert code == 1
+    assert doc["tau_critical"] == 5.0 and doc["margin"] == -4.5
 
 
 def _strict_json(text):
@@ -459,6 +469,32 @@ def test_rayleigh_deterministic(capsys):
     doc = json.loads(out1)
     assert len(doc["quotients"]) == 3
     assert doc["max"] < 0
+    assert doc["max"] <= doc["span_max"] < 0
+
+
+def test_rayleigh_probes_cost_at_most_the_guarded_bytes():
+    """What `rayleigh` holds per probe at its peak (the span's arrays, the
+    quotient list, the JSON text) stays within the `_PROBE_BYTES` that its
+    memory guard counts."""
+    import contextlib
+    import os
+    import tracemalloc
+
+    from solitonlab import coordfield
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                main(["rayleigh", "nil3", "--radius", "2", "--dx", "0.25",
+                      "--count", str(count)])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10)
+    per_probe = (peak(42_000) - peak(2_000)) / 40_000
+    assert 0 < per_probe <= coordfield._PROBE_BYTES
 
 
 def _declared_script_target():

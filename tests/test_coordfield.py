@@ -32,6 +32,7 @@ from solitonlab.coordfield import (
     probe_tensor_suite,
     radial_bump,
     rayleigh_quotient,
+    rayleigh_span,
     summability_check,
     weighted_holder_norm,
 )
@@ -142,6 +143,44 @@ def test_summability_reports_divergence():
     # steep negative curvature beats the weight: kappa (n-1) > n + tau
     res = summability_check(WeightSpec(a=-9.0, n=4, tau=0.5), N_max=400)
     assert not res["converged"]
+
+
+# the 105 a < 0 settings on which the weight reports were checked
+NEGATIVE_WEIGHTS = [(a, n, tau) for a in (-1.0, -0.25, -4.0, -9.0, -0.01)
+                    for n in range(2, 9) for tau in (0.5, 2.0, 9.0)]
+
+
+def test_summability_reports_the_critical_tau():
+    """tau* = kappa (n - 1) - n for a < 0 and 1 for a = 0, margin = tau - tau*,
+    and no sum with margin <= 0 is reported convergent."""
+    negative = 0
+    for a, n, tau in NEGATIVE_WEIGHTS + [(0.0, n, tau) for n in (2, 5) for tau in (1.5, 9.0)]:
+        res = summability_check(WeightSpec(a=a, n=n, tau=tau))
+        want = math.sqrt(-a) * (n - 1) - n if a < 0 else 1.0
+        assert res["tau_critical"] == want, (a, n, tau)
+        assert res["margin"] == tau - want, (a, n, tau)
+        if res["margin"] <= 0:
+            negative += 1
+            assert not res["converged"], (a, n, tau)
+    assert negative > 20   # the margin-0 settings a = -4, n = 4, tau = 2 among them
+
+
+@pytest.mark.parametrize("a, n, tau", [(-1.0, 3, 2.0), (-1.0, 2, 2.0), (-0.25, 5, 0.5),
+                                       (-9.0, 2, 9.0), (-4.0, 4, 2.0), (-9.0, 4, 0.5)])
+def test_summability_terms_past_the_underflow_are_exact_zeros(a, n, tau):
+    """Past its last term above e^-700 a falling sum holds exact zeros, and
+    its partial sums are the running sum of its terms bit for bit."""
+    res = summability_check(WeightSpec(a=a, n=n, tau=tau))
+    terms, sums = res["terms"], res["partial_sums"]
+    with np.errstate(over="ignore"):
+        assert np.array_equal(sums, np.cumsum(terms))
+    if res["margin"] > 0:
+        last = np.flatnonzero(terms)[-1]
+        assert last < len(terms) // 100      # the zeros are nearly all of the series
+        assert np.all(terms[last + 1:] == 0.0)
+        # the first zero is a term that underflows, N = last + 3, R = 2N
+        R = 2.0 * (last + 3)
+        assert coordfield._log_volume_neg(a, n, R) - (n + tau) * (R - 2.0) < -699.0
 
 
 def test_summability_terms_decrease_eventually():
@@ -612,6 +651,82 @@ def test_probe_suite_negative_quotients(nil3_fields):
     for h in suite:
         q = rayleigh_quotient(cm, cm.lam, cm.d, h, GRID, _fields=fields)
         assert q < 0
+
+
+@pytest.mark.parametrize("name", ["nil3", "sol3", "hyp3"])
+@pytest.mark.parametrize("radius, dx", [(4.0, 0.5), (2.0, 0.25)])
+def test_rayleigh_span_matches_each_probe_quotient(name, radius, dx):
+    """Each quotient of the span is the probe suite's own `rayleigh_quotient`,
+    in suite order, also for a count below the span's dimension."""
+    cm, grid = chart_metric(name), GridSpec(radius, dx)
+    fields = curvature_fields(cm, grid.points())
+    for count, seed in ((20, 42), (3, 0)):
+        quotients, span_max = rayleigh_span(cm, cm.lam, cm.d, grid, count=count, seed=seed)
+        ref = [rayleigh_quotient(cm, cm.lam, cm.d, h, grid, _fields=fields)
+               for h in probe_tensor_suite(cm, grid, count=count, seed=seed)]
+        assert len(quotients) == count
+        np.testing.assert_allclose(quotients, ref, rtol=1e-12, atol=0.0)
+        assert span_max >= max(quotients) - 1e-12 * abs(max(quotients))
+
+
+@pytest.mark.parametrize("name", ["nil3", "sol3", "hyp3"])
+def test_rayleigh_span_max_is_the_pencil_maximum(name):
+    """span_max is the largest generalized eigenvalue of the six unit probes'
+    (L h_k, h_l) and (h_k, h_l), here from `apply_L_fd` and a pointwise
+    einsum pairing, and bounds every sampled quotient from above."""
+    from scipy.linalg import eigh
+    cm = chart_metric(name)
+    fields = curvature_fields(cm, GRID.points())
+    units = probe_tensor_suite(cm, GRID, count=6)
+    Lh = [apply_L_fd(cm, cm.lam, cm.d, h, GRID, _fields=fields) for h in units]
+    # c09's pairing A_ij g^ik g^jl B_kl dmu, with g^-1 B g^-1 raised once per probe
+    ginv, dmu = fields["ginv"], fields["sqrt_det"] * GRID.dx ** 3
+    up = [np.einsum("...ik,...kl,...jl->...ij", ginv, h, ginv) for h in units]
+    pair = lambda X, Y: np.sum(np.einsum("...ij,...ij->...", X, Y) * dmu)
+    A = np.array([[pair(Lh[k], up[l]) for l in range(6)] for k in range(6)])
+    B = np.array([[pair(units[k], up[l]) for l in range(6)] for k in range(6)])
+    want = eigh(0.5 * (A + A.T), B, eigvals_only=True)[-1]
+    quotients, span_max = rayleigh_span(cm, cm.lam, cm.d, GRID, count=60, seed=9)
+    assert span_max == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert span_max >= max(quotients) - 1e-12 * abs(max(quotients))
+
+
+def test_rayleigh_span_refusals(monkeypatch):
+    """Bad counts and seeds, a coarse grid, probes beyond physical memory,
+    and a grid whose coordinates and operator exceed it are refused, the
+    last two before anything sizeable is allocated."""
+    cm, grid = chart_metric("nil3"), GridSpec(radius=2.0, dx=0.25)
+    with pytest.raises(InvalidInput, match="count must be positive"):
+        rayleigh_span(cm, cm.lam, cm.d, grid, count=0)
+    with pytest.raises(InvalidInput, match="seed must be a non-negative integer"):
+        rayleigh_span(cm, cm.lam, cm.d, grid, seed=-1)
+    with pytest.raises(GridTooCoarse):
+        rayleigh_span(cm, cm.lam, cm.d, GridSpec(radius=2.0, dx=0.5))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInput, match="for its probes.*physical memory"):
+            rayleigh_span(cm, cm.lam, cm.d, grid, count=10 ** 15)
+        pages = {"SC_PHYS_PAGES": grid.npts ** 3 * coordfield._POINT_BYTES - 1,
+                 "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(coordfield, "os", SimpleNamespace(sysconf=pages.__getitem__))
+        with pytest.raises(GridTooLarge, match="coordinates and operator"):
+            rayleigh_span(cm, cm.lam, cm.d, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grid.npts ** 3 * 8
+
+
+def test_rayleigh_span_probe_guard_boundary(monkeypatch):
+    """The probe guard refuses the first count whose `_PROBE_BYTES` per
+    probe exceed physical memory, and lets the count below it through to the
+    grid's own guard."""
+    cm, grid = chart_metric("nil3"), GridSpec(radius=2.0, dx=0.25)
+    monkeypatch.setattr(coordfield, "_physical_memory", lambda: 1000 * coordfield._PROBE_BYTES)
+    with pytest.raises(InvalidInput, match="for its probes"):
+        rayleigh_span(cm, cm.lam, cm.d, grid, count=1001)
+    with pytest.raises(GridTooLarge, match="coordinates and operator"):
+        rayleigh_span(cm, cm.lam, cm.d, grid, count=1000)
 
 
 def test_radial_bump_shape():

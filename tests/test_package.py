@@ -74,13 +74,14 @@ from solitonlab.cli import main
 codes = []
 for argv in (["catalog"], ["validate", "nil3"],
              ["weights", "--a", "0", "--tau", "2", "--dim", "3"],
-             ["weights", "--a", "-1", "--tau", "2", "--dim", "4"]):
+             ["weights", "--a", "-1", "--tau", "2", "--dim", "4"],
+             ["rayleigh", "nil3", "--radius", "2", "--dx", "0.25", "--count", "3"]):
     with redirect_stdout(io.StringIO()):
         codes.append(main(argv))
 print(json.dumps([codes, {LOADED}]))
 """)
     codes, modules = loaded
-    assert codes == [0, 0, 0, 0]
+    assert codes == [0, 0, 0, 0, 0]
     assert not [m for m in modules if m.startswith("scipy")], modules
 
 
