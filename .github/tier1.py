@@ -6,7 +6,8 @@ src/solitonlab/*.py (tracked in ROADMAP.md like a benchmark) and the
 fresh-process start-up time of `import solitonlab`, `solitonlab catalog`, a
 short `solitonlab flow`, a `solitonlab weights` with a < 0 and a 17^3
 `solitonlab rayleigh`, and the median
-time of one `rayleigh_quotient` on the 17^3 and 33^3 hyp3 grids, to
+time of one `rayleigh_quotient` on the 17^3 and 33^3 hyp3 grids, with the
+tracemalloc peak of one call on the 33^3 grid in doubles per grid point, to
 $GITHUB_STEP_SUMMARY (stderr if unset).  Nothing here is a gate.
 
     python .github/tier1.py
@@ -85,9 +86,11 @@ lines.append(f"start-up, median of 3 fresh processes: `import solitonlab` "
              f"--dim 4` {weights}, `solitonlab rayleigh nil3 --radius 4 --dx 0.5` "
              f"{rayleigh}\n")
 # the chart operator's quotient: 9 calls per grid with the curvature fields
-# and the probe computed first, in a fresh process so numpy stays out of this one
+# and the probe computed first, then one traced call on the last grid, in a
+# fresh process so numpy stays out of this one
 RAYLEIGH = """
 import time
+import tracemalloc
 from solitonlab import coordfield
 cm = coordfield.chart_metric("hyp3")
 for dx in (0.25, 0.125):
@@ -100,6 +103,11 @@ for dx in (0.25, 0.125):
         coordfield.rayleigh_quotient(cm, cm.lam, cm.d, h, grid, _fields=fields)
         times.append(time.perf_counter() - t)
     print(f"{grid.npts}^3 {sorted(times)[4] * 1e3:.2f} ms")
+tracemalloc.start()
+coordfield.rayleigh_quotient(cm, cm.lam, cm.d, h, grid, _fields=fields)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+print(f"{grid.npts}^3 peak {peak / 8 / grid.npts ** 3:.1f} doubles per point")
 """
 try:
     run = subprocess.run([sys.executable, "-c", RAYLEIGH], env=env, timeout=120,
@@ -108,8 +116,8 @@ try:
         f"failed (exit code {run.returncode})")
 except (OSError, subprocess.SubprocessError) as e:
     quotient = f"not run ({type(e).__name__})"
-lines.append(f"`rayleigh_quotient` on hyp3, median of 9 calls in a fresh process: "
-             f"{quotient}\n")
+lines.append(f"`rayleigh_quotient` on hyp3, median of 9 calls and the peak of one, "
+             f"in a fresh process: {quotient}\n")
 summary = os.environ.get("GITHUB_STEP_SUMMARY")
 if summary:
     with open(summary, "a") as fh:

@@ -382,11 +382,23 @@ def metric_jets(cm: ChartMetric, pts: np.ndarray):
 
     dg[..., a, i, j] = d_a g_ij and d2g[..., a, b, i, j] = d_a d_b g_ij.  The
     metric reads only t = pts[..., cm.axis], and C' = C A, so g' = A^T g + g A
-    and g'' = A^T g' + g' A; every other entry is exactly 0.
+    and g'' = A^T g' + g' A; every other entry is exactly 0.  Points where g
+    overflows or is not numerically positive definite (exp(t A) leaves the
+    range of a double near |t| = 355 on sol3 and hyp3) are refused with
+    `InvalidInput`, before any jet or inverse is formed.
     """
     pts = np.asarray(pts, dtype=float)
     A, a = cm.A, cm.axis
-    g0 = cm.metric(pts[..., a])
+    with np.errstate(over="ignore", invalid="ignore"):
+        g0 = cm.metric(pts[..., a])
+    try:
+        if not np.isfinite(g0).all():
+            raise np.linalg.LinAlgError
+        np.linalg.cholesky(g0)
+    except np.linalg.LinAlgError:
+        raise InvalidInput(f"the {cm.name} chart metric is not finite and positive "
+                           f"definite at chart coordinates up to |t| = "
+                           f"{np.max(np.abs(pts[..., a])):.6g}") from None
     dg = np.zeros(pts.shape[:-1] + (3, 3, 3))
     d2g = np.zeros(pts.shape[:-1] + (3, 3, 3, 3))
     # g A = (A^T g)^T for symmetric g, so each jet is exactly symmetric
@@ -400,10 +412,17 @@ def metric_jets(cm: ChartMetric, pts: np.ndarray):
 _FIELD_SHAPES = {"g": (3, 3), "ginv": (3, 3), "Gamma": (3, 3, 3), "Rm": (3, 3, 3, 3),
                  "ric": (3, 3), "Rc": (3, 3), "scal": (), "sqrt_det": ()}
 # bytes per grid point that a grid still allocates: the coordinates and what
-# the operator holds at its peak: h, L h (6), the product buffer (6), the stack
-# R = [D_0 h, D_1 h, D_2 h, h] (24) and 2 for the mask and line coefficients
-# (36.4 in all at 33^3, tracemalloc); curvature fields are views of their line
-_POINT_BYTES = 8 * (3 + 9 + 6 + 6 + 24 + 2)
+# the operator holds at its peak: h, the slab of its 6 components, the 9
+# entries of `apply_L_fd`'s result and 8 for one block of the stack R = [D_0 h,
+# D_1 h, D_2 h, h], the block's L h and buffer, and the line coefficients,
+# which do not grow with the grid (tracemalloc of one `apply_L_fd`: 22.0 at
+# 33^3 and 17.0 at 65^3 apart from the coordinates and h; at 17^3, where one
+# block spans the grid, the stack alone is 24); curvature fields are views of
+# their line
+_POINT_BYTES = 8 * (3 + 9 + 6 + 9 + 8)
+# bytes of `_apply_L`'s block stack: the 24 rows of R for each line value of
+# a block, at least three line values (one interior value) per block
+_STACK_BYTES = 2 ** 20
 # bytes per grid point at the peak of building the metric graph: ~36.2 per
 # directed edge and 26 edges per interior point (tracemalloc: 883 B/pt at
 # 33^3 and 911 B/pt at 65^3, where boundary points have fewer edges); the
@@ -446,14 +465,20 @@ def curvature_fields(cm: ChartMetric, pts: np.ndarray) -> dict:
     along the axes the chart coordinate is constant on.  Values are
     bit-identical to evaluating every point.  Only constancy along whole
     array axes is exploited: scattered points, and a grid flattened to
-    (N^3, 3), are evaluated point by point, `_BLOCK` at a time.
+    (N^3, 3), are evaluated point by point, `_BLOCK` at a time.  Points
+    where the metric or a field overflows are refused with `InvalidInput`
+    (on hyp3 the curvature does first, near |t| = 177).
     """
     pts = np.asarray(pts, dtype=float)
     red = _line_reduced(cm, pts)
     flat = red.reshape(-1, 3)
     out = {key: np.empty((len(flat),) + tail) for key, tail in _FIELD_SHAPES.items()}
-    for blk in (slice(s, s + _BLOCK) for s in range(0, len(flat), _BLOCK)):
-        _curvature_block(cm, flat[blk], {key: a[blk] for key, a in out.items()})
+    with np.errstate(over="ignore", invalid="ignore"):
+        for blk in (slice(s, s + _BLOCK) for s in range(0, len(flat), _BLOCK)):
+            _curvature_block(cm, flat[blk], {key: a[blk] for key, a in out.items()})
+    if not all(np.isfinite(a).all() for a in out.values()):
+        raise InvalidInput(f"the curvature of the {cm.name} chart metric overflows at chart "
+                           f"coordinates up to |t| = {np.max(np.abs(flat[:, cm.axis])):.6g}")
     return {key: np.broadcast_to(a.reshape(red.shape[:-1] + a.shape[1:]),
                                  pts.shape[:-1] + a.shape[1:]) for key, a in out.items()}
 
@@ -581,9 +606,9 @@ def _max_abs(a: np.ndarray) -> float:
 
 def _operator_input(cm: ChartMetric, h: np.ndarray, grid: GridSpec,
                     fields: dict = None) -> tuple:
-    """Checked operator input: the (N, 24, N, N) stack R of `_apply_L` with
-    h's 6 components in its last block, and the curvature fields on the N
-    grid points of the chart axis.
+    """Checked operator input: h's 6 components as an (N, 6, N, N) slab,
+    the chart axis first, and the curvature fields on the N grid points of
+    the chart axis.
 
     h must be finite and symmetric: max|h_ij - h_ji| may not exceed `SYM_TOL`
     times max|h|.  The line fields are those of `_line_fields`.
@@ -594,19 +619,20 @@ def _operator_input(cm: ChartMetric, h: np.ndarray, grid: GridSpec,
     shape = (N,) * 3 + (3, 3)
     if h.shape != shape:
         raise InvalidInput(f"field shape {h.shape} does not match grid {shape}")
-    # h's 9 entries in slab layout, by one copy into the difference blocks
-    R = np.empty((N, 24, N, N))
-    R[:, :9] = np.moveaxis(h.reshape((N,) * 3 + (9,)), (cm.axis, 3), (0, 1))
-    R[:, 18:21] = R[:, 0:9:4]                        # 00, 11, 22
-    R[:, 21:23] = R[:, 1:3]                          # 01, 02
-    R[:, 23] = R[:, 5]                               # 12
-    scale = _max_abs(R[:, 18:])
+    # h's 9 entries in slab layout (a view), and its 6 components by one copy
+    hv = np.moveaxis(h.reshape((N,) * 3 + (9,)), (cm.axis, 3), (0, 1))
+    S = np.empty((N, 6, N, N))
+    S[:, :3] = hv[:, 0:9:4]                          # 00, 11, 22
+    S[:, 3:5] = hv[:, 1:3]                           # 01, 02
+    S[:, 5] = hv[:, 5]                               # 12
+    scale = _max_abs(S)
     if math.isfinite(scale):
         # h_ij - h_ji for 01, 02, 12, subtracted only when finite (no inf - inf);
         # a NaN below the diagonal makes it NaN
-        np.subtract(R[:, 1:3], R[:, 3:7:3], out=R[:, 9:11])
-        np.subtract(R[:, 5], R[:, 7], out=R[:, 11])
-        asym = _max_abs(R[:, 9:12])
+        asym = np.empty((N, 3, N, N))
+        np.subtract(hv[:, 1:3], hv[:, 3:7:3], out=asym[:, :2])
+        np.subtract(hv[:, 5], hv[:, 7], out=asym[:, 2])
+        asym = _max_abs(asym)
     else:
         asym = scale
     if not math.isfinite(asym):
@@ -614,7 +640,7 @@ def _operator_input(cm: ChartMetric, h: np.ndarray, grid: GridSpec,
     if asym > SYM_TOL * scale:
         raise InvalidInput(f"field is not symmetric: max|h_ij - h_ji| = {asym:.3e} "
                            f"against max|h| = {scale:.3e}")
-    return R, line
+    return S, line
 
 
 def _line_fields(cm: ChartMetric, grid: GridSpec, fields: dict = None) -> dict:
@@ -652,27 +678,43 @@ def apply_L_fd(cm: ChartMetric, lam: float, d, h: np.ndarray,
     O(dx^2).  The result is exactly symmetric, and zero outside the open
     ball (Dirichlet).
     """
-    # R is only an argument, so it is freed before the 9 entries are gathered
-    Lh = _apply_L(cm, lam, d, grid, *_operator_input(cm, h, grid, _fields))[0]
-    return np.moveaxis(Lh[:, _FULL], (0, 1, 2), (cm.axis, 3, 4))
+    S, line = _operator_input(cm, h, grid, _fields)
+    C, W, _ = _line_coefficients(cm, lam, d, grid, line)
+    N = grid.npts
+    out = np.empty((N, 3, 3, N * N))
+    for lo, hi, V in _apply_L(cm, d, grid, S, C, W):
+        # the 9 entries of L h; "clip" writes into `out` unbuffered
+        np.take(V, _FULL, axis=1, out=out[lo:hi], mode="clip")
+    return np.moveaxis(out.reshape(N, 3, 3, N, N), (0, 1, 2), (cm.axis, 3, 4))
 
 
-def _line_coefficients(cm: ChartMetric, lam: float, d: np.ndarray, dx: float,
-                       ax: np.ndarray, line: dict) -> tuple:
-    """(C, W, H), the coefficients of `_apply_L` on R per line value x.
+def _line_coefficients(cm: ChartMetric, lam: float, d, grid: GridSpec,
+                       line: dict) -> tuple:
+    """(C, W, P), the coefficients of `_apply_L` on R per line value x and
+    the weights of the L2 pairing.
 
     On the interior x = 1 .. N - 2, C (N - 2, 6, 72) = [-W_c | M | W_c] acts
     on the rows of R at x - 1, x and x + 1, the chart axis's W_c taking K_b
     at x - 1 and x + 1 (and its drift joining -Q_c / 2 dx); W (N - 2, 2, 6,
-    24) are the invariant axes' W_a, in grid-axis order.  H (N, 6, 6) is
-    h -> g^-1 h g^-1.
+    24) are the invariant axes' W_a, in grid-axis order.  On each plane of
+    the chart axis, plane sums v_c . h_d of two fields' components pair as
+    sum_cd P[x, c, d] (v_c . h_d), P (N, 6, 6) = sqrt(det g) dx^3 MULT_c
+    H[c, d] with H: h -> g^-1 h g^-1.  The products of g^-1 in H and P are
+    the first coefficients to overflow (near |t| = 177 on sol3); a grid on
+    which they do is refused with `InvalidInput` before numpy warns.
     """
-    N, n, c, I6 = len(ax), len(ax) - 2, cm.axis, np.eye(6)
+    N, n, c, dx, I6 = grid.npts, grid.npts - 2, cm.axis, grid.dx, np.eye(6)
+    ax, d = grid.axis(), np.asarray(d, dtype=float)
     g, G, Rm, Rc = line["ginv"], line["Gamma"], line["Rm"], line["Rc"]
     T9, T81, KRON = _line_tables()
     # K[:, b] = K_b and H as 36-vectors on the whole line, the rest on its interior
     K = (G.transpose(0, 2, 1, 3).reshape(3 * N, 9) @ T9).reshape(N, 3, 36)
-    H = ((0.5 * g.reshape(N, 9, 1) * g.reshape(N, 1, 9)).reshape(N, 81) @ T81).reshape(N, 6, 6)
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = ((0.5 * g.reshape(N, 9, 1) * g.reshape(N, 1, 9)).reshape(N, 81) @ T81).reshape(N, 6, 6)
+        P = (line["sqrt_det"] * dx ** 3)[:, None, None] * (_MULT[:, None] * H)
+    if not np.isfinite(P).all():        # P is finite only where H is
+        raise InvalidInput(f"the {cm.name} chart metric's operator coefficients overflow "
+                           f"on the grid of radius {grid.radius}")
     g, G, Ki = g[1:-1], G[1:-1], K[1:-1]
     # Z = 2 Rm(g^-1 h g^-1) - Rc^T h - h Rc + (2 lam + d_i + d_j) h_ij
     Rm9 = Rm[1:-1].transpose(0, 1, 3, 2, 4)[:, _I6, _J6].reshape(n, 6, 9)   # Rm[i, a, j, b]
@@ -696,13 +738,15 @@ def _line_coefficients(cm: ChartMetric, lam: float, d: np.ndarray, dx: float,
     C[:, :, 24:42] = Q / (-2.0 * dx)
     C[:, :, 48:66] = W[:, c, :, :18]
     C[:, :, 66:] = (g[:, c, None] @ K[2:]).reshape(n, 6, 6) / (-2.0 * dx)
-    return C, W[:, [a for a in range(3) if a != c]], H
+    return C, W[:, [a for a in range(3) if a != c]], P
 
 
-def _apply_L(cm: ChartMetric, lam: float, d, grid: GridSpec, R: np.ndarray,
-             line: dict) -> tuple:
-    """(L h, H) in slab layout for the stack R of `_operator_input`, H the
-    line coefficients (N, 6, 6) of h -> g^-1 h g^-1.
+def _apply_L(cm: ChartMetric, d, grid: GridSpec, S: np.ndarray, C: np.ndarray,
+             W: np.ndarray):
+    """Yield (lo, hi, V): L h on the line values lo .. hi - 1, in order and
+    each once, for the slab S of `_operator_input` and the coefficients C
+    and W of `_line_coefficients`.  V (hi - lo, 12, N^2) holds L h in its
+    first 6 rows and h in the last 6; it is only valid until the next block.
 
     R = [D_0 h, D_1 h, D_2 h, h] holds raw centred differences D_a h = 2 dx
     d_a h (zero ghost cells).  With K_b: h -> Gamma_b^T h + h Gamma_b,
@@ -714,45 +758,70 @@ def _apply_L(cm: ChartMetric, lam: float, d, grid: GridSpec, R: np.ndarray,
     one batched matmul over the interior x (the end planes lie outside the
     ball); each invariant axis's flux, and its drift, whose coefficient
     varies over the plane, are a product into one buffer.
+
+    R exists one block of interior line values x0 .. x1 - 1 at a time: its
+    rows for x0 - 1 .. x1, within `_STACK_BYTES` (at least one value per
+    block), so only the slab spans the grid.
     """
     N, n, dx, c = grid.npts, grid.npts - 2, grid.dx, cm.axis
     others = [a for a in range(3) if a != c]
     sax = {c: 0, others[0]: 2, others[1]: 3}                     # slab axis of each grid axis
     ax, d = grid.axis(), np.asarray(d, dtype=float)
-    C, W, H = _line_coefficients(cm, lam, d, dx, ax, line)
-    # the Dirichlet mask on the interior, r^2 summed in grid-axis order, taken
-    # before L h and the buffer exist
+    # the Dirichlet mask on the interior, r^2 summed in grid-axis order
     sq = ax * ax
     r2 = [(sq[1:-1] if a == c else sq).reshape([-1 if s == sax[a] else 1 for s in range(4)])
           for a in range(3)]
     outside = ((r2[0] + r2[1]) + r2[2] >= grid.radius ** 2).reshape(n, 1, -1)
-
-    for a in range(3):
-        _diff(R[:, 18:], sax[a], R[:, 6 * a:6 * a + 6])
-    R2 = R.reshape(N, 24, -1)
-    out = np.empty((N, 6, N * N))
-    out[::N - 1] = 0.0
-    # the (72, N^2) rows of R at x - 1, x and x + 1, one view per interior x
-    rows = np.ndarray((n, 72, N * N), buffer=R2, strides=R2.strides[:2] + (8,))
-    Li, Ri, buf = np.matmul(C, rows, out=out[1:-1]), R2[1:-1], np.empty((n, 6, N * N))
-    Lf = Li.reshape(-1)
-    for k, a in enumerate(others):
-        if d[a] != 0.0:
-            # the drift d_a x^a d_a h, its coefficient laid out on the (N, N)
-            # plane of the two invariant axes
-            coef = (d[a] / (2.0 * dx)) * ax
-            plane = np.broadcast_to(coef[:, None] if sax[a] == 2 else coef, (N, N)).reshape(1, 1, -1)
-            Li += np.multiply(plane, Ri[:, 6 * a:6 * a + 6], out=buf)
-        # the weights are constant along a, so d_a commutes with them; the
-        # shifted adds run over the flat interior (numpy adds 1-d runs several
-        # times faster than 2-d ones) and reach across the ends of a and of
-        # each line value, only onto the cube's faces, which the mask zeroes
-        s = N ** (3 - sax[a])
-        Sf = np.matmul(W[:, k], Ri, out=buf).reshape(-1)
-        Lf[:-s] += Sf[s:]
-        Lf[s:] -= Sf[:-s]
-    np.copyto(Li, 0.0, where=outside)
-    return out.reshape(N, 6, N, N), H
+    # the drift d_a x^a d_a h of each invariant axis, its coefficient laid out
+    # on the (N, N) plane of the two invariant axes
+    drift = []
+    for a in others:
+        coef = (d[a] / (2.0 * dx)) * ax
+        drift.append(np.broadcast_to(coef[:, None] if sax[a] == 2 else coef, (N, N))
+                     .reshape(1, 1, -1) if d[a] != 0.0 else None)
+    b = min(n, max(1, _STACK_BYTES // (8 * 24 * N * N) - 2))
+    stack, Lb, buf = np.empty((b + 2, 24, N, N)), np.empty((b, 6, N * N)), np.empty((b, 6, N * N))
+    for x0 in range(1, N - 1, b):
+        x1 = min(x0 + b, N - 1)
+        m = x1 - x0
+        R = stack[:m + 2]                                        # line values x0 - 1 .. x1
+        R[:, 18:] = S[x0 - 1:x1 + 1]
+        # the chart axis's differences S[x + 1] - S[x - 1], zero ghost cells
+        # past both ends, as `_diff` takes them
+        Dc, lo, hi = R[:, 6 * c:6 * c + 6], max(x0 - 1, 1), min(x1, N - 2)
+        np.subtract(S[lo + 1:hi + 2], S[lo - 1:hi], out=Dc[lo - x0 + 1:hi - x0 + 2])
+        if x0 == 1:
+            Dc[0] = S[1]
+        if x1 == N - 1:
+            np.negative(S[N - 2], out=Dc[-1])
+        for a in others:
+            _diff(R[:, 18:], sax[a], R[:, 6 * a:6 * a + 6])
+        R2 = R.reshape(m + 2, 24, -1)
+        # the (72, N^2) rows of R at x - 1, x and x + 1, one view per interior x
+        rows = np.ndarray((m, 72, N * N), buffer=R2, strides=R2.strides[:2] + (8,))
+        Li, Ri, bf = np.matmul(C[x0 - 1:x1 - 1], rows, out=Lb[:m]), R2[1:-1], buf[:m]
+        Lf = Li.reshape(-1)
+        for k, a in enumerate(others):
+            if drift[k] is not None:
+                Li += np.multiply(drift[k], Ri[:, 6 * a:6 * a + 6], out=bf)
+            # the weights are constant along a, so d_a commutes with them; the
+            # shifted adds run over the flat block (numpy adds 1-d runs several
+            # times faster than 2-d ones) and reach across the ends of a and of
+            # each line value, only onto the cube's faces, which the mask zeroes
+            s = N ** (3 - sax[a])
+            Sf = np.matmul(W[x0 - 1:x1 - 1, k], Ri, out=bf).reshape(-1)
+            Lf[:-s] += Sf[s:]
+            Lf[s:] -= Sf[:-s]
+        np.copyto(Li, 0.0, where=outside[x0 - 1:x1 - 1])
+        # L h next to h, in the rows of R whose differences are spent; L h is
+        # 0 on the end planes, which the first and last blocks carry
+        R2[1:-1, 12:18] = Li
+        lo, hi = (0 if x0 == 1 else x0), (N if x1 == N - 1 else x1)
+        if lo == 0:
+            R2[0, 12:18] = 0.0
+        if hi == N:
+            R2[-1, 12:18] = 0.0
+        yield lo, hi, R2[lo - x0 + 1:hi - x0 + 1, 12:]
 
 
 def rayleigh_quotient(cm: ChartMetric, lam: float, d, h: np.ndarray,
@@ -764,28 +833,18 @@ def rayleigh_quotient(cm: ChartMetric, lam: float, d, h: np.ndarray,
     products raise indices with g; the measure is sqrt(det g) dx^3.
     Scale-invariant by construction.
     """
-    R, line = _operator_input(cm, h, grid, _fields)
-    Lh, H = _apply_L(cm, lam, d, grid, R, line)
+    S, line = _operator_input(cm, h, grid, _fields)
+    C, W, P = _line_coefficients(cm, lam, d, grid, line)
     N = grid.npts
-    # L h next to h in R, whose differences are spent: one product gives the
-    # plane sums of both pairings (numpy would send h h^T alone to syrk,
-    # slower here); (g^-1 h g^-1) . v over a plane is
-    # sum_cd MULT_c H[c, d] (v_c . h_d)
-    R2 = R.reshape(N, 24, -1)
-    R2[:, 12:18] = Lh.reshape(N, 6, -1)
-    P = R2[:, 12:] @ R2[:, 18:].transpose(0, 2, 1)
-    wH = _pairing_weights(line, H, grid.dx).reshape(N, 36)
-    num, den = np.einsum("xkc,xc->k", P.reshape(N, 2, 36), wH)
+    # one product per block gives the plane sums of both pairings (numpy
+    # would send h h^T alone to syrk, slower here)
+    sums = np.empty((N, 12, 6))
+    for lo, hi, V in _apply_L(cm, d, grid, S, C, W):
+        np.matmul(V, V[:, 6:].transpose(0, 2, 1), out=sums[lo:hi])
+    num, den = np.einsum("xkc,xc->k", sums.reshape(N, 2, 36), P.reshape(N, 36))
     if den <= 0.0 or not np.isfinite(den):
         raise InvalidInput("Rayleigh quotient of a zero (or degenerate) field")
     return float(num) / float(den)
-
-
-def _pairing_weights(line: dict, H: np.ndarray, dx: float) -> np.ndarray:
-    """The L2 pairing of the chart metric on each plane of the chart axis,
-    shape (N, 6, 6): plane sums v_c . h_d of two fields' components pair as
-    sum_cd W[c, d] (v_c . h_d), W = sqrt(det g) dx^3 MULT_c H[c, d]."""
-    return (line["sqrt_det"] * dx ** 3)[:, None, None] * (_MULT[:, None] * H)
 
 
 def radial_bump(grid: GridSpec, r_inner: float, r_outer: float) -> np.ndarray:
@@ -878,8 +937,9 @@ def rayleigh_span(cm: ChartMetric, lam: float, d, grid: GridSpec, count: int = 2
     allocated: a count or seed that `probe_tensor_suite` refuses, a count
     whose probes (`_PROBE_BYTES` each) exceed physical memory
     (`InvalidInput`), a grid whose
-    coordinates and operator do (`GridTooLarge`), and dx > R/8
-    (`GridTooCoarse`).
+    coordinates and operator do (`GridTooLarge`), dx > R/8
+    (`GridTooCoarse`), and a radius at which the chart metric, its
+    curvature or the operator's coefficients overflow (`InvalidInput`).
     """
     _check_probes(count, seed)
     need, phys = count * _PROBE_BYTES, _physical_memory()
@@ -895,16 +955,17 @@ def rayleigh_span(cm: ChartMetric, lam: float, d, grid: GridSpec, count: int = 2
     # c of C^T E_k C at line value x
     mats = _probe_matrices(max(count, 6), seed)
     F = _frame_field(cm.coframe(grid.axis())[:, None], mats[:6])[..., _I6, _J6]
-    # one stack R for the six applications: L reads only its last block
-    R, V = np.empty((N, 24, N, N)), np.empty((N, 6, 6))
+    # one slab and one set of line coefficients for the six applications
+    C, W, P = _line_coefficients(cm, lam, d, grid, line)
+    S, V = np.empty((N, 6, N, N)), np.empty((N, 6, 6))
     chi_col = np.ascontiguousarray(chi).reshape(N, N * N, 1)
     for k in range(6):
-        np.multiply(F[:, k, :, None, None], chi[:, None], out=R[:, 18:])
-        Lh, H = _apply_L(cm, lam, d, grid, R, line)
-        V[:, k] = (Lh.reshape(N, 6, -1) @ chi_col)[..., 0]
-    # G[x, c, l] = sum_d W[x, c, d] F[x, l, d]: a plane sum v pairs with
+        np.multiply(F[:, k, :, None, None], chi[:, None], out=S)
+        for lo, hi, Lh in _apply_L(cm, d, grid, S, C, W):
+            V[lo:hi, k] = (Lh[:, :6] @ chi_col[lo:hi])[..., 0]
+    # G[x, c, l] = sum_d P[x, c, d] F[x, l, d]: a plane sum v pairs with
     # h_l as sum_c v_c G[x, c, l]
-    G = _pairing_weights(line, H, grid.dx) @ F.transpose(0, 2, 1)
+    G = P @ F.transpose(0, 2, 1)
     A = np.einsum("xkc,xcl->kl", V, G)
     B = np.einsum("xkc,xcl->kl", np.einsum("xab,xab->x", chi, chi)[:, None, None] * F, G)
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):

@@ -119,6 +119,21 @@ def test_oversize_grid_is_usage_error(capsys):
     assert "physical memory" in err
 
 
+@pytest.mark.parametrize("chart, radius, dx", [("sol3", "400", "50"), ("sol3", "300", "37.5"),
+                                               ("hyp3", "300", "37.5")])
+def test_overflowing_chart_metric_is_usage_error(capsys, chart, radius, dx):
+    # g = C^T C overflows at 400, the operator's coefficients (sol3) or the
+    # curvature (hyp3) at 300: each is refused before numpy warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_main(capsys, "rayleigh", chart, "--radius", radius, "--dx", dx,
+                                  "--count", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "overflow" in err or "not finite and positive definite" in err
+
+
 def test_oversize_weight_sum_is_usage_error(capsys):
     code, out, err = run_main(capsys, "weights", "--a", "-1", "--nmax", str(10 ** 15))
     assert code == 2

@@ -1,6 +1,7 @@
 import ast
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -469,6 +470,23 @@ def test_chart_curvature_pulls_back_to_the_left_invariant_one(name, dx):
     assert np.max(np.abs(f["scal"] - pkg.scal)) <= 1e-13 * abs(pkg.scal)
 
 
+@pytest.mark.parametrize("name, t, match", [
+    ("sol3", 400.0, "sol3 chart metric is not finite and positive definite"),  # g overflows
+    ("hyp3", -400.0, "hyp3 chart metric is not finite and positive definite"),  # diag(0, 0, 1)
+    ("hyp3", 300.0, "curvature of the hyp3 chart metric overflows"),
+])
+def test_curvature_refuses_an_overflowing_metric(name, t, match):
+    """A metric that leaves the range of a double, or a curvature field
+    that does, is refused before numpy warns or fails to invert g."""
+    cm = chart_metric(name)
+    pts = np.zeros((1, 3))
+    pts[0, cm.axis] = t
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInput, match=match):
+            curvature_fields(cm, pts)
+
+
 @pytest.mark.parametrize("name", ["nil3", "sol3", "hyp3"])
 def test_metric_jets_vanish_off_the_chart_axis(name):
     """The metric reads only `cm.axis`, so every jet entry with a derivative
@@ -575,6 +593,59 @@ def test_apply_L_fd_peak_within_its_memory_figure():
     finally:
         tracemalloc.stop()
     assert peak <= grid.npts ** 3 * (coordfield._POINT_BYTES - held)
+
+
+def test_rayleigh_quotient_peak_per_point():
+    """On a 33^3 grid the operator holds h's slab and one block of its
+    difference stack, not the stack over the whole grid."""
+    grid = GridSpec(radius=2.0, dx=0.125)
+    cm = chart_metric("hyp3")
+    fields = curvature_fields(cm, grid.points())
+    h = np.array(probe_tensor_suite(cm, grid, count=1)[0])
+    rayleigh_quotient(cm, cm.lam, cm.d, h, grid, _fields=fields)   # the tables, once
+    tracemalloc.start()
+    try:
+        rayleigh_quotient(cm, cm.lam, cm.d, h, grid, _fields=fields)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= grid.npts ** 3 * 8 * 14
+
+
+@pytest.mark.parametrize("budget", [None, 0], ids=["default", "one-value"])
+@pytest.mark.parametrize("name", ["nil3", "sol3", "hyp3"])
+def test_operator_blocks_match_one_block(monkeypatch, name, budget):
+    """The difference stack walked a block of line values at a time (3 per
+    block at 33^3, or 1) gives the same floats as one block over the whole
+    interior, on a field nonzero on and outside the boundary sphere."""
+    cm, grid = chart_metric(name), GridSpec(radius=2.0, dx=0.125)
+    pts = grid.points()
+    fields = curvature_fields(cm, pts)
+    A = np.random.default_rng(29).standard_normal(pts.shape[:3] + (3, 3))
+    h = A + np.swapaxes(A, -1, -2)
+    outside = np.einsum("...k,...k->...", pts, pts) >= grid.radius ** 2
+    assert np.all(np.abs(h[outside]).max(axis=(-2, -1)) > 0)
+    walk, blocks = coordfield._apply_L, []
+
+    def counted(*args):
+        for block in walk(*args):
+            blocks[-1] += 1
+            yield block
+
+    monkeypatch.setattr(coordfield, "_apply_L", counted)
+    runs = []
+    for stack_bytes in (budget, 2 ** 40):
+        if stack_bytes is not None:
+            monkeypatch.setattr(coordfield, "_STACK_BYTES", stack_bytes)
+        blocks.append(0)
+        runs.append((apply_L_fd(cm, cm.lam, cm.d, h, grid, _fields=fields),
+                     rayleigh_quotient(cm, cm.lam, cm.d, h, grid, _fields=fields),
+                     rayleigh_span(cm, cm.lam, cm.d, grid, count=8, seed=4)))
+    # 31 interior values, 3 per block by default, in 1 + 1 + 6 applications
+    assert blocks == [8 * (11 if budget is None else 31), 8]
+    (L, q, span), (L1, q1, span1) = runs
+    assert np.array_equal(L, L1)
+    assert q == q1 and span == span1
 
 
 def test_apply_L_fd_rejects_coarse_grid():
