@@ -4,10 +4,10 @@ append the Python, numpy and scipy versions it ran on, pytest's count line,
 its wall time, peak RSS, five slowest tests, the line counts of
 src/solitonlab/*.py (tracked in ROADMAP.md like a benchmark) and the
 fresh-process start-up time of `import solitonlab`, `solitonlab catalog`, a
-short `solitonlab flow`, a `solitonlab weights` with a < 0 and a 17^3
-`solitonlab rayleigh`, and the median
-time of one `rayleigh_quotient` on the 17^3 and 33^3 hyp3 grids, with the
-tracemalloc peak of one call on the 33^3 grid in doubles per grid point, to
+short `solitonlab flow`, two `solitonlab weights` with a < 0 (one near its
+critical tau) and a 17^3 `solitonlab rayleigh`, and the median time of one
+`rayleigh_quotient` on the 17^3 and 33^3 hyp3 grids, with the tracemalloc
+peak of one call on the 33^3 grid in doubles per grid point, to
 $GITHUB_STEP_SUMMARY (stderr if unset).  Nothing here is a gate.
 
     python .github/tier1.py
@@ -78,12 +78,14 @@ with tempfile.TemporaryDirectory() as tmp:
     flow = startup('-m', 'solitonlab', 'flow', 'nil4', '--mode', 'unnormalized',
                    '--t-max', '1', '--out', os.path.join(tmp, 'x.csv'))
 weights = startup('-m', 'solitonlab', 'weights', '--a', '-1', '--tau', '2', '--dim', '4')
+near = startup('-m', 'solitonlab', 'weights', '--a', '-4', '--tau', '2.001', '--dim', '4')
 rayleigh = startup('-m', 'solitonlab', 'rayleigh', 'nil3', '--radius', '4', '--dx', '0.5')
 lines.append(f"start-up, median of 3 fresh processes: `import solitonlab` "
              f"{startup('-c', 'import solitonlab')}, `solitonlab catalog` "
              f"{startup('-m', 'solitonlab', 'catalog')}, `solitonlab flow nil4 "
              f"--mode unnormalized --t-max 1` {flow}, `solitonlab weights --a -1 --tau 2 "
-             f"--dim 4` {weights}, `solitonlab rayleigh nil3 --radius 4 --dx 0.5` "
+             f"--dim 4` {weights}, `solitonlab weights --a -4 --tau 2.001 --dim 4` "
+             f"{near}, `solitonlab rayleigh nil3 --radius 4 --dx 0.5` "
              f"{rayleigh}\n")
 # the chart operator's quotient: 9 calls per grid with the curvature fields
 # and the probe computed first, then one traced call on the last grid, in a

@@ -60,7 +60,7 @@ class WeightSpec:
             raise InvalidWeight("weight parameters must be finite")
         if self.a > 0:
             raise InvalidWeight(f"curvature bound must be <= 0, got a={self.a}")
-        if int(self.n) != self.n or self.n < 2:
+        if not (isinstance(self.n, numbers.Real) and self.n >= 2 and self.n % 1 == 0):
             raise InvalidWeight(f"dimension must be an integer >= 2, got n={self.n}")
         if self.a == 0 and not self.tau > 1:
             raise InvalidWeight(f"a = 0 requires tau > 1, got tau={self.tau}")
@@ -79,9 +79,18 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _ball_volume_const(n: int) -> float:
-    # Euclidean unit-ball volume omega_n
-    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+def _require_memory(need: float, subject: str, what: str, error: type) -> None:
+    """Raise `error` if the `need` bytes that `subject` spends on `what`
+    exceed physical memory."""
+    phys = _physical_memory()
+    if need > phys:
+        raise error(f"{subject} needs ~{need / 2 ** 30:.3g} GiB for {what}, "
+                    f"above the {phys / 2 ** 30:.3g} GiB of physical memory")
+
+
+def _log_ball_volume(n: int) -> float:
+    # log of the Euclidean unit-ball volume omega_n, finite in any dimension
+    return n / 2.0 * math.log(math.pi) - math.lgamma(n / 2.0 + 1.0)
 
 
 @functools.cache
@@ -100,32 +109,33 @@ def _gauss_legendre() -> tuple:
     return x, w
 
 
-def _log_volume_neg(a: float, n: int, R: float) -> float:
-    """log of the comparison volume V_a(R) for a < 0.
+def _log_volume_neg(a: float, n: int, R) -> np.ndarray:
+    """log of the comparison volume V_a(R) for a < 0, at each radius of R.
 
     V_a(R) = A_{n-1} * int_0^R (sinh(kappa*s)/kappa)^(n-1) ds with
     kappa = sqrt(-a).  The integrand overflows for large R, so factor out
     the growth:
     int_0^R sinh(kappa s)^(n-1) ds
-        = e^(kappa(n-1)R) * int_0^R e^(-kappa(n-1)u) ((1-e^(-2kappa(R-u)))/2)^(n-1) du
+        = e^(kappa(n-1)R) / 2^(n-1) * int_0^R e^(-kappa(n-1)u) (1-e^(-2kappa(R-u)))^(n-1) du
     and integrate the bounded factor, cut at u = 60/(kappa(n-1)) where
     e^(-kappa(n-1)u) drops below e^-60, by a composite 20-point
-    Gauss-Legendre rule: equal panels, each spanning at most 3 e-folds of
-    e^(-kappa(n-1)u) and of e^(-2kappa(R-u)), so about 40 at most.
+    Gauss-Legendre rule: the same number of equal panels at every radius,
+    each spanning at most 3 e-folds of e^(-kappa(n-1)u) and of e^(-2kappa(R-u)),
+    so about 40 at most.
     """
     kappa = math.sqrt(-a)
     rate = kappa * (n - 1)
-    upper = min(R, 60.0 / rate) if rate > 0 else R
-    panels = max(1, math.ceil(upper * max(rate, 2.0 * kappa) / 3.0))
+    R = np.asarray(R, dtype=float)
+    upper = np.minimum(R, 60.0 / rate)
+    panels = max(1, math.ceil(float(np.max(upper)) * max(rate, 2.0 * kappa) / 3.0))
     x, wts = _gauss_legendre()
     half = upper / (2.0 * panels)
-    u = half * (2.0 * np.arange(panels)[:, None] + 1.0 + x)
-    f = np.exp(-rate * u) * (-np.expm1(-2.0 * kappa * (R - u)) / 2.0) ** (n - 1)
-    val = half * float(np.sum(f @ wts))
-    if val <= 0.0:
-        return -math.inf
-    return (math.log(n * _ball_volume_const(n)) - (n - 1) * math.log(kappa)
-            + rate * R + math.log(val))
+    u = half[..., None, None] * (2.0 * np.arange(panels)[:, None] + 1.0 + x)
+    f = np.exp(-rate * u) * (-np.expm1(-2.0 * kappa * (R[..., None, None] - u))) ** (n - 1)
+    val = half * np.sum(f @ wts, axis=-1)
+    with np.errstate(divide="ignore"):
+        return (math.log(n) + _log_ball_volume(n) - (n - 1) * math.log(2.0 * kappa)
+                + rate * R + np.log(val))
 
 
 # bytes per term that a weight sum allocates at its peak: three float64
@@ -139,7 +149,14 @@ def summability_check(w: WeightSpec, N_max: int = 250_000) -> dict:
 
     V is the volume of the comparison space form with curvature a (a
     Euclidean ball for a = 0; for a < 0 by `_log_volume_neg`'s quadrature,
-    numpy alone).  Returns partial sums over N = 2..N_max, a rigorous
+    numpy alone).  For a < 0 one quadrature call takes the terms up to a
+    radius fixed in closed form, and the log-terms past it are extended
+    linearly from the last one taken.  That radius is at most
+    60/(kappa (n - 1)) + 19/kappa, past which log V(R) is linear in R to
+    rounding; for a falling sum it is at most where the bound
+    C e^(kappa (n - 1) R) / f_tau(R - 2) on the terms, which the tail
+    estimate uses, lies e^80 below omega_n 4^n / f_tau(2), a lower bound on
+    the first term.  Returns partial sums over N = 2..N_max, a rigorous
     analytic bound on the discarded tail, and a convergence verdict:
     eventually-decreasing terms with tail below 1e-6 of the computed sum.
     Next to the verdict stand its threshold and margin: the series
@@ -154,71 +171,59 @@ def summability_check(w: WeightSpec, N_max: int = 250_000) -> dict:
             and int(N_max) == N_max and N_max >= 10):
         raise InvalidInput(f"N_max must be an integer >= 10, got {N_max}")
     N_max = int(N_max)
-    need, phys = N_max * _TERM_BYTES, _physical_memory()
-    if need > phys:
-        raise InvalidInput(
-            f"N_max={N_max} needs ~{need / 2 ** 30:.3g} GiB for its terms, "
-            f"above the {phys / 2 ** 30:.3g} GiB of physical memory")
+    _require_memory(N_max * _TERM_BYTES, f"N_max={N_max}", "its terms", InvalidInput)
     nt = w.n + w.tau
+    log_omega = _log_ball_volume(w.n)
 
     if w.a == 0:
         # log(2N) for N = 1..N_max: log(2N) and log(2N - 2) over N = 2..N_max
         # are its two overlapping slices
         log_2N = np.log(np.arange(2.0, 2.0 * N_max + 1, 2.0))
-        log_terms = math.log(_ball_volume_const(w.n)) + w.n * log_2N[1:] - nt * log_2N[:-1]
+        log_terms = log_omega + w.n * log_2N[1:] - nt * log_2N[:-1]
         terms = np.exp(log_terms, out=log_terms)
         # tail over N > N_max:  (2N)^n/(2N-2)^(n+tau) <= (M/(M-1))^n (2N-2)^(-tau)
         # with M = N_max+1, and sum (2N-2)^(-tau) bounded by an integral.
         M = N_max + 1
-        tail = (_ball_volume_const(w.n) * (M / (M - 1.0)) ** w.n * 2.0 ** (-w.tau)
+        tail = (math.exp(log_omega) * (M / (M - 1.0)) ** w.n * 2.0 ** (-w.tau)
                 * ((M - 1.0) ** (-w.tau) + (M - 1.0) ** (1.0 - w.tau) / (w.tau - 1.0)))
         tail_finite = True
         cut = len(terms)
     else:
         kappa = math.sqrt(-w.a)
+        grow = kappa * (w.n - 1)        # log V(R) rises as grow * R
+        slope = 2.0 * (grow - nt)       # and the log-terms as slope * N
+        # V(R) <= C e^(grow R) with C = A_{n-1} / ((2 kappa)^(n-1) grow)
+        log_C = (math.log(w.n) + log_omega - (w.n - 1) * math.log(2.0 * kappa)
+                 - math.log(grow))
+        # integrate while log V(R) is not yet linear in R to rounding, and a
+        # falling sum only until that bound is 80 e-folds under the first term
+        R_end = 60.0 / grow + 19.0 / kappa
+        if slope < 0:
+            R_end = min(R_end, (log_C + 80.0 + 4.0 * nt - log_omega - w.n * math.log(4.0))
+                        / (nt - grow))
+        stop = min(N_max - 1, max(1, math.ceil(R_end / 2.0) - 1))
+        R = np.arange(4.0, 2.0 * stop + 3.0, 2.0)
         log_terms = np.empty(N_max - 1)
-        partial = 0.0
-        stop = len(log_terms)
-        for idx in range(len(log_terms)):
-            R = 2.0 * (idx + 2)
-            lt = _log_volume_neg(w.a, w.n, R) - nt * (R - 2.0)
-            log_terms[idx] = lt
-            partial += math.exp(lt) if -700 < lt < 700 else 0.0
-            # once terms are far below the running sum they cannot move it,
-            # and once they are growing the verdict is already settled;
-            # either way stop integrating and extrapolate the trend
-            settled = partial > 0 and lt < math.log(partial) - 80.0
-            growing = idx >= 200 and lt >= log_terms[idx - 1]
-            if settled or growing or lt > 700:
-                stop = idx + 1
-                break
+        log_terms[:stop] = _log_volume_neg(w.a, w.n, R) - nt * (R - 2.0)
+        ext = log_terms[stop:]     # past it the log-terms are extended linearly
+        np.multiply(np.arange(1.0, len(ext) + 1), slope, out=ext)
+        ext += log_terms[stop - 1]
         cut = len(log_terms)
-        if stop < len(log_terms):
-            # extend the asymptotically log-linear terms analytically
-            # instead of integrating each one
-            slope = 2.0 * (kappa * (w.n - 1) - nt)
-            ext = log_terms[stop:]
-            np.multiply(np.arange(1.0, len(ext) + 1), slope, out=ext)
-            ext += log_terms[stop - 1]
-            if slope < 0:
-                # falling, the extension is non-increasing even in rounding,
-                # and from its first log-term <= -700 on every term is an
-                # exact 0: exp and cumsum run only up to that cut
-                cut = stop + bisect.bisect_left(ext, 700.0, key=operator.neg)
+        if slope < 0:
+            # falling, the extension is non-increasing even in rounding,
+            # and from its first log-term <= -700 on every term is an
+            # exact 0: exp and cumsum run only up to that cut
+            cut = stop + bisect.bisect_left(ext, 700.0, key=operator.neg)
         head = log_terms[:cut]
         head[~(head > -700)] = -np.inf
         with np.errstate(over="ignore"):
             np.exp(head, out=head)
         log_terms[cut:] = 0.0
         terms = log_terms
-        # geometric tail via
-        # V_a(R) <= A_{n-1} e^(kappa(n-1)R) / (2^(n-1) kappa^(n-1) kappa(n-1))
-        rate = 2.0 * (kappa * (w.n - 1) - nt)
-        if rate < 0:
-            log_C = (math.log(w.n * _ball_volume_const(w.n))
-                     - (w.n - 1) * math.log(2.0 * kappa) - math.log(kappa * (w.n - 1)))
-            log_first = log_C + 2.0 * (N_max + 1) * (kappa * (w.n - 1) - nt) + 2.0 * nt
-            tail = math.exp(log_first - math.log1p(-math.exp(rate))) if log_first > -700 else 0.0
+        if slope < 0:
+            # geometric tail of the bound C e^(grow 2N) / f_tau(2N - 2)
+            log_first = log_C + (N_max + 1) * slope + 2.0 * nt
+            tail = math.exp(log_first - math.log1p(-math.exp(slope))) if log_first > -700 else 0.0
             tail_finite = True
         else:
             tail = math.inf
@@ -299,11 +304,8 @@ class GridSpec:
     def require_memory(self, point_bytes: int, what: str) -> None:
         """Raise `GridTooLarge` if `point_bytes` per grid point, spent on
         `what`, exceed physical memory."""
-        need, phys = self.npts ** 3 * point_bytes, _physical_memory()
-        if need > phys:
-            raise GridTooLarge(
-                f"{self.npts}^3 grid needs ~{need / 2 ** 30:.3g} GiB for {what}, "
-                f"above the {phys / 2 ** 30:.3g} GiB of physical memory")
+        _require_memory(self.npts ** 3 * point_bytes, f"{self.npts}^3 grid", what,
+                        GridTooLarge)
 
     @property
     def origin_index(self) -> tuple:
@@ -942,11 +944,7 @@ def rayleigh_span(cm: ChartMetric, lam: float, d, grid: GridSpec, count: int = 2
     curvature or the operator's coefficients overflow (`InvalidInput`).
     """
     _check_probes(count, seed)
-    need, phys = count * _PROBE_BYTES, _physical_memory()
-    if need > phys:
-        raise InvalidInput(
-            f"count={count} needs ~{need / 2 ** 30:.3g} GiB for its probes, "
-            f"above the {phys / 2 ** 30:.3g} GiB of physical memory")
+    _require_memory(count * _PROBE_BYTES, f"count={count}", "its probes", InvalidInput)
     grid.require_memory(_POINT_BYTES, "its coordinates and operator")
     line = _line_fields(cm, grid)
     N = grid.npts

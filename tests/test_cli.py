@@ -411,6 +411,20 @@ def test_weights_overflowing_partial_sums_raise_no_warning(capsys, dim, tau):
     assert None in [value for _, value in doc["partial_sums"]]
 
 
+@pytest.mark.parametrize("dim", ["400", "2000"])
+@pytest.mark.parametrize("a", ["0", "-1"])
+def test_weights_in_high_dimension_report(capsys, dim, a):
+    # gamma(n/2 + 1) overflows from n = 342 on; with the unit-ball volume in
+    # log form the report stands, and numpy stays quiet
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_main(capsys, "weights", "--a", a, "--dim", dim)
+    doc = _strict_json(out)
+    assert code in (0, 1)
+    assert doc["n"] == int(dim) and doc["converged"] is (code == 0)
+    assert err == ""
+
+
 def test_flow_empty_fit_writes_null(tmp_path, capsys):
     code, out, _ = run_main(capsys, "flow", "abelian_3", "--perturb", "0.05",
                             "--t-max", "1", "--out", str(tmp_path / "ab.csv"))

@@ -76,6 +76,9 @@ def test_weight_legality():
         WeightSpec(a=0.5, n=3, tau=2.0)     # curvature bound must be <= 0
     with pytest.raises(InvalidWeight):
         WeightSpec(a=0.0, n=1, tau=2.0)
+    for n in (math.nan, math.inf):
+        with pytest.raises(InvalidWeight):
+            WeightSpec(a=0.0, n=n, tau=2.0)
 
 
 @given(st.floats(0.1, 8.0), st.floats(0.0, 1.5))
@@ -101,10 +104,12 @@ def test_negative_curvature_volume_matches_quadrature(a, n):
     """V_a(R) is the ball volume of the space form of curvature a:
     A_{n-1} int_0^R (sinh(kappa s)/kappa)^(n-1) ds, kappa = sqrt(-a).
     The reference is scipy's adaptive quadrature of the integrand as it
-    stands, where it does not overflow."""
+    stands, where it does not overflow.  The radii pass one at a time and
+    as one array."""
     kappa = np.sqrt(-a)
     area = n * np.pi ** (n / 2) / math.gamma(n / 2 + 1)
-    for R in (0.5, 2.0, 6.0, 40.0, 100.0):
+    radii, refs = (0.5, 2.0, 6.0, 40.0, 100.0), []
+    for R in radii:
         if kappa * (n - 1) * R < 600:
             ref, _ = quad(lambda s: (np.sinh(kappa * s) / kappa) ** (n - 1), 0.0, R,
                           limit=200)
@@ -119,6 +124,9 @@ def test_negative_curvature_volume_matches_quadrature(a, n):
             log_ref = math.log(area) - (n - 1) * math.log(kappa) + rate * R + math.log(rest)
         assert coordfield._log_volume_neg(a, n, R) == pytest.approx(
             log_ref, rel=1e-10, abs=1e-10), R
+        refs.append(log_ref)
+    assert coordfield._log_volume_neg(a, n, np.array(radii)) == pytest.approx(
+        refs, rel=1e-10, abs=1e-10)
 
 
 @pytest.mark.parametrize("N_max", [float("nan"), float("inf"), -math.inf, 9, 10.5, "100"])
@@ -182,6 +190,28 @@ def test_summability_terms_past_the_underflow_are_exact_zeros(a, n, tau):
         # the first zero is a term that underflows, N = last + 3, R = 2N
         R = 2.0 * (last + 3)
         assert coordfield._log_volume_neg(a, n, R) - (n + tau) * (R - 2.0) < -699.0
+
+
+def test_summability_integrates_a_closed_form_extent(monkeypatch):
+    """An a < 0 sum takes its terms in one quadrature call, on the same
+    number of radii at any distance to tau* (the log-terms are linear past
+    60/(kappa (n - 1)) + 19/kappa), and a nearly flat space form stops where
+    the terms' bound falls 80 e-folds below the first term."""
+    log_volume_neg, counts = coordfield._log_volume_neg, []
+
+    def count(a, n, R):
+        counts.append(len(R))
+        return log_volume_neg(a, n, R)
+
+    monkeypatch.setattr(coordfield, "_log_volume_neg", count)
+    for tau in (3.0, 2.001, 2.0001, 2.000001):
+        summability_check(WeightSpec(a=-4.0, n=4, tau=tau))
+    assert len(counts) == 4 and len(set(counts)) == 1
+    counts.clear()
+    for n in range(2, 9):
+        for tau in (0.5, 2.0, 9.0):
+            summability_check(WeightSpec(a=-1e-300, n=n, tau=tau))
+    assert len(counts) == 21 and max(counts) < 200
 
 
 def test_summability_terms_decrease_eventually():
