@@ -5,10 +5,13 @@ its wall time, peak RSS, five slowest tests, the line counts of
 src/solitonlab/*.py (tracked in ROADMAP.md like a benchmark) and the
 fresh-process start-up time of `import solitonlab`, `solitonlab catalog`, a
 short `solitonlab flow`, two `solitonlab weights` with a < 0 (one near its
-critical tau) and a 17^3 `solitonlab rayleigh`, and the median time of one
-`rayleigh_quotient` on the 17^3 and 33^3 hyp3 grids, with the tracemalloc
-peak of one call on the 33^3 grid in doubles per grid point, to
-$GITHUB_STEP_SUMMARY (stderr if unset).  Nothing here is a gate.
+critical tau) and a 17^3 `solitonlab rayleigh`, the time of the first
+`rayleigh_quotient` on the 17^3 and 33^3 hyp3 grids (it builds the grid's
+operator plan) and the median of the next 9 (they reuse it), the tracemalloc
+peak of a cold and a warm call on the 33^3 grid in doubles per grid point,
+and the median time of criterion 8 in 3 fresh processes with BLAS threads
+unpinned and in 3 with OPENBLAS_NUM_THREADS=1, to $GITHUB_STEP_SUMMARY
+(stderr if unset).  Nothing here is a gate.
 
     python .github/tier1.py
 """
@@ -87,9 +90,10 @@ lines.append(f"start-up, median of 3 fresh processes: `import solitonlab` "
              f"--dim 4` {weights}, `solitonlab weights --a -4 --tau 2.001 --dim 4` "
              f"{near}, `solitonlab rayleigh nil3 --radius 4 --dx 0.5` "
              f"{rayleigh}\n")
-# the chart operator's quotient: 9 calls per grid with the curvature fields
-# and the probe computed first, then one traced call on the last grid, in a
-# fresh process so numpy stays out of this one
+# the chart operator's quotient: 10 calls per grid with the curvature fields
+# and the probe computed first, the first of which builds the grid's operator
+# plan, then a traced call on the last grid with the plan dropped (cold) and
+# one with it kept (warm), in a fresh process so numpy stays out of this one
 RAYLEIGH = """
 import time
 import tracemalloc
@@ -100,16 +104,20 @@ for dx in (0.25, 0.125):
     fields = coordfield.curvature_fields(cm, grid.points())
     h = coordfield.probe_tensor_suite(cm, grid, count=1)[0]
     times = []
-    for _ in range(9):
+    for _ in range(10):
         t = time.perf_counter()
         coordfield.rayleigh_quotient(cm, cm.lam, cm.d, h, grid, _fields=fields)
         times.append(time.perf_counter() - t)
-    print(f"{grid.npts}^3 {sorted(times)[4] * 1e3:.2f} ms")
-tracemalloc.start()
-coordfield.rayleigh_quotient(cm, cm.lam, cm.d, h, grid, _fields=fields)
-peak = tracemalloc.get_traced_memory()[1]
-tracemalloc.stop()
-print(f"{grid.npts}^3 peak {peak / 8 / grid.npts ** 3:.1f} doubles per point")
+    print(f"{grid.npts}^3 first {times[0] * 1e3:.2f} ms, then {sorted(times[1:])[4] * 1e3:.2f} ms")
+peaks = []
+for cold in (True, False):
+    if cold:
+        coordfield._operator_plan.cache_clear()
+    tracemalloc.start()
+    coordfield.rayleigh_quotient(cm, cm.lam, cm.d, h, grid, _fields=fields)
+    peaks.append(tracemalloc.get_traced_memory()[1] / 8 / grid.npts ** 3)
+    tracemalloc.stop()
+print(f"{grid.npts}^3 peak {peaks[0]:.1f} cold, {peaks[1]:.1f} warm doubles per point")
 """
 try:
     run = subprocess.run([sys.executable, "-c", RAYLEIGH], env=env, timeout=120,
@@ -118,8 +126,36 @@ try:
         f"failed (exit code {run.returncode})")
 except (OSError, subprocess.SubprocessError) as e:
     quotient = f"not run ({type(e).__name__})"
-lines.append(f"`rayleigh_quotient` on hyp3, median of 9 calls and the peak of one, "
-             f"in a fresh process: {quotient}\n")
+lines.append(f"`rayleigh_quotient` on hyp3, the first call and the median of the next "
+             f"9, and the peaks of a cold and a warm call, in a fresh process: "
+             f"{quotient}\n")
+
+
+def c08(env):
+    """Median call time of criterion 8 in 3 fresh pytest processes, as text."""
+    times = []
+    for _ in range(3):
+        try:
+            run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                                  "--durations=0", "--durations-min=0",
+                                  "tests/test_acceptance.py::"
+                                  "test_c08_coordinate_algebraic_consistency"],
+                                 env=env, timeout=300, capture_output=True, text=True)
+        except (OSError, subprocess.SubprocessError) as e:
+            return f"not run ({type(e).__name__})"
+        call = re.search(r"(\d+\.\d+)s call ", run.stdout)
+        if run.returncode or not call:
+            return f"failed (exit code {run.returncode})"
+        times.append(float(call.group(1)))
+    return f"{sorted(times)[1]:.2f} s"
+
+
+# the first 6x72 by 72xN^2 products on 65^3 grids can stall with a second BLAS
+# thread; the workflow pins one, so the unpinned run is the only one to see it
+unpinned = {k: v for k, v in env.items() if k != "OPENBLAS_NUM_THREADS"}
+lines.append(f"criterion 8, median call time of 3 fresh processes: "
+             f"{c08(unpinned)} with OPENBLAS_NUM_THREADS unset, "
+             f"{c08(dict(env, OPENBLAS_NUM_THREADS='1'))} with it set to 1\n")
 summary = os.environ.get("GITHUB_STEP_SUMMARY")
 if summary:
     with open(summary, "a") as fh:

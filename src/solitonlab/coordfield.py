@@ -138,6 +138,14 @@ def _log_volume_neg(a: float, n: int, R) -> np.ndarray:
                 + rate * R + np.log(val))
 
 
+def _exp(x: float) -> float:
+    """e^x, inf where it exceeds the float range (`math.exp` raises there)."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 # bytes per term that a weight sum allocates at its peak: three float64
 # arrays of N_max terms (tracemalloc at N_max = 10^6: 24.0 B/term for a = 0,
 # 16.0 for a < 0, where the terms overwrite their logs)
@@ -182,10 +190,11 @@ def summability_check(w: WeightSpec, N_max: int = 250_000) -> dict:
         log_terms = log_omega + w.n * log_2N[1:] - nt * log_2N[:-1]
         terms = np.exp(log_terms, out=log_terms)
         # tail over N > N_max:  (2N)^n/(2N-2)^(n+tau) <= (M/(M-1))^n (2N-2)^(-tau)
-        # with M = N_max+1, and sum (2N-2)^(-tau) bounded by an integral.
+        # with M = N_max+1, and sum (2N-2)^(-tau) bounded by an integral:
+        # omega_n (M/(M-1))^n (2(M-1))^(-tau) (1 + (M-1)/(tau-1)), in log form
         M = N_max + 1
-        tail = (math.exp(log_omega) * (M / (M - 1.0)) ** w.n * 2.0 ** (-w.tau)
-                * ((M - 1.0) ** (-w.tau) + (M - 1.0) ** (1.0 - w.tau) / (w.tau - 1.0)))
+        tail = _exp(log_omega + w.n * math.log1p(1.0 / (M - 1.0))
+                    - w.tau * math.log(2.0 * (M - 1.0)) + math.log1p((M - 1.0) / (w.tau - 1.0)))
         tail_finite = True
         cut = len(terms)
     else:
@@ -223,7 +232,7 @@ def summability_check(w: WeightSpec, N_max: int = 250_000) -> dict:
         if slope < 0:
             # geometric tail of the bound C e^(grow 2N) / f_tau(2N - 2)
             log_first = log_C + (N_max + 1) * slope + 2.0 * nt
-            tail = math.exp(log_first - math.log1p(-math.exp(slope))) if log_first > -700 else 0.0
+            tail = _exp(log_first - math.log1p(-math.exp(slope))) if log_first > -700 else 0.0
             tail_finite = True
         else:
             tail = math.inf
@@ -416,8 +425,8 @@ _FIELD_SHAPES = {"g": (3, 3), "ginv": (3, 3), "Gamma": (3, 3, 3), "Rm": (3, 3, 3
 # bytes per grid point that a grid still allocates: the coordinates and what
 # the operator holds at its peak: h, the slab of its 6 components, the 9
 # entries of `apply_L_fd`'s result and 8 for one block of the stack R = [D_0 h,
-# D_1 h, D_2 h, h], the block's L h and buffer, and the line coefficients,
-# which do not grow with the grid (tracemalloc of one `apply_L_fd`: 22.0 at
+# D_1 h, D_2 h, h], the block's L h and buffer, and the operator plan, whose
+# mask takes 1 byte per point (tracemalloc of one `apply_L_fd`: 22.0 at
 # 33^3 and 17.0 at 65^3 apart from the coordinates and h; at 17^3, where one
 # block spans the grid, the stack alone is 24); curvature fields are views of
 # their line
@@ -606,18 +615,24 @@ def _max_abs(a: np.ndarray) -> float:
     return max(float(a.max(axis=1).max()), -float(a.min(axis=1).min()))
 
 
-def _operator_input(cm: ChartMetric, h: np.ndarray, grid: GridSpec,
+def _operator_input(cm: ChartMetric, lam: float, d, h: np.ndarray, grid: GridSpec,
                     fields: dict = None) -> tuple:
-    """Checked operator input: h's 6 components as an (N, 6, N, N) slab,
-    the chart axis first, and the curvature fields on the N grid points of
-    the chart axis.
+    """Checked operator input: the `_operator_plan` of (cm, lam, D, grid), and
+    h's 6 components as an (N, 6, N, N) slab, the chart axis first.
 
-    h must be finite and symmetric: max|h_ij - h_ji| may not exceed `SYM_TOL`
-    times max|h|.  The line fields are those of `_line_fields`.
+    Grid `fields` are only checked against the grid: the plan evaluates the
+    curvature on the N points of the chart axis, where it equals theirs.  h
+    must be finite and symmetric: max|h_ij - h_ji| may not exceed `SYM_TOL`
+    times max|h|.
     """
-    line = _line_fields(cm, grid, fields)
-    h = np.asarray(h, dtype=float)
+    plan = _operator_plan(cm, float(lam), tuple(map(float, d)), grid)
     N = grid.npts
+    bad = [] if fields is None else sorted(
+        key for key, tail in _FIELD_SHAPES.items()
+        if key not in fields or np.shape(fields[key]) != (N,) * 3 + tail)
+    if bad:
+        raise InvalidInput(f"fields {bad} do not match the {N}^3 grid")
+    h = np.asarray(h, dtype=float)
     shape = (N,) * 3 + (3, 3)
     if h.shape != shape:
         raise InvalidInput(f"field shape {h.shape} does not match grid {shape}")
@@ -642,29 +657,46 @@ def _operator_input(cm: ChartMetric, h: np.ndarray, grid: GridSpec,
     if asym > SYM_TOL * scale:
         raise InvalidInput(f"field is not symmetric: max|h_ij - h_ji| = {asym:.3e} "
                            f"against max|h| = {scale:.3e}")
-    return S, line
+    return plan, S
 
 
-def _line_fields(cm: ChartMetric, grid: GridSpec, fields: dict = None) -> dict:
-    """The curvature fields on the N grid points of the chart axis, for an
-    operator on `grid` (`GridTooCoarse` if dx > R/8): read at index 0 on the
-    invariant axes of the grid `fields`, checked against the grid, or
-    evaluated on the N line points when `fields` is None."""
+@functools.lru_cache(maxsize=1)
+def _operator_plan(cm: ChartMetric, lam: float, d: tuple, grid: GridSpec) -> tuple:
+    """The part of the operator on `grid` that does not depend on h, all
+    read-only: (C, W, P, outside, drift), with (C, W, P) of
+    `_line_coefficients`, the Dirichlet mask `outside` on the interior line
+    values, and the drift rows d_a x^a / 2 dx of the two invariant axes on
+    their (N, N) plane (None where d_a = 0).
+
+    The last plan is kept, so consecutive operator calls with one chart,
+    lam, D (a tuple of floats) and grid build it once.  It holds no h and no
+    workspace, so calls stay re-entrant.  A refusal is never kept:
+    `GridTooCoarse` if dx > R/8, and an overflowing chart metric, curvature
+    or coefficient (`InvalidInput`).
+    """
     if grid.dx > grid.radius / 8.0 + 1e-12:
-        raise GridTooCoarse(
-            f"dx = {grid.dx} exceeds radius/8 = {grid.radius / 8.0}")
-    N = grid.npts
-    if fields is None:
-        pts = np.zeros((N, 3))
-        pts[:, cm.axis] = grid.axis()
-        return curvature_fields(cm, pts)
-    bad = sorted(key for key, tail in _FIELD_SHAPES.items()
-                 if key not in fields or np.shape(fields[key]) != (N,) * 3 + tail)
-    if bad:
-        raise InvalidInput(f"fields {bad} do not match the {N}^3 grid")
-    on_line = [0, 0, 0]
-    on_line[cm.axis] = slice(None)
-    return {key: fields[key][tuple(on_line)] for key in _FIELD_SHAPES}
+        raise GridTooCoarse(f"dx = {grid.dx} exceeds radius/8 = {grid.radius / 8.0}")
+    N, n, dx, c = grid.npts, grid.npts - 2, grid.dx, cm.axis
+    ax, line = grid.axis(), np.zeros((N, 3))
+    line[:, c] = ax
+    C, W, P = _line_coefficients(cm, lam, d, grid, curvature_fields(cm, line))
+    others = [a for a in range(3) if a != c]
+    sax = {c: 0, others[0]: 2, others[1]: 3}                     # slab axis of each grid axis
+    # the mask, r^2 summed in grid-axis order
+    sq = ax * ax
+    r2 = [(sq[1:-1] if a == c else sq).reshape([-1 if s == sax[a] else 1 for s in range(4)])
+          for a in range(3)]
+    outside = ((r2[0] + r2[1]) + r2[2] >= grid.radius ** 2).reshape(n, 1, -1)
+    drift = []
+    for a in others:
+        coef = (d[a] / (2.0 * dx)) * ax
+        drift.append(np.broadcast_to(coef[:, None] if sax[a] == 2 else coef, (N, N))
+                     .reshape(1, 1, -1) if d[a] != 0.0 else None)
+    plan = (C, W, P, outside, tuple(drift))
+    for arr in (C, W, P, outside, *drift):
+        if arr is not None:
+            arr.setflags(write=False)
+    return plan
 
 
 def apply_L_fd(cm: ChartMetric, lam: float, d, h: np.ndarray,
@@ -678,13 +710,14 @@ def apply_L_fd(cm: ChartMetric, lam: float, d, h: np.ndarray,
     C = exp(t A)); the h-derivatives are second-order centered differences, so
     plateau discrepancies against the algebraic operator shrink at
     O(dx^2).  The result is exactly symmetric, and zero outside the open
-    ball (Dirichlet).
+    ball (Dirichlet).  The part of L that does not depend on h is built once
+    per grid and reused by the next call with the same chart, lam, D and
+    grid (`_operator_plan`); `_fields` are only checked against the grid.
     """
-    S, line = _operator_input(cm, h, grid, _fields)
-    C, W, _ = _line_coefficients(cm, lam, d, grid, line)
+    plan, S = _operator_input(cm, lam, d, h, grid, _fields)
     N = grid.npts
     out = np.empty((N, 3, 3, N * N))
-    for lo, hi, V in _apply_L(cm, d, grid, S, C, W):
+    for lo, hi, V in _apply_L(cm, grid, S, plan):
         # the 9 entries of L h; "clip" writes into `out` unbuffered
         np.take(V, _FULL, axis=1, out=out[lo:hi], mode="clip")
     return np.moveaxis(out.reshape(N, 3, 3, N, N), (0, 1, 2), (cm.axis, 3, 4))
@@ -743,12 +776,11 @@ def _line_coefficients(cm: ChartMetric, lam: float, d, grid: GridSpec,
     return C, W[:, [a for a in range(3) if a != c]], P
 
 
-def _apply_L(cm: ChartMetric, d, grid: GridSpec, S: np.ndarray, C: np.ndarray,
-             W: np.ndarray):
+def _apply_L(cm: ChartMetric, grid: GridSpec, S: np.ndarray, plan: tuple):
     """Yield (lo, hi, V): L h on the line values lo .. hi - 1, in order and
-    each once, for the slab S of `_operator_input` and the coefficients C
-    and W of `_line_coefficients`.  V (hi - lo, 12, N^2) holds L h in its
-    first 6 rows and h in the last 6; it is only valid until the next block.
+    each once, for the slab S of `_operator_input` and the `_operator_plan`
+    of its grid.  V (hi - lo, 12, N^2) holds L h in its first 6 rows and h
+    in the last 6; it is only valid until the next block.
 
     R = [D_0 h, D_1 h, D_2 h, h] holds raw centred differences D_a h = 2 dx
     d_a h (zero ghost cells).  With K_b: h -> Gamma_b^T h + h Gamma_b,
@@ -765,22 +797,10 @@ def _apply_L(cm: ChartMetric, d, grid: GridSpec, S: np.ndarray, C: np.ndarray,
     rows for x0 - 1 .. x1, within `_STACK_BYTES` (at least one value per
     block), so only the slab spans the grid.
     """
-    N, n, dx, c = grid.npts, grid.npts - 2, grid.dx, cm.axis
+    N, n, c = grid.npts, grid.npts - 2, cm.axis
+    C, W, _, outside, drift = plan
     others = [a for a in range(3) if a != c]
     sax = {c: 0, others[0]: 2, others[1]: 3}                     # slab axis of each grid axis
-    ax, d = grid.axis(), np.asarray(d, dtype=float)
-    # the Dirichlet mask on the interior, r^2 summed in grid-axis order
-    sq = ax * ax
-    r2 = [(sq[1:-1] if a == c else sq).reshape([-1 if s == sax[a] else 1 for s in range(4)])
-          for a in range(3)]
-    outside = ((r2[0] + r2[1]) + r2[2] >= grid.radius ** 2).reshape(n, 1, -1)
-    # the drift d_a x^a d_a h of each invariant axis, its coefficient laid out
-    # on the (N, N) plane of the two invariant axes
-    drift = []
-    for a in others:
-        coef = (d[a] / (2.0 * dx)) * ax
-        drift.append(np.broadcast_to(coef[:, None] if sax[a] == 2 else coef, (N, N))
-                     .reshape(1, 1, -1) if d[a] != 0.0 else None)
     b = min(n, max(1, _STACK_BYTES // (8 * 24 * N * N) - 2))
     stack, Lb, buf = np.empty((b + 2, 24, N, N)), np.empty((b, 6, N * N)), np.empty((b, 6, N * N))
     for x0 in range(1, N - 1, b):
@@ -833,17 +853,18 @@ def rayleigh_quotient(cm: ChartMetric, lam: float, d, h: np.ndarray,
     `h` is a symmetric field, as for `apply_L_fd`; the pairing runs over
     its 6 components, each off-diagonal one counted twice.  Pointwise inner
     products raise indices with g; the measure is sqrt(det g) dx^3.
-    Scale-invariant by construction.
+    Scale-invariant by construction.  As in `apply_L_fd`, the part of L
+    that does not depend on h is reused by the next call with the same
+    chart, lam, D and grid, and `_fields` are only checked.
     """
-    S, line = _operator_input(cm, h, grid, _fields)
-    C, W, P = _line_coefficients(cm, lam, d, grid, line)
+    plan, S = _operator_input(cm, lam, d, h, grid, _fields)
     N = grid.npts
     # one product per block gives the plane sums of both pairings (numpy
     # would send h h^T alone to syrk, slower here)
     sums = np.empty((N, 12, 6))
-    for lo, hi, V in _apply_L(cm, d, grid, S, C, W):
+    for lo, hi, V in _apply_L(cm, grid, S, plan):
         np.matmul(V, V[:, 6:].transpose(0, 2, 1), out=sums[lo:hi])
-    num, den = np.einsum("xkc,xc->k", sums.reshape(N, 2, 36), P.reshape(N, 36))
+    num, den = np.einsum("xkc,xc->k", sums.reshape(N, 2, 36), plan[2].reshape(N, 36))
     if den <= 0.0 or not np.isfinite(den):
         raise InvalidInput("Rayleigh quotient of a zero (or degenerate) field")
     return float(num) / float(den)
@@ -933,7 +954,8 @@ def rayleigh_span(cm: ChartMetric, lam: float, d, grid: GridSpec, count: int = 2
     plane sums against chi.  span_max is the top eigenvalue of the pencil
     (sym A, B), by Cholesky of B and `eigvalsh` in numpy alone: the supremum
     of the quotient over the span, at least every sampled quotient up to
-    rounding.
+    rounding.  The six applications share one `_operator_plan`, which the
+    next call with the same chart, lam, D and grid reuses.
 
     Returns (quotients, span_max).  Refused before anything grid-sized is
     allocated: a count or seed that `probe_tensor_suite` refuses, a count
@@ -946,24 +968,22 @@ def rayleigh_span(cm: ChartMetric, lam: float, d, grid: GridSpec, count: int = 2
     _check_probes(count, seed)
     _require_memory(count * _PROBE_BYTES, f"count={count}", "its probes", InvalidInput)
     grid.require_memory(_POINT_BYTES, "its coordinates and operator")
-    line = _line_fields(cm, grid)
+    plan = _operator_plan(cm, float(lam), tuple(map(float, d)), grid)
     N = grid.npts
     chi = np.moveaxis(radial_bump(grid, 0.45 * grid.radius, 0.9 * grid.radius), cm.axis, 0)
     # the first six frame matrices are the units E_k; F[x, k, c] is component
     # c of C^T E_k C at line value x
     mats = _probe_matrices(max(count, 6), seed)
     F = _frame_field(cm.coframe(grid.axis())[:, None], mats[:6])[..., _I6, _J6]
-    # one slab and one set of line coefficients for the six applications
-    C, W, P = _line_coefficients(cm, lam, d, grid, line)
     S, V = np.empty((N, 6, N, N)), np.empty((N, 6, 6))
     chi_col = np.ascontiguousarray(chi).reshape(N, N * N, 1)
     for k in range(6):
         np.multiply(F[:, k, :, None, None], chi[:, None], out=S)
-        for lo, hi, Lh in _apply_L(cm, d, grid, S, C, W):
+        for lo, hi, Lh in _apply_L(cm, grid, S, plan):
             V[lo:hi, k] = (Lh[:, :6] @ chi_col[lo:hi])[..., 0]
     # G[x, c, l] = sum_d P[x, c, d] F[x, l, d]: a plane sum v pairs with
     # h_l as sum_c v_c G[x, c, l]
-    G = P @ F.transpose(0, 2, 1)
+    G = plan[2] @ F.transpose(0, 2, 1)
     A = np.einsum("xkc,xcl->kl", V, G)
     B = np.einsum("xkc,xcl->kl", np.einsum("xab,xab->x", chi, chi)[:, None, None] * F, G)
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):

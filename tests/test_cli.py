@@ -425,6 +425,23 @@ def test_weights_in_high_dimension_report(capsys, dim, a):
     assert err == ""
 
 
+@pytest.mark.parametrize("args, tail", [
+    (["--a=-1e-300", "--dim", "8", "--tau", "0.5"], None),  # log tail about 2.4e3
+    (["--a", "0", "--dim", "100000"], 0.0),                  # (M/(M-1))^n alone overflowed
+], ids=["a<0", "a=0"])
+def test_weights_tail_out_of_float_range_is_reported(capsys, args, tail):
+    # each tail once ended in an OverflowError traceback from `math`; in log
+    # form it is inf (null) past the float range, and the report stands
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_main(capsys, "weights", *args, "--nmax", "10")
+    doc = _strict_json(out)
+    assert code == 1 and err == ""
+    assert doc["converged"] is False and doc["tail_bound"] == tail
+    if tail is None:
+        assert doc["bound"] is None
+
+
 def test_flow_empty_fit_writes_null(tmp_path, capsys):
     code, out, _ = run_main(capsys, "flow", "abelian_3", "--perturb", "0.05",
                             "--t-max", "1", "--out", str(tmp_path / "ab.csv"))

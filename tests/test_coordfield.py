@@ -678,6 +678,102 @@ def test_operator_blocks_match_one_block(monkeypatch, name, budget):
     assert q == q1 and span == span1
 
 
+def _plan_builds(monkeypatch):
+    """A list that counts the operator plans built from here on."""
+    coordfield._operator_plan.cache_clear()
+    build, builds = coordfield._line_coefficients, []
+
+    def counted(*args):
+        builds.append(args[:2])
+        return build(*args)
+
+    monkeypatch.setattr(coordfield, "_line_coefficients", counted)
+    return builds
+
+
+def test_operator_plan_is_built_once_per_grid(monkeypatch, nil3_fields):
+    """22 quotients on one grid build one plan; a new lam, D, dx or chart
+    builds a new one, and so does the first grid again after that."""
+    cm, fields = nil3_fields
+    suite = probe_tensor_suite(cm, GRID, count=22, seed=1)
+    builds = _plan_builds(monkeypatch)
+    for h in suite:
+        rayleigh_quotient(cm, cm.lam, cm.d, h, GRID, _fields=fields)
+    assert len(builds) == 1
+    h, fine = suite[0], GridSpec(radius=2.0, dx=0.125)
+    rayleigh_quotient(cm, cm.lam + 1.0, cm.d, h, GRID)
+    rayleigh_quotient(cm, cm.lam, cm.d + 1.0, h, GRID)
+    rayleigh_quotient(cm, cm.lam, cm.d, probe_tensor_suite(cm, fine, count=1)[0], fine)
+    apply_L_fd(chart_metric("hyp3"), cm.lam, cm.d, h, GRID)
+    rayleigh_span(cm, cm.lam, cm.d, GRID, count=2)
+    assert len(builds) == 6
+    assert coordfield._operator_plan.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("dx", [0.25, 0.125], ids=["17^3", "33^3"])
+@pytest.mark.parametrize("name", ["nil3", "sol3", "hyp3"])
+def test_operator_plan_cold_matches_warm(name, dx):
+    """A call that builds the plan gives the same floats as one that reuses it."""
+    cm, grid = chart_metric(name), GridSpec(radius=2.0, dx=dx)
+    h = probe_tensor_suite(cm, grid, count=8, seed=5)[7]
+
+    def run():
+        return (apply_L_fd(cm, cm.lam, cm.d, h, grid), rayleigh_quotient(cm, cm.lam, cm.d, h, grid),
+                rayleigh_span(cm, cm.lam, cm.d, grid, count=8, seed=5))
+
+    run()
+    warm = run()
+    coordfield._operator_plan.cache_clear()
+    cold = run()
+    assert np.array_equal(cold[0], warm[0])
+    assert cold[1] == warm[1] and cold[2] == warm[2]
+
+
+def test_operator_plan_is_read_only():
+    cm = chart_metric("sol3")       # drift on both invariant axes
+    plan = coordfield._operator_plan(cm, cm.lam, tuple(cm.d), GRID)
+    arrays = [a for a in plan[:4] + plan[4] if a is not None]
+    assert len(arrays) == 6
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 0
+
+
+def test_operator_plan_keeps_one_grid():
+    """Quotients at 20 radii keep one plan, and no more memory than it."""
+    cm = chart_metric("hyp3")
+    lam, d = cm.lam, cm.d
+    coordfield._line_tables()                   # built on first use, then kept
+    grids = [GridSpec(radius=R, dx=R / 8.0) for R in np.linspace(1.0, 3.0, 20)]
+    probes = [probe_tensor_suite(cm, grid, count=1)[0] for grid in grids]
+    tracemalloc.start()
+    try:
+        for grid, h in zip(grids, probes):
+            rayleigh_quotient(cm, lam, d, h, grid)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert coordfield._operator_plan.cache_info().currsize == 1
+    plan = coordfield._operator_plan(cm, lam, tuple(d), grids[-1])
+    assert held <= sum(a.nbytes for a in plan[:4] + plan[4] if a is not None) + 2 ** 14
+
+
+def test_operator_refusals_are_not_kept():
+    """With a plan built on one grid, a coarse grid and an overflowing chart
+    metric are still refused, on every call."""
+    cm = chart_metric("nil3")
+    rayleigh_quotient(cm, cm.lam, cm.d, probe_tensor_suite(cm, GRID, count=1)[0], GRID)
+    coarse, far = GridSpec(radius=2.0, dx=0.5), GridSpec(radius=300.0, dx=37.5)
+    sol3 = chart_metric("sol3")
+    for _ in range(2):
+        with pytest.raises(GridTooCoarse):
+            apply_L_fd(cm, cm.lam, cm.d, np.zeros((coarse.npts,) * 3 + (3, 3)), coarse)
+        with pytest.raises(InvalidInput, match="overflow"):
+            rayleigh_quotient(sol3, sol3.lam, sol3.d, np.zeros((far.npts,) * 3 + (3, 3)), far)
+        with pytest.raises(InvalidInput, match="overflow"):
+            rayleigh_span(sol3, sol3.lam, sol3.d, far, count=2)
+
+
 def test_apply_L_fd_rejects_coarse_grid():
     cm = chart_metric("nil3")
     grid = GridSpec(radius=2.0, dx=0.5)   # dx > R/8
