@@ -9,7 +9,9 @@ critical tau) and a 17^3 `solitonlab rayleigh`, the time of the first
 `rayleigh_quotient` on the 17^3 and 33^3 hyp3 grids (it builds the grid's
 operator plan) and the median of the next 9 (they reuse it), the tracemalloc
 peak of a cold and a warm call on the 33^3 grid in doubles per grid point,
-and the median time of criterion 8 in 3 fresh processes with BLAS threads
+the median time of one pass of `summability_check` over the benchmark's 7
+weights with a = 0 and over its 7 with a = -1 (n = 2..8, tau = 2), and the
+median time of criterion 8 in 3 fresh processes with BLAS threads
 unpinned and in 3 with OPENBLAS_NUM_THREADS=1, to $GITHUB_STEP_SUMMARY
 (stderr if unset).  Nothing here is a gate.
 
@@ -119,16 +121,40 @@ for cold in (True, False):
     tracemalloc.stop()
 print(f"{grid.npts}^3 peak {peaks[0]:.1f} cold, {peaks[1]:.1f} warm doubles per point")
 """
-try:
-    run = subprocess.run([sys.executable, "-c", RAYLEIGH], env=env, timeout=120,
-                         capture_output=True, text=True)
-    quotient = ", ".join(run.stdout.splitlines()) if run.returncode == 0 else (
-        f"failed (exit code {run.returncode})")
-except (OSError, subprocess.SubprocessError) as e:
-    quotient = f"not run ({type(e).__name__})"
+# the weight sums of the benchmark's chart workload, 7 passes per sign of a
+WEIGHTS = """
+import time
+from solitonlab import coordfield
+for a in (0.0, -1.0):
+    specs = [coordfield.WeightSpec(a=a, n=n, tau=2.0) for n in range(2, 9)]
+    passes = []
+    for _ in range(7):
+        t = time.perf_counter()
+        for w in specs:
+            coordfield.summability_check(w)
+        passes.append(time.perf_counter() - t)
+    print(f"a = {a:g} {sorted(passes)[3] * 1e3:.1f} ms")
+"""
+
+
+def fresh(script):
+    """The output lines of `python -c script` in a fresh process, joined, as
+    text; a run that fails is reported here and leaves the exit code alone."""
+    try:
+        run = subprocess.run([sys.executable, "-c", script], env=env, timeout=120,
+                             capture_output=True, text=True)
+    except (OSError, subprocess.SubprocessError) as e:
+        return f"not run ({type(e).__name__})"
+    if run.returncode:
+        return f"failed (exit code {run.returncode})"
+    return ", ".join(run.stdout.splitlines())
+
+
 lines.append(f"`rayleigh_quotient` on hyp3, the first call and the median of the next "
              f"9, and the peaks of a cold and a warm call, in a fresh process: "
-             f"{quotient}\n")
+             f"{fresh(RAYLEIGH)}\n")
+lines.append(f"`summability_check`, median of 7 passes over n = 2..8 at tau = 2, "
+             f"in a fresh process: {fresh(WEIGHTS)}\n")
 
 
 def c08(env):

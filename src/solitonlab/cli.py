@@ -282,11 +282,9 @@ def cmd_weights(args) -> int:
         np.round(np.geomspace(1, len(ps), num=min(40, len(ps)))).astype(int) - 1,
         0, len(ps) - 1))
     checkpoints = [[int(i + 2), float(ps[i])] for i in idx]
-    _emit({"a": res["a"], "n": res["n"], "tau": res["tau"],
-           "N_max": res["N_max"], "partial_sums": checkpoints,
-           "sum": float(ps[-1]), "tail_bound": res["tail_bound"],
-           "bound": res["bound"], "converged": res["converged"],
-           "tau_critical": res["tau_critical"], "margin": res["margin"]}, args.out)
+    _emit({k: res[k] for k in ("a", "n", "tau", "N_max", "tail_bound", "bound", "log_sum",
+                               "log_tail_bound", "converged", "tau_critical", "margin")}
+          | {"partial_sums": checkpoints, "sum": float(ps[-1])}, args.out)
     return 0 if res["converged"] else 1
 
 

@@ -19,11 +19,9 @@ Rm[i,j,k,l], and Delta_L h = Delta h + 2*Rm(h) - Rc.h - h.Rc.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import numbers
-import operator
 import os
 from dataclasses import dataclass, field
 
@@ -121,7 +119,8 @@ def _log_volume_neg(a: float, n: int, R) -> np.ndarray:
     e^(-kappa(n-1)u) drops below e^-60, by a composite 20-point
     Gauss-Legendre rule: the same number of equal panels at every radius,
     each spanning at most 3 e-folds of e^(-kappa(n-1)u) and of e^(-2kappa(R-u)),
-    so about 40 at most.
+    so about 40 at most.  Where lead^(n-1) underflows, lead = 1 - e^(-2kappa R),
+    the factor's largest value, is divided out and added back as (n-1) log(lead).
     """
     kappa = math.sqrt(-a)
     rate = kappa * (n - 1)
@@ -131,11 +130,12 @@ def _log_volume_neg(a: float, n: int, R) -> np.ndarray:
     x, wts = _gauss_legendre()
     half = upper / (2.0 * panels)
     u = half[..., None, None] * (2.0 * np.arange(panels)[:, None] + 1.0 + x)
-    f = np.exp(-rate * u) * (-np.expm1(-2.0 * kappa * (R[..., None, None] - u))) ** (n - 1)
-    val = half * np.sum(f @ wts, axis=-1)
-    with np.errstate(divide="ignore"):
-        return (math.log(n) + _log_ball_volume(n) - (n - 1) * math.log(2.0 * kappa)
-                + rate * R + np.log(val))
+    lead = -np.expm1(-2.0 * kappa * R)
+    lead = np.where(lead ** (n - 1) < np.finfo(float).tiny, lead, 1.0)
+    base = -np.expm1(-2.0 * kappa * (R[..., None, None] - u)) / lead[..., None, None]
+    val = half * np.sum((np.exp(-rate * u) * base ** (n - 1)) @ wts, axis=-1)
+    return (math.log(n) + _log_ball_volume(n) - (n - 1) * math.log(2.0 * kappa)
+            + rate * R + np.log(val) + (n - 1) * np.log(lead))
 
 
 def _exp(x: float) -> float:
@@ -148,8 +148,11 @@ def _exp(x: float) -> float:
 
 # bytes per term that a weight sum allocates at its peak: three float64
 # arrays of N_max terms (tracemalloc at N_max = 10^6: 24.0 B/term for a = 0,
-# 16.0 for a < 0, where the terms overwrite their logs)
+# 16.0 for a < 0; in both the terms overwrite their logs)
 _TERM_BYTES = 8 * 3
+_LN2 = math.log(2.0)
+_LOG_TINY = math.log(np.finfo(float).tiny)     # below e^_LOG_TINY a term is subnormal
+_LOG_ZERO = -746.0                              # and below e^_LOG_ZERO an exact 0.0
 
 
 def summability_check(w: WeightSpec, N_max: int = 250_000) -> dict:
@@ -164,9 +167,13 @@ def summability_check(w: WeightSpec, N_max: int = 250_000) -> dict:
     rounding; for a falling sum it is at most where the bound
     C e^(kappa (n - 1) R) / f_tau(R - 2) on the terms, which the tail
     estimate uses, lies e^80 below omega_n 4^n / f_tau(2), a lower bound on
-    the first term.  Returns partial sums over N = 2..N_max, a rigorous
-    analytic bound on the discarded tail, and a convergence verdict:
-    eventually-decreasing terms with tail below 1e-6 of the computed sum.
+    the first term.  A falling sum is exponentiated and summed only up to
+    where its extension sinks below the float range, a closed form.  Where
+    the largest term is subnormal or less, the terms are scaled by 2^-k
+    before they are summed.  Returns partial sums over N = 2..N_max, the
+    sum's log `log_sum`, `log_tail_bound`, the log of a rigorous analytic
+    bound on the discarded tail, and the verdict, decided in log space: the
+    last log-terms fall and log_tail_bound < log(1e-6) + log_sum.
     Next to the verdict stand its threshold and margin: the series
     converges iff tau > tau_critical, which is kappa (n - 1) - n for a < 0
     (the terms behave like e^(2 (kappa (n - 1) - n - tau) N), kappa =
@@ -188,15 +195,13 @@ def summability_check(w: WeightSpec, N_max: int = 250_000) -> dict:
         # are its two overlapping slices
         log_2N = np.log(np.arange(2.0, 2.0 * N_max + 1, 2.0))
         log_terms = log_omega + w.n * log_2N[1:] - nt * log_2N[:-1]
-        terms = np.exp(log_terms, out=log_terms)
+        top = log_terms[0]          # (N/(N-1))^n and (2N-2)^-tau both fall
         # tail over N > N_max:  (2N)^n/(2N-2)^(n+tau) <= (M/(M-1))^n (2N-2)^(-tau)
         # with M = N_max+1, and sum (2N-2)^(-tau) bounded by an integral:
         # omega_n (M/(M-1))^n (2(M-1))^(-tau) (1 + (M-1)/(tau-1)), in log form
         M = N_max + 1
-        tail = _exp(log_omega + w.n * math.log1p(1.0 / (M - 1.0))
+        log_tail = (log_omega + w.n * math.log1p(1.0 / (M - 1.0))
                     - w.tau * math.log(2.0 * (M - 1.0)) + math.log1p((M - 1.0) / (w.tau - 1.0)))
-        tail_finite = True
-        cut = len(terms)
     else:
         kappa = math.sqrt(-w.a)
         grow = kappa * (w.n - 1)        # log V(R) rises as grow * R
@@ -217,48 +222,43 @@ def summability_check(w: WeightSpec, N_max: int = 250_000) -> dict:
         ext = log_terms[stop:]     # past it the log-terms are extended linearly
         np.multiply(np.arange(1.0, len(ext) + 1), slope, out=ext)
         ext += log_terms[stop - 1]
-        cut = len(log_terms)
-        if slope < 0:
-            # falling, the extension is non-increasing even in rounding,
-            # and from its first log-term <= -700 on every term is an
-            # exact 0: exp and cumsum run only up to that cut
-            cut = stop + bisect.bisect_left(ext, 700.0, key=operator.neg)
-        head = log_terms[:cut]
-        head[~(head > -700)] = -np.inf
-        with np.errstate(over="ignore"):
-            np.exp(head, out=head)
-        log_terms[cut:] = 0.0
-        terms = log_terms
-        if slope < 0:
-            # geometric tail of the bound C e^(grow 2N) / f_tau(2N - 2)
-            log_first = log_C + (N_max + 1) * slope + 2.0 * nt
-            tail = _exp(log_first - math.log1p(-math.exp(slope))) if log_first > -700 else 0.0
-            tail_finite = True
-        else:
-            tail = math.inf
-            tail_finite = False
+        top = max(np.max(log_terms[:stop]), log_terms[-1])     # the extension is monotone
+        # geometric tail of the bound C e^(grow 2N) / f_tau(2N - 2)
+        log_tail = (log_C + (N_max + 1) * slope + 2.0 * nt - math.log1p(-math.exp(slope))
+                    if slope < 0 else math.inf)
 
-    # a divergent a < 0 sum of finite terms may overflow to inf here; past
-    # `cut` the terms are exact zeros and the sum stays where it is
+    # scaled by 2^-k only where the largest term is subnormal or less
+    k = math.floor(top / _LN2) if top < _LOG_TINY else 0
+    cut = N_max - 1                 # the head: the terms exponentiated and summed
+    if w.a < 0 and slope < 0:
+        # past j = q the extension log_terms[stop - 1] + j slope lies below
+        # _LOG_ZERO + k ln 2, and its scaled terms are exact zeros
+        q = (log_terms[stop - 1] - k * _LN2 - _LOG_ZERO) / -slope
+        cut = stop + min(len(ext), max(0, math.ceil(q)))
+    # eventually decreasing: the last 5 log-term differences are < 0 (N_max >= 10)
+    eventually_decreasing = bool(np.all(np.diff(log_terms[-6:]) < 0.0))
+    terms, head = log_terms, log_terms[:cut]
+    if k:
+        head -= k * _LN2
     partial_sums = np.empty_like(terms)
+    # a divergent a < 0 sum of finite terms may overflow to inf here
     with np.errstate(over="ignore"):
-        np.cumsum(terms[:cut], out=partial_sums[:cut])
+        np.exp(head, out=head)
+        np.cumsum(head, out=partial_sums[:cut])
+    terms[cut:] = 0.0
     partial_sums[cut:] = partial_sums[cut - 1]
-    total = float(partial_sums[-1])
-    # eventually decreasing: the last 5 ratios are all < 1 (N_max >= 10
-    # leaves at least 9 terms)
-    last = terms[-6:]
-    with np.errstate(invalid="ignore"):
-        # inf/inf -> nan in the divergent regime; nan < 1 is False, as wanted
-        ratios = last[1:] / np.where(last[:-1] > 0, last[:-1], np.inf)
-    eventually_decreasing = bool(np.all(ratios < 1.0))
-    converged = bool(eventually_decreasing and tail_finite and tail < 1e-6 * total)
+    log_sum = k * _LN2 + math.log(partial_sums[-1])
+    if k:
+        np.ldexp(terms, k, out=terms)
+        np.ldexp(partial_sums, k, out=partial_sums)
+    tail = _exp(log_tail)
     tau_critical = math.sqrt(-w.a) * (w.n - 1) - w.n if w.a < 0 else 1.0
     return {
         "a": w.a, "n": w.n, "tau": w.tau, "N_max": N_max,
         "terms": terms, "partial_sums": partial_sums,
-        "tail_bound": float(tail), "bound": total + float(tail),
-        "converged": converged,
+        "tail_bound": tail, "bound": float(partial_sums[-1]) + tail,
+        "log_sum": log_sum, "log_tail_bound": log_tail,
+        "converged": eventually_decreasing and log_tail < math.log(1e-6) + log_sum,
         "tau_critical": tau_critical, "margin": w.tau - tau_critical,
     }
 

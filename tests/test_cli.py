@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import re
 import shutil
 import subprocess
@@ -423,23 +424,36 @@ def test_weights_in_high_dimension_report(capsys, dim, a):
     assert code in (0, 1)
     assert doc["n"] == int(dim) and doc["converged"] is (code == 0)
     assert err == ""
+    if dim == "2000":
+        # every term lies below e^-745, so `sum` reads 0.0; the scaled log-sum
+        # decides, and the margin is positive
+        assert code == 0 and doc["converged"] is True and doc["sum"] == 0.0
+        assert math.isfinite(doc["log_sum"]) and doc["log_tail_bound"] < doc["log_sum"]
 
 
-@pytest.mark.parametrize("args, tail", [
-    (["--a=-1e-300", "--dim", "8", "--tau", "0.5"], None),  # log tail about 2.4e3
-    (["--a", "0", "--dim", "100000"], 0.0),                  # (M/(M-1))^n alone overflowed
+@pytest.mark.parametrize("args, code, tail", [
+    # the bound on the tail is about e^2590 (C grows as kappa^-(n-1)): honestly
+    # unconverged, with a finite sum
+    (["--a=-1e-300", "--dim", "8", "--tau", "0.5"], 1, None),
+    # log-tail about -424231 against a log-sum about -364445: converged, though
+    # (M/(M-1))^n alone overflows and every term underflows
+    (["--a", "0", "--dim", "100000"], 0, 0.0),
 ], ids=["a<0", "a=0"])
-def test_weights_tail_out_of_float_range_is_reported(capsys, args, tail):
+def test_weights_tail_out_of_float_range_is_reported(capsys, args, code, tail):
     # each tail once ended in an OverflowError traceback from `math`; in log
     # form it is inf (null) past the float range, and the report stands
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code, out, err = run_main(capsys, "weights", *args, "--nmax", "10")
+        got, out, err = run_main(capsys, "weights", *args, "--nmax", "10")
     doc = _strict_json(out)
-    assert code == 1 and err == ""
-    assert doc["converged"] is False and doc["tail_bound"] == tail
+    assert got == code and err == ""
+    assert doc["converged"] is (code == 0) and doc["tail_bound"] == tail
+    assert math.isfinite(doc["sum"]) and math.isfinite(doc["log_sum"])
     if tail is None:
-        assert doc["bound"] is None
+        assert doc["bound"] is None and doc["sum"] > 0.0
+        assert doc["log_tail_bound"] > math.log(sys.float_info.max)
+    else:
+        assert doc["log_tail_bound"] < math.log(1e-6) + doc["log_sum"]
 
 
 def test_flow_empty_fit_writes_null(tmp_path, capsys):
