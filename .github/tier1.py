@@ -61,33 +61,36 @@ lines += ["```\n"] + [f"{n:6d} {path}\n" for path, n in sizes.items()]
 lines += [f"{sum(sizes.values()):6d} total\n", "```\n"]
 
 
-def startup(*args):
-    """Median wall time of 3 fresh `python <args>` processes, as text; a run
-    that fails is reported here and leaves the exit code alone."""
-    times = []
-    for _ in range(3):
+def fresh(*args, runs=3, value=None, fmt="{:.3f} s", env=env, timeout=120):
+    """The median over `runs` fresh `python <args>` processes of their wall
+    time, or of `value(stdout)` where given, formatted by `fmt`, as text; a
+    run that fails, or whose `value` is None, is reported here and leaves the
+    exit code alone."""
+    values = []
+    for _ in range(runs):
         t = time.perf_counter()
         try:
-            run = subprocess.run([sys.executable, *args], env=env, timeout=120,
-                                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            run = subprocess.run([sys.executable, *args], env=env, timeout=timeout,
+                                 capture_output=True, text=True)
         except (OSError, subprocess.SubprocessError) as e:
             return f"not run ({type(e).__name__})"
-        if run.returncode:
+        v = time.perf_counter() - t if value is None else value(run.stdout)
+        if run.returncode or v is None:
             return f"failed (exit code {run.returncode})"
-        times.append(time.perf_counter() - t)
-    return f"{sorted(times)[1]:.3f} s"
+        values.append(v)
+    return fmt.format(sorted(values)[runs // 2])
 
 
 # the flow writes its CSV and JSON outside the checkout, which must stay clean
 with tempfile.TemporaryDirectory() as tmp:
-    flow = startup('-m', 'solitonlab', 'flow', 'nil4', '--mode', 'unnormalized',
-                   '--t-max', '1', '--out', os.path.join(tmp, 'x.csv'))
-weights = startup('-m', 'solitonlab', 'weights', '--a', '-1', '--tau', '2', '--dim', '4')
-near = startup('-m', 'solitonlab', 'weights', '--a', '-4', '--tau', '2.001', '--dim', '4')
-rayleigh = startup('-m', 'solitonlab', 'rayleigh', 'nil3', '--radius', '4', '--dx', '0.5')
+    flow = fresh('-m', 'solitonlab', 'flow', 'nil4', '--mode', 'unnormalized',
+                 '--t-max', '1', '--out', os.path.join(tmp, 'x.csv'))
+weights = fresh('-m', 'solitonlab', 'weights', '--a', '-1', '--tau', '2', '--dim', '4')
+near = fresh('-m', 'solitonlab', 'weights', '--a', '-4', '--tau', '2.001', '--dim', '4')
+rayleigh = fresh('-m', 'solitonlab', 'rayleigh', 'nil3', '--radius', '4', '--dx', '0.5')
 lines.append(f"start-up, median of 3 fresh processes: `import solitonlab` "
-             f"{startup('-c', 'import solitonlab')}, `solitonlab catalog` "
-             f"{startup('-m', 'solitonlab', 'catalog')}, `solitonlab flow nil4 "
+             f"{fresh('-c', 'import solitonlab')}, `solitonlab catalog` "
+             f"{fresh('-m', 'solitonlab', 'catalog')}, `solitonlab flow nil4 "
              f"--mode unnormalized --t-max 1` {flow}, `solitonlab weights --a -1 --tau 2 "
              f"--dim 4` {weights}, `solitonlab weights --a -4 --tau 2.001 --dim 4` "
              f"{near}, `solitonlab rayleigh nil3 --radius 4 --dx 0.5` "
@@ -137,43 +140,28 @@ for a in (0.0, -1.0):
 """
 
 
-def fresh(script):
-    """The output lines of `python -c script` in a fresh process, joined, as
-    text; a run that fails is reported here and leaves the exit code alone."""
-    try:
-        run = subprocess.run([sys.executable, "-c", script], env=env, timeout=120,
-                             capture_output=True, text=True)
-    except (OSError, subprocess.SubprocessError) as e:
-        return f"not run ({type(e).__name__})"
-    if run.returncode:
-        return f"failed (exit code {run.returncode})"
-    return ", ".join(run.stdout.splitlines())
+def output(script):
+    """The output lines of `python -c script` in a fresh process, joined, as text."""
+    return fresh("-c", script, runs=1, value=lambda out: ", ".join(out.splitlines()),
+                 fmt="{}")
 
 
 lines.append(f"`rayleigh_quotient` on hyp3, the first call and the median of the next "
              f"9, and the peaks of a cold and a warm call, in a fresh process: "
-             f"{fresh(RAYLEIGH)}\n")
+             f"{output(RAYLEIGH)}\n")
 lines.append(f"`summability_check`, median of 7 passes over n = 2..8 at tau = 2, "
-             f"in a fresh process: {fresh(WEIGHTS)}\n")
+             f"in a fresh process: {output(WEIGHTS)}\n")
 
 
 def c08(env):
     """Median call time of criterion 8 in 3 fresh pytest processes, as text."""
-    times = []
-    for _ in range(3):
-        try:
-            run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                                  "--durations=0", "--durations-min=0",
-                                  "tests/test_acceptance.py::"
-                                  "test_c08_coordinate_algebraic_consistency"],
-                                 env=env, timeout=300, capture_output=True, text=True)
-        except (OSError, subprocess.SubprocessError) as e:
-            return f"not run ({type(e).__name__})"
-        call = re.search(r"(\d+\.\d+)s call ", run.stdout)
-        if run.returncode or not call:
-            return f"failed (exit code {run.returncode})"
-        times.append(float(call.group(1)))
-    return f"{sorted(times)[1]:.2f} s"
+    def call_time(out):
+        call = re.search(r"(\d+\.\d+)s call ", out)
+        return float(call.group(1)) if call else None
+    return fresh("-m", "pytest", "-q", "-p", "no:cacheprovider", "--durations=0",
+                 "--durations-min=0",
+                 "tests/test_acceptance.py::test_c08_coordinate_algebraic_consistency",
+                 value=call_time, fmt="{:.2f} s", env=env, timeout=300)
 
 
 # the first 6x72 by 72xN^2 products on 65^3 grids can stall with a second BLAS

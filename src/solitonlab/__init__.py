@@ -37,8 +37,7 @@ _EXPORTS = {
                   "stability_operator"),
     "flow": ("ConvergenceExperiment", "FitResult", "FlowTrajectory",
              "convergence_experiment", "fit_decay_rate", "flow_field", "integrate",
-             "perturb", "predicted_rate", "relax_fit", "rhs_normalized",
-             "rhs_unnormalized"),
+             "perturb", "predicted_rate", "relax_fit", "rhs_unnormalized"),
     "coordfield": ("AnnulusCover", "ChartMetric", "GridSpec", "WeightSpec",
                    "apply_L_fd", "build_annulus_cover", "chart_metric",
                    "distance_field", "probe_tensor_suite", "radial_bump",

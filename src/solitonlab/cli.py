@@ -17,6 +17,7 @@ verification failed, flow hit a singularity, series did not converge),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import io
 import json
@@ -159,10 +160,7 @@ def export_algebra(entry) -> dict:
 def cmd_validate(args) -> int:
     L, g, name = resolve_target(args.target)
     report = validate(L, tol=args.tol)
-    _emit({"name": name, "dim": L.n,
-           "jacobi_residual": report.jacobi_residual,
-           "antisymmetry_residual": report.antisymmetry_residual,
-           "tol": report.tol, "passed": report.passed}, args.out)
+    _emit({"name": name, "dim": L.n} | dataclasses.asdict(report), args.out)
     return 0 if report.passed else 1
 
 
@@ -191,20 +189,12 @@ def cmd_spectrum(args) -> int:
               file=sys.stderr)
         return 1
     rep = stability_operator(L, g, cert)
-    _emit({"name": name, "dim": L.n, "lambda": cert.lam,
-           "class": cert.classification,
-           "classification": rep.classification,
-           "epsilon": rep.epsilon,
-           "quad_bound": rep.quad_bound,
-           "quad_bound_raw": rep.quad_bound_raw,
-           "spectrum": rep.spectrum,
-           "gauge_dim": rep.gauge_dim,
-           "neutral_dim": rep.neutral_dim,
-           "neutral_gauge_residual": rep.neutral_gauge_residual,
-           "complement_bound": rep.complement_bound,
-           "jac_spectrum": [[z.real, z.imag] for z in rep.jac_spectrum],
-           "jac_decay_abscissa": rep.jac_decay_abscissa,
-           "jac_neutral_dim": rep.jac_neutral_dim}, args.out)
+    # every field but the matrices lmat and jac; jac_spectrum as [re, im]
+    # pairs even when it is real
+    fields = {k: v for k, v in vars(rep).items() if np.ndim(v) < 2}
+    _emit({"name": name, "dim": L.n, "lambda": cert.lam, "class": cert.classification,
+           "classification": rep.classification} | fields
+          | {"jac_spectrum": rep.jac_spectrum.astype(complex)}, args.out)
     return 0
 
 
@@ -240,9 +230,8 @@ def cmd_flow(args) -> int:
         # higher than convergence_experiment's floor: near the noise the window ends at
         # t_end - 4/omega, where the uncapped steps up to --t-max leave too few points
         res = relax_fit(traj, omega, max(1e-6 * float(np.linalg.norm(g0)), 50.0 * args.tol))
-        fit = {"C": res.C, "omega": res.omega, "r_squared": res.r_squared,
-               "window": res.window, "n_points": res.n_points, "ok": res.ok,
-               "predicted_rate": omega, "reference": "trajectory limit"}
+        fit = dataclasses.asdict(res) | {"predicted_rate": omega,
+                                         "reference": "trajectory limit"}
 
     csv_path = args.out or f"{name}_{args.mode}.csv"
     buf = io.StringIO()

@@ -118,19 +118,26 @@ def _log_volume_neg(a: float, n: int, R) -> np.ndarray:
     and integrate the bounded factor, cut at u = 60/(kappa(n-1)) where
     e^(-kappa(n-1)u) drops below e^-60, by a composite 20-point
     Gauss-Legendre rule: the same number of equal panels at every radius,
-    each spanning at most 3 e-folds of e^(-kappa(n-1)u) and of e^(-2kappa(R-u)),
-    so about 40 at most.  Where lead^(n-1) underflows, lead = 1 - e^(-2kappa R),
-    the factor's largest value, is divided out and added back as (n-1) log(lead).
+    each spanning at most 3 e-folds of e^(-kappa(n-1)u), of e^(-2kappa(R-u))
+    and of the bounded factor near u = 0, which falls there by
+    fall = (n-1) 2kappa e^(-2kappa R) / (1 - e^(-2kappa R)) e-folds per
+    unit u, about (n-1)/R where kappa R is small.  Its log is concave in u,
+    so past u = 60/fall it is below e^-60 of its start and the cut moves
+    there when that comes first; so about 40 panels at most.  Where
+    lead^(n-1) underflows, lead = 1 - e^(-2kappa R), the factor's largest
+    value, is divided out and added back as (n-1) log(lead).
     """
     kappa = math.sqrt(-a)
     rate = kappa * (n - 1)
     R = np.asarray(R, dtype=float)
-    upper = np.minimum(R, 60.0 / rate)
-    panels = max(1, math.ceil(float(np.max(upper)) * max(rate, 2.0 * kappa) / 3.0))
+    lead = -np.expm1(-2.0 * kappa * R)
+    fall = (n - 1) * 2.0 * kappa * np.exp(-2.0 * kappa * R) / lead
+    upper = np.minimum(R, 60.0 / np.maximum(rate, fall))
+    panels = max(1, math.ceil(float(np.max(upper * np.maximum(max(rate, 2.0 * kappa), fall)))
+                              / 3.0))
     x, wts = _gauss_legendre()
     half = upper / (2.0 * panels)
     u = half[..., None, None] * (2.0 * np.arange(panels)[:, None] + 1.0 + x)
-    lead = -np.expm1(-2.0 * kappa * R)
     lead = np.where(lead ** (n - 1) < np.finfo(float).tiny, lead, 1.0)
     base = -np.expm1(-2.0 * kappa * (R[..., None, None] - u)) / lead[..., None, None]
     val = half * np.sum((np.exp(-rate * u) * base ** (n - 1)) @ wts, axis=-1)

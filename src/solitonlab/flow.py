@@ -81,11 +81,6 @@ def flow_field(L: LieAlgebra, cert: SolitonCertificate | None = None):
     return field
 
 
-def rhs_normalized(L: LieAlgebra, g, cert: SolitonCertificate) -> np.ndarray:
-    """-2 ric(g) + 2 lambda g + D^T g + g D: ``flow_field(L, cert)(g)``."""
-    return flow_field(L, cert)(g)
-
-
 def _is_spd(g) -> bool:
     """True iff g is finite and positive definite (one LAPACK ``dpotrf``)."""
     return bool(np.isfinite(g).all()) and dpotrf(g, lower=1)[1] == 0

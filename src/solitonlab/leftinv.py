@@ -234,7 +234,7 @@ def curvature_action(pkg: CurvaturePackage, h) -> np.ndarray:
     return 0.5 * (out + out.swapaxes(-1, -2))
 
 
-def lichnerowicz(L: LieAlgebra, g, h, pkg: CurvaturePackage | None = None) -> np.ndarray:
+def lichnerowicz(L: LieAlgebra, g, h) -> np.ndarray:
     """Lichnerowicz Laplacian on left-invariant symmetric 2-tensors.
 
     Parameters
@@ -242,8 +242,6 @@ def lichnerowicz(L: LieAlgebra, g, h, pkg: CurvaturePackage | None = None) -> np
     h : (..., n, n) array
         Components in the g-orthonormal frame, with optional leading batch
         axes.
-    pkg : CurvaturePackage, optional
-        Pass a precomputed package to avoid recomputing the curvature.
 
     Returns
     -------
@@ -261,8 +259,11 @@ def lichnerowicz(L: LieAlgebra, g, h, pkg: CurvaturePackage | None = None) -> np
             Delta_L h = (A - T - Ric) h + h (A + T - Ric)
                         - 2 sum_i G_i h G_i + 2 Rh.
     """
-    if pkg is None:
-        pkg = curvature(L, g)
+    return _lichnerowicz(curvature(L, g), h)
+
+
+def _lichnerowicz(pkg: CurvaturePackage, h) -> np.ndarray:
+    """``lichnerowicz`` from the curvature package of a validated metric."""
     h = sym2(h, pkg.Rm.shape[0])
     G = pkg.gamma.transpose(1, 0, 2)
     A = np.einsum("ipq,iqr->pr", G, G)

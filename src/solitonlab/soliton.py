@@ -89,7 +89,6 @@ def solve_soliton(L: LieAlgebra, g) -> SolitonCertificate:
         lam = -float(np.sum(derivation_defect(L, pkg.Rc) * c)) / c2
     D = pkg.Rc - lam * np.eye(L.n)
     residual = is_derivation(L, D)
-    flags = series_flags(L)
 
     flat = float(np.abs(pkg.Rm).max()) <= TOL_SOL
     einstein = float(np.abs(D).max()) <= TOL_SOL
@@ -102,12 +101,10 @@ def solve_soliton(L: LieAlgebra, g) -> SolitonCertificate:
     elif lam >= -TOL_SOL:
         # non-Einstein solitons on these groups must be expanding
         cls = "none"
-    elif flags["nilpotent"]:
-        cls = "nilsoliton"
-    elif flags["solvable"]:
-        cls = "solvsoliton"
     else:
-        cls = "none"
+        flags = series_flags(L)
+        cls = ("nilsoliton" if flags["nilpotent"]
+               else "solvsoliton" if flags["solvable"] else "none")
     return SolitonCertificate(lam=float(lam), D=D, residual=float(residual),
                               classification=cls)
 

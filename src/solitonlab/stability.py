@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .liealg import LieAlgebra, TOL_RANK, derivation_space
-from .leftinv import (CurvaturePackage, curvature, lichnerowicz, lie_derivative_term,
+from .leftinv import (CurvaturePackage, _lichnerowicz, curvature, lie_derivative_term,
                       orthonormal_frame)
 from .soliton import SolitonCertificate, _check_cert, _verify
 
@@ -148,7 +148,7 @@ def _assemble(L: LieAlgebra, g0, pkg: CurvaturePackage,
     F = pkg.frame
     Dhat = F.T @ g0 @ cert.D @ F   # F^{-1} = F^T g0
     E = sym_tensor_basis(L.n)
-    img = (lichnerowicz(L, g0, E, pkg=pkg) + 2.0 * cert.lam * E
+    img = (_lichnerowicz(pkg, E) + 2.0 * cert.lam * E
            + lie_derivative_term(E, Dhat))
     return vec_sym(img, E).T
 
@@ -204,27 +204,19 @@ def stability_operator(L: LieAlgebra, g0, cert: SolitonCertificate) -> Stability
     quad_raw = float(w.max())
 
     Q, C = _gauge(L, g0, pkg.frame)
-    neutral_idx = np.flatnonzero(np.abs(w) <= TOL_SPEC)
-    if neutral_idx.size and Q.shape[1] > 0:
-        vecs = V[:, neutral_idx]
-        resid = float(np.linalg.norm(vecs - Q @ (Q.T @ vecs), axis=0).max())
-    elif neutral_idx.size:
-        resid = 1.0  # neutral modes but no gauge directions at all
-    else:
-        resid = 0.0
+    # the neutral unit eigenvectors' distance from the gauge span, 1 when it is empty
+    vecs = V[:, np.abs(w) <= TOL_SPEC]
+    resid = float(np.linalg.norm(vecs - Q @ (Q.T @ vecs), axis=0).max(initial=0.0))
 
     complement_bound = None
     if C.shape[1] > 0:
         complement_bound = float(np.linalg.eigvalsh(C.T @ sym @ C).max())
 
-    if abs(quad_raw) > TOL_SPEC:
-        quad_bound = quad_raw
-    elif (neutral_idx.size and resid <= GAUGE_RESIDUAL_TOL
-          and complement_bound is not None):
-        # neutral directions are pure gauge; verdict from the complement
+    # a neutral raw bound is itself a neutral eigenvalue; when every neutral
+    # direction is gauge, the verdict is read on the complement
+    quad_bound = quad_raw
+    if abs(quad_raw) <= TOL_SPEC and resid <= GAUGE_RESIDUAL_TOL and complement_bound is not None:
         quad_bound = complement_bound
-    else:
-        quad_bound = quad_raw
     epsilon = -quad_bound if quad_bound < 0 else 0.0
 
     jac = _jacobian(pkg, lmat)
@@ -236,7 +228,7 @@ def stability_operator(L: LieAlgebra, g0, cert: SolitonCertificate) -> Stability
         quad_bound_raw=quad_raw,
         epsilon=float(epsilon),
         gauge_dim=int(Q.shape[1]),
-        neutral_dim=int(neutral_idx.size),
+        neutral_dim=int(vecs.shape[1]),
         neutral_gauge_residual=resid,
         complement_bound=complement_bound,
         jac=jac,

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from solitonlab import catalog
-from solitonlab.cli import export_algebra, main, parse_algebra_file
+from solitonlab.cli import _jsonable, export_algebra, main, parse_algebra_file
 from solitonlab.errors import InvalidInput
 
 from conftest import checkout_env
@@ -239,6 +239,17 @@ def test_spectrum_strictly_stable(capsys):
     assert doc["classification"] == "strict"
     assert len(doc["spectrum"]) == 6
     assert doc["quad_bound"] < 0
+
+
+def test_complex_spectra_are_written_as_pairs(capsys):
+    """A complex spectrum is written as [re, im] pairs, a non-finite part as
+    null; `spectrum` writes jac_spectrum as pairs even when it is real."""
+    z = np.array([1.0 + 2.0j, -3.0 - 0.5j, complex(math.inf, 1.0)])
+    assert _jsonable({"s": z}) == {"s": [[1.0, 2.0], [-3.0, -0.5], [None, 1.0]]}
+    _, out, _ = run_main(capsys, "spectrum", "sol3")
+    doc = json.loads(out)
+    assert all(len(z) == 2 and z[1] == 0.0 for z in doc["jac_spectrum"])
+    assert "lmat" not in doc and "jac" not in doc
 
 
 def test_spectrum_refuses_non_soliton(tmp_path, capsys):

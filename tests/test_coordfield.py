@@ -79,6 +79,9 @@ def test_weight_legality():
     for n in (math.nan, math.inf):
         with pytest.raises(InvalidWeight):
             WeightSpec(a=0.0, n=n, tau=2.0)
+    for a, tau in ((math.nan, 2.0), (-math.inf, 2.0), (0.0, math.nan), (-1.0, math.inf)):
+        with pytest.raises(InvalidWeight, match="must be finite"):
+            WeightSpec(a=a, n=3, tau=tau)
 
 
 @given(st.floats(0.1, 8.0), st.floats(0.0, 1.5))
@@ -127,6 +130,17 @@ def test_negative_curvature_volume_matches_quadrature(a, n):
         refs.append(log_ref)
     assert coordfield._log_volume_neg(a, n, np.array(radii)) == pytest.approx(
         refs, rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("a, n, R, tol", [(-1e-300, n, R, 1e-9) for n in (100, 400)
+                                          for R in (4.0, 100.0, 1e4)]
+                         + [(-1e-12, 400, 4.0, 1e-8)])
+def test_nearly_flat_volume_is_euclidean_in_high_dimension(a, n, R, tol):
+    """Where kappa R is small the bounded factor is about (1 - u/R)^(n-1),
+    which falls by (n-1)/R e-folds per unit u: resolved, log V_a(R) is the
+    Euclidean log(omega_n R^n) (at a = -1e-12 up to a correction of 1e-9)."""
+    euclid = coordfield._log_ball_volume(n) + n * math.log(R)
+    assert abs(coordfield._log_volume_neg(a, n, R) - euclid) < tol
 
 
 @pytest.mark.parametrize("N_max", [float("nan"), float("inf"), -math.inf, 9, 10.5, "100"])
@@ -248,6 +262,8 @@ def test_grid_rejects_bad_spacing():
         GridSpec(radius=2.0, dx=0.0)
     with pytest.raises(InvalidInput):
         GridSpec(radius=-1.0, dx=0.1)
+    with pytest.raises(InvalidInput, match="dx larger than the radius"):
+        GridSpec(radius=1.0, dx=1.5)
 
 
 def test_grid_too_large_refused_before_allocating():
@@ -1427,6 +1443,20 @@ def test_weighted_holder_norm_rejects_bad_fields(nil3_fields, bad, match):
     for k in (0, 2):
         with pytest.raises(InvalidInput, match=match):
             weighted_holder_norm(cover, h, k, 0.5, WeightSpec(a=0.0, n=3, tau=2.0))
+
+
+@pytest.mark.parametrize("k, alpha, match", [
+    (3, 0.5, "k must be 0, 1 or 2"),
+    (-1, 0.5, "k must be 0, 1 or 2"),
+    (1, 0.0, r"alpha must lie in \(0, 1\)"),
+    (1, 1.0, r"alpha must lie in \(0, 1\)"),
+])
+def test_weighted_holder_norm_refuses_bad_order(nil3_fields, k, alpha, match):
+    cm, _ = nil3_fields
+    h = probe_tensor_suite(cm, GRID, count=1, seed=0)[0]
+    with pytest.raises(InvalidInput, match=match):
+        weighted_holder_norm(build_annulus_cover(cm, GRID), h, k, alpha,
+                             WeightSpec(a=0.0, n=3, tau=2.0))
 
 
 # functions NumPy 1.x lacks; pyproject.toml declares numpy>=1.23

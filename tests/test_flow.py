@@ -26,7 +26,6 @@ from solitonlab.flow import (
     perturb,
     predicted_rate,
     relax_fit,
-    rhs_normalized,
     rhs_unnormalized,
 )
 from solitonlab.leftinv import curvature, ricci
@@ -52,8 +51,7 @@ def test_rhs_unnormalized_is_minus_two_ric():
 def test_rhs_normalized_vanishes_at_solitons(soliton_entries):
     for e in soliton_entries:
         cert = solve_soliton(e.algebra, e.metric)
-        res = np.linalg.norm(rhs_normalized(e.algebra, np.asarray(e.metric),
-                                            cert))
+        res = np.linalg.norm(flow_field(e.algebra, cert)(np.asarray(e.metric)))
         assert res < 1e-12, e.name
 
 
@@ -70,7 +68,7 @@ def test_rhs_normalized_matches_definition_and_is_symmetric(name):
         sol = solve_soliton(L, gb)
         for cert in (sol, SolitonCertificate(sol.lam, D_asym, 0.0, "none")):
             for g in (gb, perturb(gb, 0.05, seed=1)):
-                out = rhs_normalized(L, g, cert)
+                out = flow_field(L, cert)(g)
                 assert np.array_equal(out, out.T)
                 terms = (-2.0 * curvature(L, g).ric, 2.0 * cert.lam * g,
                          cert.D.T @ g + g @ cert.D)
@@ -88,12 +86,13 @@ def test_rhs_normalized_validates_before_arithmetic(g, msg):
     # unvalidated, these would reach g D: numpy's ValueError, a wrong shape or NaN
     cert = solve_soliton(NIL3.algebra, NIL3.metric)
     with pytest.raises(InvalidMetric, match=msg):
-        rhs_normalized(NIL3.algebra, g, cert)
+        flow_field(NIL3.algebra, cert)(g)
 
 
 @pytest.mark.parametrize("name", ["nil3", "sol3", "heis5", "hyp_4", "heis3_ext"])
 def test_flow_field_is_the_rhs_bit_for_bit(name):
-    """The field built once per integration gives the one-call forms' bits."""
+    """The field built once per integration gives the bits of a field built
+    per call and of the one-call forms."""
     e = catalog.get(name)
     rng = np.random.default_rng(sum(map(ord, name)))
     Q, _ = np.linalg.qr(rng.standard_normal((e.algebra.n, e.algebra.n)))
@@ -102,7 +101,7 @@ def test_flow_field_is_the_rhs_bit_for_bit(name):
         cert = solve_soliton(L, gb)
         normalized, unnormalized = flow_field(L, cert), flow_field(L)
         for g in (gb, perturb(gb, 0.05, seed=2), 1e150 * gb):
-            assert np.array_equal(normalized(g), rhs_normalized(L, g, cert))
+            assert np.array_equal(normalized(g), flow_field(L, cert)(g))
             assert np.array_equal(unnormalized(g), rhs_unnormalized(L, g))
             assert np.array_equal(unnormalized(g), -2.0 * ricci(L, g))
 
@@ -120,8 +119,6 @@ def test_flow_field_refuses_bad_certificate(lam, D, msg):
     # certificate is made, a 4x4 D where it meets nil3
     with pytest.raises(InvalidInput, match=msg):
         flow_field(NIL3.algebra, SolitonCertificate(lam, D, 0.0, "none"))
-    with pytest.raises(InvalidInput, match=msg):
-        rhs_normalized(NIL3.algebra, np.eye(3), SolitonCertificate(lam, D, 0.0, "none"))
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (2, 0, 0)])
@@ -139,6 +136,17 @@ def test_rk4_tracks_closed_form():
     rel = (np.linalg.norm(traj.metrics[-1] - nil3_exact(1.0))
            / np.linalg.norm(nil3_exact(1.0)))
     assert rel < 1e-6
+
+
+def test_rk4_ends_at_t_max_when_dt_does_not_divide_it():
+    """Ten steps of 0.1, then one RK4 step of 0.05 that ends exactly at t_max."""
+    traj = integrate(lambda g: -g, np.eye(2), 1.05, dt=0.1, method="rk4")
+    assert len(traj.times) == 12 and traj.times[-1] == 1.05
+    assert traj.times[-2] == pytest.approx(1.0, abs=1e-15)
+    h = 0.05    # RK4 on dg/dt = -g multiplies g by the Taylor polynomial of e^-h
+    np.testing.assert_allclose(traj.metrics[-1],
+                               (1 - h + h ** 2 / 2 - h ** 3 / 6 + h ** 4 / 24) * traj.metrics[-2],
+                               rtol=1e-14, atol=0)
 
 
 def test_rk4_fourth_order_convergence():
@@ -165,7 +173,7 @@ def test_dop853_adaptive_accuracy():
 def test_integrate_records_deviations():
     e = catalog.get("sol3")
     cert = solve_soliton(e.algebra, e.metric)
-    rhs = lambda g: rhs_normalized(e.algebra, g, cert)
+    rhs = flow_field(e.algebra, cert)
     traj = integrate(rhs, np.asarray(e.metric), 2.0)
     devs = np.linalg.norm(traj.metrics - np.asarray(e.metric), axis=(1, 2))
     assert devs.shape == (len(traj.times),)

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from solitonlab import catalog
 from solitonlab.errors import InvalidInput, InvalidMetric
-from solitonlab.flow import flow_field, rhs_normalized, rhs_unnormalized
+from solitonlab.flow import flow_field, rhs_unnormalized
 from solitonlab.leftinv import (
+    _lichnerowicz,
     check_metric,
     curvature,
     curvature_action,
@@ -189,7 +190,7 @@ def test_symmetric_tensor_ops_accept_batch_axes(name):
     A = rng.standard_normal((7, L.n, L.n))
     hs = A + A.swapaxes(-1, -2)
     D = rng.standard_normal((L.n, L.n))
-    for op in (lambda h: lichnerowicz(L, g, h, pkg=pkg),
+    for op in (lambda h: lichnerowicz(L, g, h),
                lambda h: curvature_action(pkg, h),
                lambda h: lie_derivative_term(h, D),
                sym2):
@@ -199,7 +200,7 @@ def test_symmetric_tensor_ops_accept_batch_axes(name):
             assert np.allclose(out, op(h), rtol=0, atol=1e-13)
         assert np.allclose(op(hs.reshape(7, 1, L.n, L.n))[:, 0], stacked,
                            rtol=0, atol=1e-13)
-    assert np.allclose(lichnerowicz(L, g, hs), lichnerowicz(L, g, hs, pkg=pkg),
+    assert np.allclose(lichnerowicz(L, g, hs), _lichnerowicz(pkg, hs),
                        rtol=0, atol=1e-13)
 
 
@@ -244,7 +245,7 @@ def test_sym2_refuses_non_finite_tensors():
     L = catalog.get("sol3").algebra
     pkg = curvature(L, np.eye(3))
     for op in (lambda h: curvature_action(pkg, h),
-               lambda h: lichnerowicz(L, np.eye(3), h, pkg=pkg)):
+               lambda h: lichnerowicz(L, np.eye(3), h)):
         with pytest.raises(InvalidMetric, match="non-finite"):
             op(hs)
 
@@ -367,7 +368,6 @@ def test_ricci_rejects_invalid_metric(g, msg):
     cert = solve_soliton(e.algebra, e.metric)
     for entry in (lambda g: ricci(e.algebra, g),
                   lambda g: rhs_unnormalized(e.algebra, g),
-                  lambda g: rhs_normalized(e.algebra, g, cert),
                   flow_field(e.algebra), flow_field(e.algebra, cert)):
         with pytest.raises(InvalidMetric, match=msg):
             entry(g)

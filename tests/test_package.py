@@ -30,8 +30,7 @@ EXPORTS = [
     "fit_decay_rate", "flow", "flow_field", "get", "integrate", "is_derivation",
     "leftinv", "lichnerowicz", "lie_derivative_term", "liealg", "ode_jacobian",
     "orthonormal_frame", "perturb", "predicted_rate", "probe_tensor_suite",
-    "radial_bump", "rayleigh_quotient", "relax_fit", "rhs_normalized",
-    "rhs_unnormalized", "ricci", "series_flags", "soliton", "solve_soliton",
+    "radial_bump", "rayleigh_quotient", "relax_fit", "rhs_unnormalized", "ricci", "series_flags", "soliton", "solve_soliton",
     "stability", "stability_operator", "summability_check", "validate",
     "verify_soliton", "weighted_holder_norm",
 ]

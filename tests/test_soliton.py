@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from solitonlab import catalog, flow, stability
-from solitonlab.errors import DomainError, InvalidInput
+from solitonlab.errors import DomainError, InvalidInput, UnsupportedDerivation
 from solitonlab.leftinv import curvature
 from solitonlab.liealg import LieAlgebra, change_basis, is_derivation, validate
 from solitonlab.soliton import (
@@ -138,6 +138,14 @@ def test_exact_solution_einstein_scaling():
     cert = solve_soliton(e.algebra, e.metric)
     got = exact_unnormalized_solution(np.eye(3), cert, 0.25)
     assert np.allclose(got, 2.0 * np.eye(3), atol=1e-14)   # (4t+1) g0
+
+
+def test_exact_solution_refuses_a_derivation_not_self_adjoint():
+    """g0 @ P(t) is a metric only when D is g0-self-adjoint."""
+    D = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+    cert = SolitonCertificate(-1.5, D, 0.0, "none")
+    with pytest.raises(UnsupportedDerivation, match="not self-adjoint"):
+        exact_unnormalized_solution(np.eye(3), cert, 0.5)
 
 
 def test_exact_solution_domain():

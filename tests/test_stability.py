@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from solitonlab import catalog, stability
-from solitonlab.flow import rhs_normalized
+from solitonlab.flow import flow_field
 from solitonlab.leftinv import curvature, lichnerowicz, orthonormal_frame
 from solitonlab.liealg import TOL_RANK, change_basis, derivation_space
-from solitonlab.soliton import solve_soliton
+from solitonlab.errors import InvalidInput
+from solitonlab.soliton import SolitonCertificate, solve_soliton
 from solitonlab.stability import (
+    GAUGE_RESIDUAL_TOL,
     assemble_operator,
     classify,
     gauge_subspace,
@@ -135,8 +137,29 @@ def test_gauge_subspace_shapes_and_orthogonality():
     assert np.max(np.abs(Q.T @ C)) < 1e-12
 
 
+def test_stability_operator_refuses_a_certificate_that_does_not_verify():
+    e = catalog.get("sol3")
+    cert = solve_soliton(e.algebra, e.metric)
+    wrong = SolitonCertificate(cert.lam + 1.0, cert.D, cert.residual, cert.classification)
+    with pytest.raises(InvalidInput, match="does not verify"):
+        stability_operator(e.algebra, e.metric, wrong)
+
+
+def test_neutral_modes_without_gauge_directions_stay_weak(monkeypatch):
+    """With no gauge directions no neutral mode is certified gauge: each lies
+    its whole unit norm off the empty gauge span, and the verdict is the raw,
+    neutral bound."""
+    e = catalog.get("abelian_3")
+    cert = solve_soliton(e.algebra, e.metric)
+    monkeypatch.setattr(stability, "derivation_space", lambda L: np.zeros((0, L.n, L.n)))
+    rep = stability_operator(e.algebra, e.metric, cert)
+    assert rep.gauge_dim == 0 and rep.neutral_dim == 6
+    assert rep.neutral_gauge_residual > GAUGE_RESIDUAL_TOL
+    assert rep.quad_bound == rep.quad_bound_raw
+    assert rep.classification == "weak"
+
+
 def test_ode_jacobian_linearizes_rhs():
-    from solitonlab.flow import rhs_normalized
     from solitonlab.leftinv import orthonormal_frame
 
     e = catalog.get("sol3")
@@ -151,8 +174,8 @@ def test_ode_jacobian_linearizes_rhs():
     errs = []
     for s in (1e-2, 5e-3):
         g0 = np.asarray(e.metric)
-        diff = (rhs_normalized(e.algebra, g0 + s * h, cert)
-                - rhs_normalized(e.algebra, g0 - s * h, cert)) / (2 * s)
+        rhs = flow_field(e.algebra, cert)
+        diff = (rhs(g0 + s * h) - rhs(g0 - s * h)) / (2 * s)
         errs.append(np.linalg.norm(F.T @ diff @ F - pred))
     assert 3.5 <= errs[0] / errs[1] <= 4.5
 
@@ -260,7 +283,7 @@ def test_stacked_assembly_matches_loop_oracle(name):
         pkg = curvature(L, g)
         E = sym_tensor_basis(L.n)
         ref = np.array([lichnerowicz_loops(pkg, h) for h in E])
-        out = lichnerowicz(L, g, E, pkg=pkg)
+        out = lichnerowicz(L, g, E)
         assert np.linalg.norm(out - ref) <= 1e-13 * max(1.0, np.linalg.norm(ref))
 
 
@@ -306,7 +329,7 @@ def test_stability_operator_computes_curvature_once(monkeypatch):
 # ------------------------------------------ finite-difference reference Jacobian
 
 def jacobian_central_differences(L, g0, cert):
-    """Central differences of ``rhs_normalized`` along the frame basis tensors.
+    """Central differences of the normalized flow field along the frame basis tensors.
 
     Step 1e-6 relative to |g0|_F, so each entry is off by O(step^2) plus
     rounding over the step: about 1e-9 on the catalog.
@@ -316,8 +339,8 @@ def jacobian_central_differences(L, g0, cert):
     E = sym_tensor_basis(L.n)
     dgs = Finv.T @ E @ Finv   # defining-basis tensors with frame components E
     s = 1e-6 * max(1.0, float(np.linalg.norm(g0)))
-    diff = np.array([rhs_normalized(L, g0 + s * dg, cert)
-                     - rhs_normalized(L, g0 - s * dg, cert) for dg in dgs]) / (2.0 * s)
+    rhs = flow_field(L, cert)
+    diff = np.array([rhs(g0 + s * dg) - rhs(g0 - s * dg) for dg in dgs]) / (2.0 * s)
     return vec_sym(F.T @ diff @ F, E).T
 
 
