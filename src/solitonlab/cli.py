@@ -93,7 +93,7 @@ def _is_int(v) -> bool:
 def parse_algebra_file(path: str):
     """Load an AlgebraFile; returns (LieAlgebra, checked metric, name)."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:      # whatever the locale
             raw = json.load(fh)
     except UnicodeDecodeError as e:
         raise InvalidInput(f"{path}: not a UTF-8 text file ({e.reason})") from None

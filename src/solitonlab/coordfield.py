@@ -160,6 +160,7 @@ _TERM_BYTES = 8 * 3
 _LN2 = math.log(2.0)
 _LOG_TINY = math.log(np.finfo(float).tiny)     # below e^_LOG_TINY a term is subnormal
 _LOG_ZERO = -746.0                              # and below e^_LOG_ZERO an exact 0.0
+_LOG_RESOLVED = 2.0 ** 53       # past it, a double's spacing exceeds 1 and terms lose all digits
 
 
 def summability_check(w: WeightSpec, N_max: int = 250_000) -> dict:
@@ -187,13 +188,15 @@ def summability_check(w: WeightSpec, N_max: int = 250_000) -> dict:
     sqrt(-a)) and 1 for a = 0, and `margin` is tau - tau_critical.
     An N_max that is not a finite integer >= 10, or whose term arrays
     exceed physical memory, raises `InvalidInput` before anything is
-    allocated.
+    allocated; a largest log-term below -2^53, which doubles no longer
+    resolve, raises `InvalidWeight`.
     """
     if not (isinstance(N_max, numbers.Real) and math.isfinite(N_max)
             and int(N_max) == N_max and N_max >= 10):
         raise InvalidInput(f"N_max must be an integer >= 10, got {N_max}")
     N_max = int(N_max)
     _require_memory(N_max * _TERM_BYTES, f"N_max={N_max}", "its terms", InvalidInput)
+    tau_critical = math.sqrt(-w.a) * (w.n - 1) - w.n if w.a < 0 else 1.0
     nt = w.n + w.tau
     log_omega = _log_ball_volume(w.n)
 
@@ -201,7 +204,8 @@ def summability_check(w: WeightSpec, N_max: int = 250_000) -> dict:
         # log(2N) for N = 1..N_max: log(2N) and log(2N - 2) over N = 2..N_max
         # are its two overlapping slices
         log_2N = np.log(np.arange(2.0, 2.0 * N_max + 1, 2.0))
-        log_terms = log_omega + w.n * log_2N[1:] - nt * log_2N[:-1]
+        with np.errstate(over="ignore"):        # -inf past the double range, refused below
+            log_terms = log_omega + w.n * log_2N[1:] - nt * log_2N[:-1]
         top = log_terms[0]          # (N/(N-1))^n and (2N-2)^-tau both fall
         # tail over N > N_max:  (2N)^n/(2N-2)^(n+tau) <= (M/(M-1))^n (2N-2)^(-tau)
         # with M = N_max+1, and sum (2N-2)^(-tau) bounded by an integral:
@@ -225,15 +229,19 @@ def summability_check(w: WeightSpec, N_max: int = 250_000) -> dict:
         stop = min(N_max - 1, max(1, math.ceil(R_end / 2.0) - 1))
         R = np.arange(4.0, 2.0 * stop + 3.0, 2.0)
         log_terms = np.empty(N_max - 1)
-        log_terms[:stop] = _log_volume_neg(w.a, w.n, R) - nt * (R - 2.0)
-        ext = log_terms[stop:]     # past it the log-terms are extended linearly
-        np.multiply(np.arange(1.0, len(ext) + 1), slope, out=ext)
-        ext += log_terms[stop - 1]
+        with np.errstate(over="ignore"):        # -inf past the double range, refused below
+            log_terms[:stop] = _log_volume_neg(w.a, w.n, R) - nt * (R - 2.0)
+            ext = log_terms[stop:]     # past it the log-terms are extended linearly
+            np.multiply(np.arange(1.0, len(ext) + 1), slope, out=ext)
+            ext += log_terms[stop - 1]
         top = max(np.max(log_terms[:stop]), log_terms[-1])     # the extension is monotone
         # geometric tail of the bound C e^(grow 2N) / f_tau(2N - 2)
         log_tail = (log_C + (N_max + 1) * slope + 2.0 * nt - math.log1p(-math.exp(slope))
                     if slope < 0 else math.inf)
 
+    if not top > -_LOG_RESOLVED:        # also -inf and nan
+        raise InvalidWeight(f"the largest log-term {top:.6g} lies below -2^53, where doubles "
+                            f"no longer resolve the terms (margin {w.tau - tau_critical:.6g})")
     # scaled by 2^-k only where the largest term is subnormal or less
     k = math.floor(top / _LN2) if top < _LOG_TINY else 0
     cut = N_max - 1                 # the head: the terms exponentiated and summed
@@ -255,11 +263,13 @@ def summability_check(w: WeightSpec, N_max: int = 250_000) -> dict:
     terms[cut:] = 0.0
     partial_sums[cut:] = partial_sums[cut - 1]
     log_sum = k * _LN2 + math.log(partial_sums[-1])
-    if k:
+    if k and k + math.frexp(partial_sums[-1])[1] <= -1075:
+        # every value v < 2^e has v 2^k < 2^-1075, which np.ldexp rounds to 0
+        terms[:] = partial_sums[:] = 0.0
+    elif k:
         np.ldexp(terms, k, out=terms)
         np.ldexp(partial_sums, k, out=partial_sums)
     tail = _exp(log_tail)
-    tau_critical = math.sqrt(-w.a) * (w.n - 1) - w.n if w.a < 0 else 1.0
     return {
         "a": w.a, "n": w.n, "tau": w.tau, "N_max": N_max,
         "terms": terms, "partial_sums": partial_sums,
@@ -286,13 +296,17 @@ class GridSpec:
     dx: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.radius) and self.radius > 0):
-            raise InvalidInput(f"radius must be positive, got {self.radius}")
+        # sizes in Python floats, which reach inf past the double range without a warning
+        if not (self.radius > 0 and math.isfinite(2.0 * float(self.radius))):
+            raise InvalidInput(f"radius must be positive with a finite 2R, got {self.radius}")
         if not (np.isfinite(self.dx) and self.dx > 0):
             raise InvalidInput(f"dx must be positive, got {self.dx}")
         if self.dx > self.radius:
             raise InvalidInput("dx larger than the radius")
-        steps = max(2, int(round(2.0 * self.radius / self.dx)))
+        steps = 2.0 * float(self.radius) / float(self.dx)
+        if not math.isfinite(steps):
+            raise GridTooLarge(f"2R/dx overflows a double at R={self.radius}, dx={self.dx}")
+        steps = max(2, int(round(steps)))
         if steps % 2:  # keep the origin on the grid
             steps += 1
         object.__setattr__(self, "dx", 2.0 * self.radius / steps)
@@ -320,8 +334,8 @@ class GridSpec:
     def require_memory(self, point_bytes: int, what: str) -> None:
         """Raise `GridTooLarge` if `point_bytes` per grid point, spent on
         `what`, exceed physical memory."""
-        _require_memory(self.npts ** 3 * point_bytes, f"{self.npts}^3 grid", what,
-                        GridTooLarge)
+        m = float(self.npts)           # m^3 in floats: inf, not a 900-digit int
+        _require_memory(m * m * m * point_bytes, f"{m:.6g}^3 grid", what, GridTooLarge)
 
     @property
     def origin_index(self) -> tuple:

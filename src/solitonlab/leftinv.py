@@ -116,8 +116,9 @@ class CurvaturePackage:
 
     Attributes
     ----------
-    frame : (n, n) array
-        Columns are the g-orthonormal frame vectors.
+    frame, coframe : (n, n) arrays
+        Columns of F are the g-orthonormal frame vectors; the coframe
+        F^{-1} = C^T maps the defining basis into the frame.
     c_frame : (n, n, n) array
         Structure constants in the frame.
     gamma : (n, n, n) array
@@ -133,6 +134,7 @@ class CurvaturePackage:
     """
 
     frame: np.ndarray
+    coframe: np.ndarray
     c_frame: np.ndarray
     gamma: np.ndarray
     Rm: np.ndarray
@@ -167,7 +169,7 @@ def curvature(L: LieAlgebra, g) -> CurvaturePackage:
     ric = 0.5 * (ric + ric.T)
     Rc = F @ (F.T @ ric)               # g^{-1} = F F^T
     scal = float(np.trace(ric_frame))
-    return CurvaturePackage(frame=F, c_frame=ch, gamma=gamma, Rm=Rm,
+    return CurvaturePackage(frame=F, coframe=C.T, c_frame=ch, gamma=gamma, Rm=Rm,
                             ric_frame=ric_frame, ric=ric, Rc=Rc, scal=scal)
 
 

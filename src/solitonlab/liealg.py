@@ -181,14 +181,17 @@ def ad(L: LieAlgebra, x) -> np.ndarray:
 
 
 def derivation_defect(L: LieAlgebra, D) -> np.ndarray:
-    """Tensor D[e_i,e_j] - [De_i,e_j] - [e_i,De_j], indexed ``[k, i, j]``."""
-    Dm = _as_matrix(D)
-    if Dm.shape != (L.n, L.n):
-        raise InvalidInput(f"derivation candidate must be {L.n}x{L.n}")
-    c = L.c
-    return (np.einsum("km,mij->kij", Dm, c)
-            - np.einsum("kmj,mi->kij", c, Dm)
-            - np.einsum("kim,mj->kij", c, Dm))
+    """Tensor D[e_i,e_j] - [De_i,e_j] - [e_i,De_j], indexed ``[..., k, i, j]``.
+
+    Each matrix of a ``(..., n, n)`` stack D gives its own tensor."""
+    Dm = np.asarray(D, dtype=float)
+    n, c = L.n, L.c
+    if Dm.shape[-2:] != (n, n):
+        raise InvalidInput(f"derivation candidate must be {n}x{n}, got shape {Dm.shape}")
+    Dx = Dm[..., None, :, :]       # broadcast against the k axis of c
+    return ((Dm @ c.reshape(n, n * n)).reshape(*Dm.shape[:-2], n, n, n)
+            - Dx.swapaxes(-1, -2) @ c
+            - c @ Dx)
 
 
 def is_derivation(L: LieAlgebra, D) -> float:
@@ -196,26 +199,24 @@ def is_derivation(L: LieAlgebra, D) -> float:
     return float(np.abs(derivation_defect(L, D)).max())
 
 
+def _rank(s) -> int:
+    """Numerical rank from descending singular values ``s``: the one rank cut."""
+    return int(np.sum(s > TOL_RANK))
+
+
 def derivation_space(L: LieAlgebra) -> np.ndarray:
     """Basis of Der(L) as an array of shape ``(dim Der, n, n)``.
 
-    The derivation condition is linear in the n^2 unknowns D[p, q]; the
-    null space of the n^3 x n^2 constraint system is extracted by SVD
-    with singular values thresholded at ``TOL_RANK``.
+    The defects of the n^2 unit matrices are the columns of the n^3 x n^2
+    constraint system, rows ordered (i, j, k); Der(L) is its null space,
+    read from the SVD at the ``_rank`` cut.
     """
     n = L.n
-    c = L.c
-    eye = np.eye(n)
-    # row (i, j, k), column (p, q) for the unknown D[p, q]:
-    #   D[e_i, e_j]^k   -> + c[q, i, j] on D[k, q]
-    #  -[De_i, e_j]^k   -> - c[k, p, j] on D[p, i]
-    #  -[e_i, De_j]^k   -> - c[k, i, p] on D[p, j]
-    M = (np.einsum("qij,kp->ijkpq", c, eye)
-         - np.einsum("kpj,qi->ijkpq", c, eye)
-         - np.einsum("kip,qj->ijkpq", c, eye)).reshape(n ** 3, n * n)
+    units = np.eye(n * n).reshape(n * n, n, n)
+    M = derivation_defect(L, units).transpose(2, 3, 1, 0).reshape(n ** 3, n * n)
     # M has n^3 >= n^2 rows, so the thin SVD still returns all n^2 singular values
     _, s, vt = np.linalg.svd(M, full_matrices=False)
-    return vt[s <= TOL_RANK].reshape(-1, n, n)
+    return vt[_rank(s):].reshape(-1, n, n)
 
 
 def series_flags(L: LieAlgebra) -> dict:
@@ -233,7 +234,7 @@ def series_flags(L: LieAlgebra) -> dict:
         # orthonormal basis of the span of [u, v] over the rows of U and V
         A = np.einsum("kij,ai,bj->abk", c, U, V).reshape(-1, n)
         _, s, vt = np.linalg.svd(A, full_matrices=False)
-        return vt[: int(np.sum(s > TOL_RANK))]
+        return vt[:_rank(s)]
 
     def reaches_zero(step):
         # iterate a descending series from [g, g]; it stops at {0} or at

@@ -25,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .liealg import LieAlgebra, TOL_RANK, derivation_space
-from .leftinv import (CurvaturePackage, _lichnerowicz, curvature, lie_derivative_term,
-                      orthonormal_frame)
+from .liealg import LieAlgebra, _rank, derivation_space
+from .leftinv import CurvaturePackage, _lichnerowicz, curvature, lie_derivative_term
 from .soliton import SolitonCertificate, _check_cert, _verify
 
 #: classification threshold for the quadratic-form bound
@@ -118,16 +117,15 @@ def gauge_subspace(L: LieAlgebra, g0) -> tuple[np.ndarray, np.ndarray]:
     span it; columns of C span the orthogonal complement inside the
     m-dimensional coordinate space of ``sym_tensor_basis``.
     """
-    g0 = np.asarray(g0, dtype=float)
-    return _gauge(L, g0, orthonormal_frame(L, g0)[0])
+    return _gauge(L, curvature(L, g0))
 
 
-def _gauge(L: LieAlgebra, g0, F) -> tuple[np.ndarray, np.ndarray]:
-    """``gauge_subspace`` at a validated g0 with its frame F."""
-    Bhat = F.T @ g0 @ derivation_space(L) @ F          # F^{-1} = F^T g0
+def _gauge(L: LieAlgebra, pkg: CurvaturePackage) -> tuple[np.ndarray, np.ndarray]:
+    """``gauge_subspace`` from the curvature package of a validated g0."""
+    Bhat = pkg.coframe @ derivation_space(L) @ pkg.frame
     A = vec_sym(Bhat + Bhat.swapaxes(-1, -2), sym_tensor_basis(L.n)).T
     U, s, _ = np.linalg.svd(A)
-    rank = int(np.sum(s > TOL_RANK))
+    rank = _rank(s)
     return U[:, :rank], U[:, rank:]
 
 
@@ -138,16 +136,13 @@ def assemble_operator(L: LieAlgebra, g0, cert: SolitonCertificate) -> np.ndarray
     components in the g0-orthonormal frame (D is conjugated into the frame).
     """
     _check_cert(cert, L.n)
-    g0 = np.asarray(g0, dtype=float)
-    return _assemble(L, g0, curvature(L, g0), cert)
+    return _assemble(curvature(L, g0), cert)
 
 
-def _assemble(L: LieAlgebra, g0, pkg: CurvaturePackage,
-              cert: SolitonCertificate) -> np.ndarray:
-    """``assemble_operator`` at a validated g0 with its curvature package."""
-    F = pkg.frame
-    Dhat = F.T @ g0 @ cert.D @ F   # F^{-1} = F^T g0
-    E = sym_tensor_basis(L.n)
+def _assemble(pkg: CurvaturePackage, cert: SolitonCertificate) -> np.ndarray:
+    """``assemble_operator`` from the curvature package of a validated g0."""
+    Dhat = pkg.coframe @ cert.D @ pkg.frame
+    E = sym_tensor_basis(cert.D.shape[0])
     img = (_lichnerowicz(pkg, E) + 2.0 * cert.lam * E
            + lie_derivative_term(E, Dhat))
     return vec_sym(img, E).T
@@ -162,9 +157,8 @@ def ode_jacobian(L: LieAlgebra, g0, cert: SolitonCertificate) -> np.ndarray:
     so J h = L h + Lie_{(delta h)#} g0, in the tensor basis of the operator.
     """
     _check_cert(cert, L.n)
-    g0 = np.asarray(g0, dtype=float)
     pkg = curvature(L, g0)
-    return _jacobian(pkg, _assemble(L, g0, pkg, cert))
+    return _jacobian(pkg, _assemble(pkg, cert))
 
 
 def _jacobian(pkg: CurvaturePackage, lmat) -> np.ndarray:
@@ -189,21 +183,20 @@ def stability_operator(L: LieAlgebra, g0, cert: SolitonCertificate) -> Stability
     are handled in the verdict.
     """
     _check_cert(cert, L.n)
-    g0 = np.asarray(g0, dtype=float)
-    pkg = curvature(L, g0)   # the report's one validation and factorization of g0
+    pkg = curvature(L, g0)   # the report's one reading of g0
     ver = _verify(L, pkg, cert.lam, cert.D, tol=1e-8)
     if not ver.passed:
         raise InvalidInput(
             "certificate does not verify at (L, g0): residuals "
             f"{ver.soliton_residual:.2e}, {ver.derivation_residual:.2e}")
 
-    lmat = _assemble(L, g0, pkg, cert)
+    lmat = _assemble(pkg, cert)
     spectrum = np.linalg.eigvals(lmat)
     sym = 0.5 * (lmat + lmat.T)
     w, V = np.linalg.eigh(sym)
     quad_raw = float(w.max())
 
-    Q, C = _gauge(L, g0, pkg.frame)
+    Q, C = _gauge(L, pkg)
     # the neutral unit eigenvectors' distance from the gauge span, 1 when it is empty
     vecs = V[:, np.abs(w) <= TOL_SPEC]
     resid = float(np.linalg.norm(vecs - Q @ (Q.T @ vecs), axis=0).max(initial=0.0))

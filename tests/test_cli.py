@@ -29,6 +29,10 @@ SU2 = {
                  {"i": 1, "j": 3, "k": 2, "c": -1.0}],
 }
 
+#: su(2) + R with the round metric: Rc = 1/2 id + D with the derivation
+#: D = diag(0, 0, 0, -1/2), a soliton that is not expanding
+SU2_R = {"dim": 4, "brackets": SU2["brackets"]}
+
 
 def write_json(tmp_path, doc, name="algebra.json"):
     path = tmp_path / name
@@ -93,6 +97,55 @@ def test_malformed_algebra_file_is_usage_error(tmp_path, capsys, doc):
     code, _, err = run_main(capsys, "validate", write_json(tmp_path, doc))
     assert code == 2
     assert "error:" in err
+
+
+def test_algebra_file_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"dim": 3, "note": "\u00e9"}'.encode("latin-1"))
+    code, out, err = run_main(capsys, "validate", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "not a UTF-8 text file" in err
+
+
+def test_write_atomic_removes_its_temp_file_when_the_rename_fails(tmp_path, monkeypatch):
+    from solitonlab import cli
+
+    def refuse(src, dst):
+        raise PermissionError("rename refused")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    with pytest.raises(PermissionError, match="rename refused"):
+        cli._write_atomic(str(tmp_path / "report.json"), "{}\n")
+    assert not list(tmp_path.iterdir())
+
+
+#: extreme but finite arguments, each with the exit code it must give; later
+#: refusals add rows here
+EXTREME_ARGS = [
+    (("weights", "--tau", "4e9", "--dim", "3"), 0),
+    (("weights", "--dim", "200000000"), 0),
+    (("weights", "--a=-1", "--tau", "1e305", "--dim", "3"), 2),
+    (("weights", "--a=-1", "--tau", "1e308", "--dim", "3"), 2),
+    (("weights", "--tau", "1e300", "--dim", "3"), 2),
+    (("weights", "--a=-1e300", "--dim", "3"), 1),
+    (("rayleigh", "nil3", "--radius", "1e308", "--dx", "1e307"), 2),
+    (("rayleigh", "nil3", "--radius", "4", "--dx", "1e-300"), 2),
+    (("rayleigh", "nil3", "--radius", "4", "--dx", "1e-320"), 2),
+    (("rayleigh", "nil3", "--count", "100000000000"), 2),
+    (("rayleigh", "nil3", "--radius", "1e200", "--dx", "1e199"), 2),
+    (("rayleigh", "sol3", "--radius", "200", "--dx", "25"), 2),
+    (("flow", "nil3", "--tol", "1e-300"), 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", EXTREME_ARGS, ids=[" ".join(a) for a, _ in EXTREME_ARGS])
+def test_extreme_arguments_keep_the_exit_code_contract(tmp_path, capsys, argv, code):
+    """Exit 0, 1 or 2 and no exception, whatever the arguments; a refusal
+    (2) prints one `error:` line and no report."""
+    got, out, err = run_main(capsys, *argv, "--out", str(tmp_path / "report.json"))
+    assert got == code
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_internal_error_is_not_a_usage_error(monkeypatch):
@@ -250,6 +303,18 @@ def test_complex_spectra_are_written_as_pairs(capsys):
     doc = json.loads(out)
     assert all(len(z) == 2 and z[1] == 0.0 for z in doc["jac_spectrum"])
     assert "lmat" not in doc and "jac" not in doc
+
+
+def test_non_expanding_soliton_exits_1(tmp_path, capsys):
+    path = write_json(tmp_path, SU2_R)
+    code, out, _ = run_main(capsys, "soliton", path)
+    doc = json.loads(out)
+    assert code == 1
+    assert doc["verified"] is True and doc["class"] == "none"
+    assert doc["lambda"] == pytest.approx(0.5, rel=0, abs=1e-12)
+    code, out, err = run_main(capsys, "spectrum", path)
+    assert code == 1 and out == ""
+    assert "not an algebraic soliton" in err
 
 
 def test_spectrum_refuses_non_soliton(tmp_path, capsys):

@@ -215,6 +215,26 @@ def test_summability_terms_past_the_underflow_are_exact_zeros(a, n, tau):
         assert coordfield._log_volume_neg(a, n, R) - (n + tau) * (R - 2.0) < -699.0
 
 
+@pytest.mark.parametrize("n, tau", [(3, 4e9), (200_000_000, 2.0)])
+def test_summability_far_below_the_double_range_is_a_sum_of_zeros(n, tau):
+    """Where the 2^k scale-back sends every partial sum below half the
+    smallest subnormal, the sum holds the exact zeros np.ldexp would give,
+    and its verdict and log-sum are still read in log space."""
+    res = summability_check(WeightSpec(a=0.0, n=n, tau=tau))
+    assert res["converged"] and math.isfinite(res["log_sum"])
+    assert res["log_sum"] < -1e9
+    assert not res["terms"].any() and not res["partial_sums"].any()
+
+
+@pytest.mark.parametrize("a, n, tau", [(-1.0, 3, 1e305), (-1.0, 3, 1e308), (0.0, 3, 1e300),
+                                       (0.0, 3, 1e308), (-1.0, 3, 1e16)])
+def test_summability_refuses_log_terms_that_doubles_do_not_resolve(a, n, tau):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidWeight, match=r"below -2\^53"):
+            summability_check(WeightSpec(a=a, n=n, tau=tau))
+
+
 def test_summability_integrates_a_closed_form_extent(monkeypatch):
     """An a < 0 sum takes its terms in one quadrature call, on the same
     number of radii at any distance to tau* (the log-terms are linear past
@@ -264,6 +284,16 @@ def test_grid_rejects_bad_spacing():
         GridSpec(radius=-1.0, dx=0.1)
     with pytest.raises(InvalidInput, match="dx larger than the radius"):
         GridSpec(radius=1.0, dx=1.5)
+
+
+def test_grid_sizes_past_the_double_range_are_refused():
+    with pytest.raises(InvalidInput, match="finite 2R"):
+        GridSpec(radius=1e308, dx=1e307)
+    with pytest.raises(GridTooLarge, match="overflows a double"):
+        GridSpec(radius=4.0, dx=1e-320)
+    grid = GridSpec(radius=4.0, dx=1e-300)      # 8e300 + 1 points a side
+    with pytest.raises(GridTooLarge, match="physical memory"):
+        grid.points()
 
 
 def test_grid_too_large_refused_before_allocating():
@@ -502,6 +532,12 @@ def test_chart_refuses_a_bad_generator(A, match):
         ChartMetric("sol3", A, axis=2)
 
 
+@pytest.mark.parametrize("axis", [3, -1, 1.5, None])
+def test_chart_refuses_an_axis_outside_the_chart(axis):
+    with pytest.raises(InvalidInput, match="chart axis must be 0, 1 or 2"):
+        ChartMetric("sol3", np.diag([1.0, -1.0, 0.0]), axis=axis)
+
+
 @pytest.mark.parametrize("dx", [0.5, 0.25])
 @pytest.mark.parametrize("name", ["nil3", "sol3", "hyp3"])
 def test_chart_curvature_pulls_back_to_the_left_invariant_one(name, dx):
@@ -588,6 +624,20 @@ def test_operator_rejects_mismatched_fields(nil3_fields):
             apply_L_fd(cm, cm.lam, cm.d, h, GRID, _fields=bad)
         with pytest.raises(InvalidInput, match="fields"):
             rayleigh_quotient(cm, cm.lam, cm.d, h, GRID, _fields=bad)
+
+
+def test_operator_refuses_a_field_of_the_wrong_shape(nil3_fields):
+    cm, fields = nil3_fields
+    h = probe_tensor_suite(cm, GRID, count=1)[0]
+    for bad in (h[:-1], h[..., :2, :2], h[0]):
+        with pytest.raises(InvalidInput, match="does not match grid"):
+            apply_L_fd(cm, cm.lam, cm.d, bad, GRID, _fields=fields)
+
+
+@pytest.mark.parametrize("r_inner, r_outer", [(1.0, 1.0), (1.5, 1.0), (0.0, 1.0)])
+def test_radial_bump_refuses_radii_out_of_order(r_inner, r_outer):
+    with pytest.raises(InvalidInput, match="0 < r_inner < r_outer"):
+        radial_bump(GRID, r_inner, r_outer)
 
 
 def test_operator_refuses_an_asymmetric_field(nil3_fields):

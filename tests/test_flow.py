@@ -396,6 +396,20 @@ def test_perturb_refuses_bad_seed(seed):
                           perturb(np.eye(3), 0.01, seed=3))
 
 
+def test_perturb_gives_up_after_100_draws_that_are_not_spd(monkeypatch):
+    from solitonlab import flow
+    calls = []
+
+    def never_spd(g):
+        calls.append(g)
+        return False
+
+    monkeypatch.setattr(flow, "_is_spd", never_spd)
+    with pytest.raises(InvalidPerturbation, match="no SPD perturbation of size eps=0.1"):
+        perturb(np.eye(3), 0.1, seed=0)
+    assert len(calls) == 100
+
+
 def test_fit_decay_rate_on_synthetic_data():
     times = np.linspace(0.0, 12.0, 241)
     g_inf = np.diag([2.0, 1.0, 1.0])

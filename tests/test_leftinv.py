@@ -210,6 +210,8 @@ def test_sym2_checks_each_tensor_of_a_stack():
         sym2(h)
     with pytest.raises(InvalidMetric, match="must be square"):
         sym2(np.ones(3))
+    with pytest.raises(InvalidMetric, match="must be 4x4"):
+        sym2(np.stack([np.eye(3)] * 2), n=4)
 
 
 @pytest.mark.parametrize("s", [1e-8, 1.0, 1e8])

@@ -124,6 +124,38 @@ def test_derivation_recognition():
     assert is_derivation(HEIS3, bad) > 0.5
 
 
+def test_derivation_defect_of_a_stack_is_the_stack_of_defects():
+    L = catalog.get("heis3_ext").algebra
+    Ds = np.random.default_rng(2).standard_normal((2, 3, L.n, L.n))
+    out = derivation_defect(L, Ds)
+    assert out.shape == (2, 3, L.n, L.n, L.n)
+    for idx in np.ndindex(2, 3):
+        assert np.allclose(out[idx], derivation_defect(L, Ds[idx]), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 2), (2, 4, 4), ()])
+def test_derivation_defect_refuses_the_wrong_shape(shape):
+    with pytest.raises(InvalidInput, match="derivation candidate must be 3x3"):
+        derivation_defect(HEIS3, np.ones(shape))
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.0, "3"])
+def test_algebra_refuses_a_dimension_that_is_not_a_positive_integer(n):
+    with pytest.raises(InvalidInput, match="dimension must be a positive integer"):
+        LieAlgebra(n)
+
+
+def test_bracket_refuses_vectors_of_the_wrong_length():
+    with pytest.raises(InvalidInput, match="vectors must have length 3"):
+        bracket(HEIS3, [1.0, 0.0], [0.0, 1.0, 0.0])
+
+
+@pytest.mark.parametrize("A", [np.eye(2), np.eye(4), np.ones((3, 2))])
+def test_change_basis_refuses_a_matrix_of_the_wrong_size(A):
+    with pytest.raises(InvalidInput):
+        change_basis(HEIS3, A)
+
+
 def test_derivation_space_heis3():
     # derivations of the Heisenberg algebra form a 6-dimensional space
     basis = derivation_space(HEIS3)

@@ -51,6 +51,19 @@ def test_solvsoliton_requires_non_nilpotent():
                          np.eye(4)).classification == "Einstein"
 
 
+def test_non_expanding_soliton_is_classified_none():
+    # su(2) + R, [e1,e2] = e3, [e2,e3] = e1, [e3,e1] = e2, round metric:
+    # Rc = diag(1/2, 1/2, 1/2, 0) = 1/2 id + D with D = diag(0, 0, 0, -1/2) a
+    # derivation: an exact soliton, but not expanding (lambda > 0), so 'none'
+    L = LieAlgebra(4, ((0, 1, 2, 1.0), (1, 2, 0, 1.0), (0, 2, 1, -1.0)))
+    cert = solve_soliton(L, np.eye(4))
+    assert abs(cert.lam - 0.5) < 1e-12
+    assert np.allclose(cert.D, np.diag([0.0, 0.0, 0.0, -0.5]), rtol=0, atol=1e-12)
+    assert cert.residual < 1e-12
+    assert cert.classification == "none"
+    assert verify_soliton(L, np.eye(4), cert.lam, cert.D).passed
+
+
 def test_non_soliton_metric_detected():
     # a generic metric on the filiform algebra is not an algebraic soliton
     rng = np.random.default_rng(1)
